@@ -7,14 +7,15 @@ from .errors import (ConfigurationError, SolverError, SpaceExhausted,
                      SurrogateError)
 from .gp import GpModel, KernelConfig, gp_fit
 from .space import (EvaluationRecord, History, ParameterGrid, SearchSpace,
-                    make_grid)
+                    StepResult, make_grid)
 
 __all__ = [
     "ZetaSchedule", "expected_improvement", "score_grid",
     "BoOptimizer", "ProjectionTable", "ScoreOptimizer",
     "ConfigurationError", "SolverError", "SpaceExhausted", "SurrogateError",
     "GpModel", "KernelConfig", "gp_fit",
-    "EvaluationRecord", "History", "ParameterGrid", "SearchSpace", "make_grid",
+    "EvaluationRecord", "History", "ParameterGrid", "SearchSpace", "StepResult",
+    "make_grid",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ One joint GP over all evaluated points, expected improvement maximized over
 a random candidate pool plus the grid neighbors of the incumbent. The GP is
 refit on the whole history every iteration, so per-iteration cost grows
 with the number of evaluations N (Cholesky is O(N^3)); this is the
-comparison arm for the bounded-cost decomposed optimizer.
+comparison arm for the bounded-cost decomposed optimizer. It shares the
+evaluation record (``History``) and the ``step()`` protocol (returning a
+``StepResult``) with the decomposed optimizer; each step evaluates one tuple.
 
 This is a clean-room standard BO loop, not a re-implementation of any
 specific package; it exists for the convergence and time-scaling contrast.
@@ -22,7 +24,7 @@ from .acquisition import ZetaSchedule, score_grid
 from .errors import SpaceExhausted, SurrogateError
 from .gp import KernelConfig, gp_fit
 from .sampling import draw_unevaluated
-from .space import History, SearchSpace
+from .space import History, SearchSpace, StepResult
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +50,7 @@ class BoOptimizer:
             raise ValueError(
                 f"candidate_pool_size must be >= 1, got {self.candidate_pool_size}")
         self.rng = np.random.default_rng(self.seed)
-        self.history = History(self.space)
-        self.evaluated: set[tuple[int, ...]] = set()
+        self.history = History(self.space, self.objective)
         self.kernel = KernelConfig(lengthscale=self.lengthscale,
                                    noise_variance=self.noise_variance)
         self.iteration = 0
@@ -59,25 +60,9 @@ class BoOptimizer:
     def _rescale(self, index_tuples) -> np.ndarray:
         return np.asarray(index_tuples, dtype=float) / self._scale
 
-    def _evaluate(self, indices: tuple[int, ...]) -> None:
-        point = self.space.point(indices)
-        t0 = time.perf_counter()
-        value = float(self.objective(point))
-        wall = time.perf_counter() - t0
-        self.evaluated.add(indices)
-        self.history.record_evaluation(indices, value, wall)
-
-    @property
-    def n_evaluations(self) -> int:
-        return len(self.history) + self.history.n_rejected
-
     def initialize(self, n_init: int | None = None) -> None:
-        if n_init is None:
-            n_init = 2 * self.space.dims
-        if n_init < 1:
-            raise ValueError(f"n_init must be >= 1, got {n_init}")
-        for indices in draw_unevaluated(self.space, self.rng, self.evaluated, n_init):
-            self._evaluate(indices)
+        """Evaluate the initial design (see ``History.initialize``)."""
+        self.history.initialize(self.rng, n_init)
 
     def _incumbent_neighbors(self) -> list[tuple[int, ...]]:
         best = self.history.best.indices
@@ -87,22 +72,24 @@ class BoOptimizer:
                 i = best[d] + delta
                 if 0 <= i < len(g):
                     t = best[:d] + (i,) + best[d + 1:]
-                    if t not in self.evaluated:
+                    if t not in self.history.evaluated:
                         neighbors.append(t)
         return neighbors
 
-    def step(self) -> float:
+    def step(self, max_batch: int | None = None) -> StepResult:
         """One iteration: joint fit, EI over the pool, evaluate the argmax.
 
-        Returns the GP-fit wall time in seconds.
+        The batch is always one tuple, so any ``max_batch`` of at least 1
+        gives the same step.
         """
-        if len(self.history) < 1:
+        if not self.history.records:
             raise ValueError("initialize() must run before step()")
-        remaining = self.space.combination_count - len(self.evaluated)
+        evaluated = self.history.evaluated
+        remaining = self.space.combination_count - len(evaluated)
         if remaining <= 0:
             raise SpaceExhausted("search space exhausted")
 
-        candidates = draw_unevaluated(self.space, self.rng, self.evaluated,
+        candidates = draw_unevaluated(self.space, self.rng, evaluated,
                                       min(self.candidate_pool_size, remaining))
         for t in self._incumbent_neighbors():
             if t not in candidates:
@@ -116,15 +103,15 @@ class BoOptimizer:
             model = gp_fit(inputs, targets, self.kernel)
         except SurrogateError:
             log.warning("joint GP fit failed; falling back to a random suggestion")
-            gp_seconds = time.perf_counter() - t0
-            self._evaluate(candidates[0])
-            self.iteration += 1
-            return gp_seconds
+            model = None
         gp_seconds = time.perf_counter() - t0
 
-        mu, sigma = model.predict(self._rescale(candidates), standardized=True)
-        z_best = (self.history.best.value - model.target_mean) / model.target_std
-        scores = score_grid(mu, sigma, z_best, self.zeta.at(self.iteration))
-        self._evaluate(candidates[int(np.argmax(scores))])
+        choice = candidates[0]
+        if model is not None:
+            mu, sigma = model.predict(self._rescale(candidates), standardized=True)
+            z_best = (self.history.best.value - model.target_mean) / model.target_std
+            scores = score_grid(mu, sigma, z_best, self.zeta.at(self.iteration))
+            choice = candidates[int(np.argmax(scores))]
+        self.history.evaluate(choice)
         self.iteration += 1
-        return gp_seconds
+        return StepResult(batch=[choice], gp_fit_seconds=gp_seconds)

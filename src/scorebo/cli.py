@@ -63,7 +63,8 @@ class RunConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.n_init is not None and self.n_init < 1:
             raise ConfigurationError(f"n_init must be >= 1, got {self.n_init}")
-        n_init = self.n_init if self.n_init is not None else 1
+        dims = self.dims if self.problem == "ackley" else 5   # sdm's parameters
+        n_init = self.n_init if self.n_init is not None else 2 * dims
         if self.max_evals < n_init:
             raise ConfigurationError(
                 f"max_evals={self.max_evals} is below n_init={n_init}")
@@ -101,11 +102,6 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
     """Execute one optimizer to budget or space exhaustion."""
     config.validate()
     space, objective = _build_problem(config)
-    n_init = config.n_init if config.n_init is not None else 2 * space.dims
-    if config.max_evals < n_init:
-        raise ConfigurationError(
-            f"max_evals={config.max_evals} is below n_init={n_init}")
-
     zeta = ZetaSchedule(config.zeta_initial, config.zeta_decay)
     if config.method == "score":
         opt = ScoreOptimizer(space=space, objective=objective,
@@ -119,41 +115,26 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
                           candidate_pool_size=config.candidate_pool_size,
                           zeta=zeta, lengthscale=config.bo_lengthscale,
                           noise_variance=config.noise_variance)
+    history = opt.history
 
     trace = ConvergenceTrace(method=config.method, seed=config.seed)
     t0 = time.perf_counter()
-    opt.initialize(n_init)
-    init_ms = (time.perf_counter() - t0) * 1000.0
-    best = opt.history.best
-    trace.append(TraceRow(iteration=0, evals=opt.n_evaluations,
-                          best_value=best.value, iter_time_ms=init_ms,
-                          cum_time_ms=init_ms, gp_fit_ms=0.0,
-                          suggested_indices=best.indices))
-
-    iteration = 1
-    cum_ms = init_ms
-    while opt.n_evaluations < config.max_evals:
-        budget = config.max_evals - opt.n_evaluations
-        n_before = len(opt.history)
+    opt.initialize(config.n_init)
+    cum_ms = (time.perf_counter() - t0) * 1000.0
+    trace.append(TraceRow(iteration=0, evals=history.n_evaluations,
+                          best_value=history.best.value, iter_time_ms=cum_ms,
+                          cum_time_ms=cum_ms))
+    while history.n_evaluations < config.max_evals:
         t0 = time.perf_counter()
         try:
-            if config.method == "score":
-                result = opt.step(max_batch=budget)
-                gp_ms = result.gp_fit_seconds * 1000.0
-            else:
-                gp_ms = opt.step() * 1000.0
+            opt.step(max_batch=config.max_evals - history.n_evaluations)
         except SpaceExhausted:
             break
         iter_ms = (time.perf_counter() - t0) * 1000.0
         cum_ms += iter_ms
-        new = opt.history.records[n_before:]
-        suggested = (min(new, key=lambda r: r.value).indices if new
-                     else opt.history.best.indices)
-        trace.append(TraceRow(iteration=iteration, evals=opt.n_evaluations,
-                              best_value=opt.history.best.value,
-                              iter_time_ms=iter_ms, cum_time_ms=cum_ms,
-                              gp_fit_ms=gp_ms, suggested_indices=suggested))
-        iteration += 1
+        trace.append(TraceRow(iteration=len(trace.rows), evals=history.n_evaluations,
+                              best_value=history.best.value,
+                              iter_time_ms=iter_ms, cum_time_ms=cum_ms))
     return trace
 
 

@@ -47,7 +47,7 @@ from .acquisition import ZetaSchedule, score_grid
 from .errors import SpaceExhausted, SurrogateError
 from .gp import KernelConfig, gp_fit
 from .sampling import draw_unevaluated
-from .space import History, SearchSpace
+from .space import EvaluationRecord, History, SearchSpace, StepResult
 
 log = logging.getLogger(__name__)
 
@@ -66,28 +66,27 @@ LINE_WINDOW = 16           # freshest levels of a line used in its own model
 
 
 class ProjectionTable:
-    """Per-dimension map: grid index -> (best value seen there, visit count)."""
+    """Per-dimension min-projection of the history on a dense (D, G_max) table.
 
-    def __init__(self, dims: int):
-        self.dims = dims
-        self.per_dim: list[dict[int, tuple[float, int]]] = [{} for _ in range(dims)]
+    ``minima[d, i]`` is the best value seen with coordinate d at grid index i
+    (inf where never seen) and ``counts[d, i]`` how many records had it.
+    """
+
+    def __init__(self, dims: int, max_grid: int):
+        self.minima = np.full((dims, max_grid), np.inf)
+        self.counts = np.zeros((dims, max_grid), dtype=int)
 
     def update(self, records) -> None:
+        rows = np.arange(len(self.minima))
         for rec in records:
-            for d, idx in enumerate(rec.indices):
-                entry = self.per_dim[d].get(idx)
-                if entry is None:
-                    self.per_dim[d][idx] = (rec.value, 1)
-                else:
-                    best, count = entry
-                    self.per_dim[d][idx] = (min(best, rec.value), count + 1)
+            cells = (rows, np.asarray(rec.indices))
+            self.minima[cells] = np.minimum(self.minima[cells], rec.value)
+            self.counts[cells] += 1
 
     def observed(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted observed indices of dimension d and their projected minima."""
-        items = sorted(self.per_dim[d].items())
-        idx = np.array([i for i, _ in items], dtype=float)
-        best = np.array([v for _, (v, _) in items])
-        return idx, best
+        idx = np.flatnonzero(self.counts[d])
+        return idx.astype(float), self.minima[d, idx]
 
 
 def clip_targets(values: np.ndarray, factor: float = 20.0) -> np.ndarray:
@@ -201,13 +200,6 @@ class _GridGroup:
 
 
 @dataclass
-class StepResult:
-    batch: list[tuple[int, ...]]
-    gp_fit_seconds: float
-    eval_seconds: float = 0.0
-
-
-@dataclass
 class ScoreOptimizer:
     """Batch optimizer over a discrete search space.
 
@@ -231,9 +223,7 @@ class ScoreOptimizer:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.rng = np.random.default_rng(self.seed)
-        self.history = History(self.space)
-        self.projections = ProjectionTable(self.space.dims)
-        self.evaluated: set[tuple[int, ...]] = set()
+        self.history = History(self.space, self.objective, on_record=self._absorb)
         self.kernel = KernelConfig(lengthscale=self.lengthscale_steps,
                                    noise_variance=self.noise_variance)
         self.iteration = 0
@@ -242,6 +232,7 @@ class ScoreOptimizer:
         self._refine_dim = 0
         self._n_grid = np.array([len(g) for g in self.space.grids])
         max_grid = int(self._n_grid.max())
+        self.projections = ProjectionTable(self.space.dims, max_grid)
         self._line_kernel = _se_kernel(max_grid, self.refinement_lengthscale)
         self.lines = LineEvidence(self.space.dims, max_grid)
         self._predicted: np.ndarray | None = None   # line means of the last selection
@@ -260,17 +251,8 @@ class ScoreOptimizer:
             self._group_of[dims] = len(self._groups)
             self._groups.append(group)
 
-    # -- evaluation bookkeeping ------------------------------------------
-
-    def _evaluate(self, indices: tuple[int, ...]) -> None:
-        point = self.space.point(indices)
-        t0 = time.perf_counter()
-        value = float(self.objective(point))
-        wall = time.perf_counter() - t0
-        self.evaluated.add(indices)  # even when the value is rejected
-        record = self.history.record_evaluation(indices, value, wall)
-        if record is None:
-            return
+    def _absorb(self, record: EvaluationRecord) -> None:
+        """Add a new record to the projections and the line evidence."""
         self.projections.update([record])
         if self.lines.anchor is None:
             self.lines.reset(record.indices, record.value)
@@ -283,19 +265,9 @@ class ScoreOptimizer:
             if pred is not None:
                 self._groups[self._group_of[d]].outcomes.append((pred, level))
 
-    @property
-    def n_evaluations(self) -> int:
-        """Objective calls so far, including rejected non-finite results."""
-        return len(self.history) + self.history.n_rejected
-
     def initialize(self, n_init: int | None = None) -> None:
-        """Evaluate the initial design: distinct uniform-random tuples."""
-        if n_init is None:
-            n_init = 2 * self.space.dims
-        if n_init < 1:
-            raise ValueError(f"n_init must be >= 1, got {n_init}")
-        for indices in draw_unevaluated(self.space, self.rng, self.evaluated, n_init):
-            self._evaluate(indices)
+        """Evaluate the initial design (see ``History.initialize``)."""
+        self.history.initialize(self.rng, n_init)
 
     # -- one iteration ----------------------------------------------------
 
@@ -443,7 +415,7 @@ class ScoreOptimizer:
         return mean, std, np.sqrt(scale2), supported, share
 
     def _fresh(self, t: tuple[int, ...], taken: set) -> bool:
-        return t not in taken and t not in self.evaluated
+        return t not in taken and t not in self.history.evaluated
 
     def _refinement_candidates(self, per_dim_scores: list[np.ndarray],
                                taken: set, count: int) -> list[tuple[int, ...]]:
@@ -532,7 +504,7 @@ class ScoreOptimizer:
         duplicates resampled up to 100*B times; finally uniform-random
         unevaluated tuples.
         """
-        remaining = self.space.combination_count - len(self.evaluated)
+        remaining = self.space.combination_count - len(self.history.evaluated)
         if remaining <= 0:
             raise SpaceExhausted("search space exhausted")
         b = min(self.batch_size, remaining)
@@ -577,12 +549,14 @@ class ScoreOptimizer:
 
         if len(chosen) < b:
             chosen.extend(draw_unevaluated(self.space, self.rng,
-                                           self.evaluated | taken,
+                                           self.history.evaluated | taken,
                                            b - len(chosen)))
         return chosen
 
     def step(self, max_batch: int | None = None) -> StepResult:
         """One iteration: D 1D GP fits, one batch selection, B evaluations."""
+        if not self.history.records:
+            raise ValueError("initialize() must run before step()")
         zeta = self.zeta.at(self.iteration)
         t0 = time.perf_counter()
         per_dim_scores = [self.score_dimension(d, zeta)
@@ -590,10 +564,7 @@ class ScoreOptimizer:
         gp_seconds = time.perf_counter() - t0
 
         batch = self.select_batch(per_dim_scores, max_batch=max_batch)
-        t1 = time.perf_counter()
         for indices in batch:
-            self._evaluate(indices)
-        eval_seconds = time.perf_counter() - t1
+            self.history.evaluate(indices)
         self.iteration += 1
-        return StepResult(batch=batch, gp_fit_seconds=gp_seconds,
-                          eval_seconds=eval_seconds)
+        return StepResult(batch=batch, gp_fit_seconds=gp_seconds)

@@ -6,7 +6,8 @@ class ConfigurationError(ValueError):
 
 
 class SurrogateError(RuntimeError):
-    """Gaussian-process fit could not be completed even after jitter escalation."""
+    """No surrogate could be fitted: the Cholesky failed even after jitter
+    escalation, or the initial design gave no finite value to fit."""
 
 
 class SolverError(RuntimeError):

@@ -27,11 +27,8 @@ class KernelConfig:
     signal_variance: float = 1.0
     noise_variance: float = 1e-6
     jitter: float = 1e-12
-    kind: str = "squared_exponential"
 
     def __post_init__(self):
-        if self.kind != "squared_exponential":
-            raise ValueError(f"unsupported kernel kind {self.kind!r}")
         if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
         if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):

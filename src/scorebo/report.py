@@ -26,8 +26,6 @@ class TraceRow:
     best_value: float
     iter_time_ms: float
     cum_time_ms: float
-    gp_fit_ms: float = 0.0               # in-memory only, not a CSV column
-    suggested_indices: tuple = ()        # best candidate of the iteration
 
 
 @dataclass
@@ -182,20 +180,3 @@ def render_svg(traces: list[ConvergenceTrace], kind: str, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(parts) + "\n")
 
-
-def emit_report(traces: list[ConvergenceTrace], kind: str, out_dir,
-                stem: str = "report") -> list[Path]:
-    """Write one CSV per trace plus one overlaid SVG; returns created paths."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    created = []
-    for t in traces:
-        p = out_dir / f"{stem}_{t.method}_seed{t.seed}.csv"
-        write_trace_csv(t, p)
-        created.append(p)
-    svg = out_dir / f"{stem}_{kind}.svg"
-    render_svg(traces, kind, svg)
-    created.append(svg)
-    return created

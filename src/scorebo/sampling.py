@@ -8,11 +8,14 @@ sampling, where collisions are vanishingly rare.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SpaceExhausted
-from .space import SearchSpace
+
+if TYPE_CHECKING:  # space.py imports this module
+    from .space import SearchSpace
 
 ENUMERATION_LIMIT = 200_000
 

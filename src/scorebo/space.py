@@ -1,19 +1,24 @@
 """Discrete search spaces, evaluation records and run history.
 
 Both optimizers operate on the same objects defined here: a ``SearchSpace``
-made of per-dimension value grids, and a ``History`` of evaluated
-combinations that is the single source of truth for best-so-far tracking.
+made of per-dimension value grids, a ``History`` that calls the objective,
+draws the initial design and is the single source of truth for which
+combinations were evaluated and for best-so-far tracking, and the
+``StepResult`` that every optimizer's ``step()`` returns.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SurrogateError
+from .sampling import draw_unevaluated
 
 log = logging.getLogger(__name__)
 
@@ -126,14 +131,21 @@ class EvaluationRecord:
 
 @dataclass
 class History:
-    """Append-only log of evaluations with best-so-far tracking.
+    """The evaluation record both optimizers share.
 
+    ``evaluate`` calls the objective (timed) and records the result;
+    ``initialize`` evaluates the initial design. ``evaluated`` holds every
+    tuple ever recorded, rejected ones included, so no tuple is tried twice.
     Non-finite objective values are rejected (counted, not stored) so a
-    pointwise objective failure does not abort the run.
+    pointwise objective failure does not abort the run. ``on_record`` is
+    called with each stored record.
     """
 
     space: SearchSpace
+    objective: Callable[[np.ndarray], float] | None = None
+    on_record: Callable[[EvaluationRecord], None] | None = None
     records: list[EvaluationRecord] = field(default_factory=list)
+    evaluated: set[tuple[int, ...]] = field(default_factory=set)
     best_index: int | None = None
     n_rejected: int = 0
 
@@ -142,6 +154,11 @@ class History:
         if self.best_index is None:
             raise ValueError("history is empty")
         return self.records[self.best_index]
+
+    @property
+    def n_evaluations(self) -> int:
+        """Objective calls so far, including rejected non-finite results."""
+        return len(self.records) + self.n_rejected
 
     def __len__(self) -> int:
         return len(self.records)
@@ -153,6 +170,7 @@ class History:
         Ties on the best value keep the earlier record.
         """
         indices = self.space.validate_indices(indices)
+        self.evaluated.add(indices)
         if not math.isfinite(value):
             self.n_rejected += 1
             log.warning("dropping non-finite objective value %r at indices %s",
@@ -169,3 +187,38 @@ class History:
         if self.best_index is None or record.value < self.records[self.best_index].value:
             self.best_index = record.eval_id
         return record
+
+    def evaluate(self, indices: tuple[int, ...]) -> EvaluationRecord | None:
+        """Call the objective at ``indices`` and record the value."""
+        point = self.space.point(indices)
+        t0 = time.perf_counter()
+        value = float(self.objective(point))
+        record = self.record_evaluation(indices, value, time.perf_counter() - t0)
+        if record is not None and self.on_record is not None:
+            self.on_record(record)
+        return record
+
+    def initialize(self, rng: np.random.Generator, n_init: int | None = None) -> None:
+        """Evaluate ``n_init`` distinct uniform-random tuples drawn with ``rng``.
+
+        ``n_init`` defaults to twice the number of dimensions. Raises
+        ``SurrogateError`` when no value of the design is finite, since then
+        no surrogate can be fitted.
+        """
+        if n_init is None:
+            n_init = 2 * self.space.dims
+        if n_init < 1:
+            raise ValueError(f"n_init must be >= 1, got {n_init}")
+        for indices in draw_unevaluated(self.space, rng, self.evaluated, n_init):
+            self.evaluate(indices)
+        if not self.records:
+            raise SurrogateError(f"all {self.n_rejected} evaluations of the initial "
+                                 "design returned non-finite values")
+
+
+@dataclass
+class StepResult:
+    """What one optimizer step evaluated, and its surrogate-fit wall time."""
+
+    batch: list[tuple[int, ...]]
+    gp_fit_seconds: float

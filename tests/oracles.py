@@ -91,7 +91,7 @@ def brute_force_projection(records, dims):
     """Recompute the per-dimension projection table from scratch.
 
     Returns a list of dicts: grid index -> (best value, count), one per
-    dimension, matching ProjectionTable.per_dim.
+    dimension; ``dense_layout`` lays it out like ProjectionTable's arrays.
     """
     table = [{} for _ in range(dims)]
     for rec in records:
@@ -99,3 +99,13 @@ def brute_force_projection(records, dims):
             best, count = table[d].get(idx, (math.inf, 0))
             table[d][idx] = (min(best, rec.value), count + 1)
     return table
+
+
+def dense_layout(table, max_grid):
+    """``(minima, counts)`` arrays of a brute-force table: inf and 0 where unseen."""
+    minima = np.full((len(table), max_grid), math.inf)
+    counts = np.zeros((len(table), max_grid), dtype=int)
+    for d, cells in enumerate(table):
+        for idx, (best, count) in cells.items():
+            minima[d, idx], counts[d, idx] = best, count
+    return minima, counts

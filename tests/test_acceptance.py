@@ -21,7 +21,7 @@ from scorebo.report import CSV_COLUMNS, write_trace_csv
 from scorebo.space import History, SearchSpace, make_grid
 
 from oracles import (antithetic_normals, brute_force_projection,
-                     dense_gp_predict, mc_expected_improvement)
+                     dense_gp_predict, dense_layout, mc_expected_improvement)
 
 SEEDS = range(10)
 
@@ -37,15 +37,15 @@ def _run_score(space, objective, seed, n_init, batch, max_evals):
     opt = ScoreOptimizer(space=space, objective=objective,
                          batch_size=batch, seed=seed)
     opt.initialize(n_init)
-    while opt.n_evaluations < max_evals:
-        opt.step(max_batch=max_evals - opt.n_evaluations)
+    while opt.history.n_evaluations < max_evals:
+        opt.step(max_batch=max_evals - opt.history.n_evaluations)
     return opt
 
 
 def _run_bo(space, objective, seed, n_init, max_evals):
     opt = BoOptimizer(space=space, objective=objective, seed=seed)
     opt.initialize(n_init)
-    while opt.n_evaluations < max_evals:
+    while opt.history.n_evaluations < max_evals:
         opt.step()
     return opt
 
@@ -115,9 +115,13 @@ def test_criterion_3_projection_equals_brute_force(capsys):
         for _ in range(int(rng.integers(1, 501))):
             indices = tuple(int(rng.integers(len(g))) for g in space.grids)
             history.record_evaluation(indices, float(rng.normal()))
-        table = ProjectionTable(dims)
+        max_grid = max(len(g) for g in space.grids)
+        table = ProjectionTable(dims, max_grid)
         table.update(history.records)
-        if table.per_dim != brute_force_projection(history.records, dims):
+        minima, counts = dense_layout(
+            brute_force_projection(history.records, dims), max_grid)
+        if not (np.array_equal(table.minima, minima)
+                and np.array_equal(table.counts, counts)):
             mismatches += 1
     _report(capsys, 3, mismatches == 0,
             f"{mismatches}/100 random histories disagreed with brute force")
@@ -164,7 +168,7 @@ def test_criterion_5_time_scaling(capsys):
     sizes, fit_times = [], []
     for _ in range(300):
         sizes.append(len(opt.history))
-        fit_times.append(opt.step())
+        fit_times.append(opt.step().gp_fit_seconds)
     mask = np.array(sizes) >= 60
     slope = np.polyfit(np.log(np.array(sizes)[mask]),
                        np.log(np.array(fit_times)[mask]), 1)[0]
@@ -216,12 +220,12 @@ def test_criterion_8_sdm_fitting(capsys, datasheet):
         opt = ScoreOptimizer(space=space, objective=objective,
                              batch_size=1, seed=seed)
         opt.initialize(150)
-        hit = (opt.n_evaluations
+        hit = (opt.history.n_evaluations
                if opt.history.best.value <= threshold else None)
-        while opt.n_evaluations < 500:
-            opt.step(max_batch=500 - opt.n_evaluations)
+        while opt.history.n_evaluations < 500:
+            opt.step(max_batch=500 - opt.history.n_evaluations)
             if hit is None and opt.history.best.value <= threshold:
-                hit = opt.n_evaluations
+                hit = opt.history.n_evaluations
         finals.append(opt.history.best.value)
         evals_to_threshold.append(hit)
     hits = sum(v <= threshold for v in finals)

@@ -66,7 +66,7 @@ class TestContracts:
         neighbors = opt._incumbent_neighbors()
         best = opt.history.best.indices
         for t in neighbors:
-            assert t not in opt.evaluated
+            assert t not in opt.history.evaluated
             assert sum(abs(a - b) for a, b in zip(t, best)) == 1
 
     def test_pool_size_validation(self):
@@ -86,7 +86,7 @@ class TestContracts:
         for _ in range(10):
             opt.step()
         assert opt.history.n_rejected > 0
-        assert opt.n_evaluations == len(opt.history) + opt.history.n_rejected
+        assert opt.history.n_evaluations == len(opt.history) + opt.history.n_rejected
 
 
 class TestSanityFloor:
@@ -96,7 +96,7 @@ class TestSanityFloor:
             opt = BoOptimizer(space=ackley_space(2), objective=ackley,
                               seed=seed)
             opt.initialize(4)
-            while opt.n_evaluations < 100:
+            while opt.history.n_evaluations < 100:
                 opt.step()
             if opt.history.best.value < 1.0:
                 hits += 1

@@ -10,7 +10,7 @@ from scorebo.errors import SpaceExhausted
 from scorebo.problems import ackley, ackley_space
 from scorebo.space import SearchSpace, make_grid
 
-from oracles import brute_force_projection, dense_gp_predict
+from oracles import brute_force_projection, dense_gp_predict, dense_layout
 
 
 def grid_space(*lengths):
@@ -33,39 +33,44 @@ class FakeRecord:
 
 class TestProjectionTable:
     def test_single_record_projects_itself(self):
-        table = ProjectionTable(2)
+        table = ProjectionTable(2, 4)
         table.update([FakeRecord((1, 2), 5.0)])
-        assert table.per_dim[0] == {1: (5.0, 1)}
-        assert table.per_dim[1] == {2: (5.0, 1)}
+        assert table.minima[0, 1] == table.minima[1, 2] == 5.0
+        assert table.counts.tolist() == [[0, 1, 0, 0], [0, 0, 1, 0]]
+        assert np.isinf(table.minima[table.counts == 0]).all()
 
     def test_min_update(self):
-        table = ProjectionTable(2)
+        table = ProjectionTable(2, 4)
         table.update([FakeRecord((1, 2), 5.0), FakeRecord((1, 3), 4.0)])
-        assert table.per_dim[0] == {1: (4.0, 2)}
-        assert table.per_dim[1] == {2: (5.0, 1), 3: (4.0, 1)}
+        assert table.minima[0, 1] == 4.0
+        assert table.minima[1, 2:].tolist() == [5.0, 4.0]
+        assert table.counts.tolist() == [[0, 2, 0, 0], [0, 0, 1, 1]]
 
     def test_matches_brute_force_on_random_records(self):
         rng = np.random.default_rng(0)
         records = [FakeRecord(tuple(rng.integers(0, 8, 4)),
                               float(rng.normal()))
                    for _ in range(200)]
-        table = ProjectionTable(4)
+        table = ProjectionTable(4, 8)
         table.update(records)
-        assert table.per_dim == brute_force_projection(records, 4)
+        minima, counts = dense_layout(brute_force_projection(records, 4), 8)
+        np.testing.assert_array_equal(table.minima, minima)
+        np.testing.assert_array_equal(table.counts, counts)
 
     def test_order_independence(self):
         rng = np.random.default_rng(1)
         records = [FakeRecord(tuple(rng.integers(0, 5, 3)),
                               float(rng.normal()))
                    for _ in range(60)]
-        table_fwd, table_rev = ProjectionTable(3), ProjectionTable(3)
+        table_fwd, table_rev = ProjectionTable(3, 5), ProjectionTable(3, 5)
         table_fwd.update(records)
         for rec in reversed(records):
             table_rev.update([rec])
-        assert table_fwd.per_dim == table_rev.per_dim
+        np.testing.assert_array_equal(table_fwd.minima, table_rev.minima)
+        np.testing.assert_array_equal(table_fwd.counts, table_rev.counts)
 
     def test_observed_returns_sorted_indices(self):
-        table = ProjectionTable(1)
+        table = ProjectionTable(1, 6)
         table.update([FakeRecord((4,), 2.0), FakeRecord((1,), 3.0),
                       FakeRecord((4,), 1.0)])
         idx, best = table.observed(0)
@@ -110,7 +115,7 @@ class TestScoreDimension:
         space = grid_space(5, 5)
         opt = ScoreOptimizer(space=space,
                              objective=table_objective(space, {(0, 0): 1.0}))
-        opt._evaluate((0, 0))
+        opt.history.evaluate((0, 0))
         scores = opt.score_dimension(0, zeta=0.01)
         assert scores[0] <= scores[4]
 
@@ -120,7 +125,7 @@ class TestScoreDimension:
         opt = ScoreOptimizer(space=space,
                              objective=table_objective(space, values))
         for i in range(5):
-            opt._evaluate((i, 0))
+            opt.history.evaluate((i, 0))
         scores = opt.score_dimension(0, zeta=0.01)
         assert np.ptp(scores) <= 1e-12
 
@@ -129,8 +134,8 @@ class TestScoreDimension:
         values = {(1, 0): 2.0, (3, 2): 5.0}
         opt = ScoreOptimizer(space=space,
                              objective=table_objective(space, values))
-        opt._evaluate((1, 0))
-        opt._evaluate((3, 2))
+        opt.history.evaluate((1, 0))
+        opt.history.evaluate((3, 2))
         zeta = 0.01
         scores = opt.score_dimension(0, zeta)
 
@@ -165,7 +170,7 @@ class TestSelectBatch:
 
     def test_evaluated_argmax_is_deduplicated(self):
         opt = ScoreOptimizer(space=grid_space(2, 2), objective=lambda p: 0.0)
-        opt.evaluated.add((1, 0))
+        opt.history.evaluated.add((1, 0))
         scores = [np.array([0.1, 0.9]), np.array([0.3, 0.2])]
         batch = opt.select_batch(scores)
         assert len(batch) == 1
@@ -187,7 +192,7 @@ class TestSelectBatch:
     def test_exhausted_space_raises(self):
         space = grid_space(2, 2)
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0)
-        opt.evaluated = {(i, j) for i in range(2) for j in range(2)}
+        opt.history.evaluated = {(i, j) for i in range(2) for j in range(2)}
         with pytest.raises(SpaceExhausted):
             opt.select_batch([np.ones(2), np.ones(2)])
 
@@ -195,7 +200,7 @@ class TestSelectBatch:
         space = grid_space(2, 2)
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0,
                              batch_size=10)
-        opt.evaluated = {(0, 0), (0, 1)}
+        opt.history.evaluated = {(0, 0), (0, 1)}
         batch = opt.select_batch([np.ones(2), np.ones(2)])
         assert sorted(batch) == [(1, 0), (1, 1)]
 
@@ -228,7 +233,7 @@ class TestLineEvidence:
         opt = ScoreOptimizer(space=space,
                              objective=table_objective(space, values))
         for indices in values:
-            opt._evaluate(indices)
+            opt.history.evaluate(indices)
         scores = [opt.score_dimension(d, zeta=0.01) for d in range(2)]
         return opt.select_batch(scores)[0]
 
@@ -257,9 +262,9 @@ class TestLineEvidence:
     def test_one_entry_per_dimension_and_grid_value(self):
         space = grid_space(5, 5)
         opt = ScoreOptimizer(space=space, objective=lambda p: float(sum(p)))
-        opt._evaluate((2, 2))
-        opt._evaluate((4, 2))
-        opt._evaluate((2, 0))
+        opt.history.evaluate((2, 2))
+        opt.history.evaluate((4, 2))
+        opt.history.evaluate((2, 0))
         assert opt.lines.levels.shape == (2, 5)
         assert opt.lines.levels[0, 4] == pytest.approx(0.5)
         assert opt.lines.levels[1, 0] == pytest.approx(-0.5)
@@ -281,7 +286,7 @@ class TestLineEvidence:
         opt = ScoreOptimizer(space=space,
                              objective=table_objective(space, values))
         for indices in values:
-            opt._evaluate(indices)
+            opt.history.evaluate(indices)
         mean, std, scale, supported, share = opt._line_posterior()
         assert list(supported) == [False, True, True, True]
         assert not share.any()
@@ -350,7 +355,7 @@ class TestFullLoop:
         opt.initialize(20)
         for _ in range(10):
             opt.step()
-        assert opt.n_evaluations == 120     # 20 init + 10 batches of 10
+        assert opt.history.n_evaluations == 120     # 20 init + 10 batches of 10
         assert opt.iteration == 10
         assert opt.gp_fit_count == 10 * 10  # one fit per dimension per iteration
 
@@ -359,7 +364,7 @@ class TestFullLoop:
         opt.initialize(10)
         for _ in range(25):
             opt.step()
-        assert opt.n_evaluations == 10 + 25
+        assert opt.history.n_evaluations == 10 + 25
         assert opt.gp_fit_count == 25 * 5
 
     def test_determinism_under_fixed_seed(self):
@@ -396,7 +401,7 @@ class TestFullLoop:
         opt.initialize(10)
         result = opt.step(max_batch=3)
         assert len(result.batch) <= 3
-        assert opt.n_evaluations <= 13
+        assert opt.history.n_evaluations <= 13
 
     def test_small_space_runs_to_exhaustion(self):
         space = grid_space(2, 2)
@@ -405,7 +410,7 @@ class TestFullLoop:
         opt.initialize(1)
         for _ in range(3):
             opt.step()
-        assert opt.n_evaluations == 4
+        assert opt.history.n_evaluations == 4
         with pytest.raises(SpaceExhausted):
             opt.step()
 
@@ -421,13 +426,13 @@ class TestFullLoop:
         for _ in range(20):
             opt.step()
         assert opt.history.n_rejected > 0
-        assert opt.n_evaluations == len(opt.history) + opt.history.n_rejected
+        assert opt.history.n_evaluations == len(opt.history) + opt.history.n_rejected
         assert np.isfinite(opt.history.best.value)
 
     def test_2d_ackley_convergence_smoke(self):
         opt = ScoreOptimizer(space=ackley_space(2), objective=ackley, seed=0)
         opt.initialize(4)
-        while opt.n_evaluations < 80:
+        while opt.history.n_evaluations < 80:
             opt.step()
         assert opt.history.best.value < 1.0
 

@@ -197,7 +197,6 @@ class TestFitMechanics:
         {"signal_variance": 0.0},
         {"noise_variance": -1e-9},
         {"jitter": 0.0},
-        {"kind": "matern"},
     ])
     def test_kernel_config_validation(self, kwargs):
         with pytest.raises(ValueError):

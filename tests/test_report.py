@@ -3,8 +3,7 @@
 import pytest
 
 from scorebo.report import (CSV_COLUMNS, ConvergenceTrace, TraceRow,
-                            emit_report, read_trace_csv, render_svg,
-                            write_trace_csv)
+                            read_trace_csv, render_svg, write_trace_csv)
 
 
 def sample_trace(method="score", seed=0, rows=5):
@@ -100,12 +99,3 @@ class TestSvg:
         with pytest.raises(ValueError):
             render_svg([], "convergence", tmp_path / "x.svg")
 
-
-class TestEmitReport:
-    def test_one_csv_per_trace_plus_one_svg(self, tmp_path):
-        traces = [sample_trace(seed=0), sample_trace(seed=1)]
-        created = emit_report(traces, "convergence", tmp_path, stem="fig1")
-        assert len(created) == 3
-        assert all(p.exists() for p in created)
-        assert created[-1].suffix == ".svg"
-        assert read_trace_csv(created[0]).seed == 0
