@@ -22,11 +22,13 @@ import numpy as np
 
 from .acquisition import ZetaSchedule, score_grid
 from .errors import SpaceExhausted, SurrogateError
-from .gp import KernelConfig, gp_fit
+from .gp import NOISE_VARIANCE, KernelConfig, gp_fit
 from .sampling import draw_unevaluated
 from .space import History, SearchSpace, StepResult
 
 log = logging.getLogger(__name__)
+
+JOINT_LENGTHSCALE = 0.08   # joint-GP lengthscale, on [0, 1]-rescaled inputs
 
 
 @dataclass
@@ -42,8 +44,6 @@ class BoOptimizer:
     seed: int = 0
     candidate_pool_size: int = 1000
     zeta: ZetaSchedule = field(default_factory=ZetaSchedule)
-    lengthscale: float = 0.08
-    noise_variance: float = 1e-6
 
     def __post_init__(self):
         if self.candidate_pool_size < 1:
@@ -51,8 +51,8 @@ class BoOptimizer:
                 f"candidate_pool_size must be >= 1, got {self.candidate_pool_size}")
         self.rng = np.random.default_rng(self.seed)
         self.history = History(self.space, self.objective)
-        self.kernel = KernelConfig(lengthscale=self.lengthscale,
-                                   noise_variance=self.noise_variance)
+        self.kernel = KernelConfig(lengthscale=JOINT_LENGTHSCALE,
+                                   noise_variance=NOISE_VARIANCE)
         self.iteration = 0
         self.gp_fit_count = 0
         self._scale = np.array([len(g) - 1 for g in self.space.grids], dtype=float)

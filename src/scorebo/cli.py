@@ -36,18 +36,12 @@ class RunConfig:
     problem: str = "ackley"          # "ackley" or "sdm"
     dims: int = 10                   # ackley only; sdm is always 5-parameter
     grid_points: int = 61
-    grid_lo: float = -5.0
-    grid_hi: float = 10.0
     n_init: int | None = None        # default: twice the number of dimensions
     batch_size: int = 1
     max_evals: int = 300
     seed: int = 0
     zeta_initial: float = 0.01
     zeta_decay: float = 1.0
-    lengthscale_steps: float = 3.0   # 1D surrogate lengthscale, in grid steps
-    bo_lengthscale: float = 0.08     # joint surrogate, on [0,1]-rescaled inputs
-    noise_variance: float = 1e-6
-    tau_fraction: float = 0.1
     candidate_pool_size: int = 1000
     datasheet: str | None = None     # path to a fixture; default is synthesized
     out_dir: str = "runs"
@@ -91,8 +85,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 def _build_problem(config: RunConfig):
     if config.problem == "ackley":
-        return ackley_space(config.dims, config.grid_points,
-                            config.grid_lo, config.grid_hi), ackley
+        return ackley_space(config.dims, config.grid_points), ackley
     targets = (load_datasheet(config.datasheet)[0] if config.datasheet
                else make_synthetic_datasheet())
     return sdm_space(targets), sdm_objective(targets)
@@ -106,15 +99,11 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
     if config.method == "score":
         opt = ScoreOptimizer(space=space, objective=objective,
                              batch_size=config.batch_size, seed=config.seed,
-                             zeta=zeta,
-                             lengthscale_steps=config.lengthscale_steps,
-                             noise_variance=config.noise_variance,
-                             tau_fraction=config.tau_fraction)
+                             zeta=zeta)
     else:
         opt = BoOptimizer(space=space, objective=objective, seed=config.seed,
                           candidate_pool_size=config.candidate_pool_size,
-                          zeta=zeta, lengthscale=config.bo_lengthscale,
-                          noise_variance=config.noise_variance)
+                          zeta=zeta)
     history = opt.history
 
     trace = ConvergenceTrace(method=config.method, seed=config.seed)
@@ -179,7 +168,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    seeds = []
+    for entry in filter(str.strip, args.seeds.split(",")):
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise ConfigurationError(f"--seeds: {entry!r} is not an integer") from None
     if not seeds:
         raise ConfigurationError("--seeds must list at least one seed")
     traces = []
@@ -209,10 +203,9 @@ def _cmd_report(args) -> int:
 
 
 def _overrides(args) -> dict:
-    keys = ("method", "problem", "dims", "seed", "max_evals", "batch_size",
-            "n_init", "grid_points", "zeta_initial", "zeta_decay",
-            "candidate_pool_size", "datasheet", "out_dir")
-    return {k: getattr(args, k, None) for k in keys}
+    """Each ``RunConfig`` field's flag value, None where unset (every field
+    is the dest of a flag)."""
+    return {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:

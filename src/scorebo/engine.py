@@ -45,12 +45,16 @@ import numpy as np
 
 from .acquisition import ZetaSchedule, score_grid
 from .errors import SpaceExhausted, SurrogateError
-from .gp import KernelConfig, gp_fit
+from .gp import NOISE_VARIANCE, KernelConfig, gp_fit, kernel_matrix
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
 
 log = logging.getLogger(__name__)
 
+LENGTHSCALE_STEPS = 3.0    # projection-GP lengthscale, in grid steps
+TAU_FRACTION = 0.1         # softmax temperature, as a fraction of the score range
+LINE_LENGTHSCALE = 1.5     # line-model lengthscale, in grid steps
+LINE_EI_MIN = 0.01         # line EI (in line scales) a line move must clear
 LINE_NOISE = 0.01          # line-model noise, as a fraction of the line variance
 # Evidence from a state that has since changed is systematically off, and
 # pooling many such levels does not average that out; so a level's noise
@@ -68,24 +72,23 @@ LINE_WINDOW = 16           # freshest levels of a line used in its own model
 class ProjectionTable:
     """Per-dimension min-projection of the history on a dense (D, G_max) table.
 
-    ``minima[d, i]`` is the best value seen with coordinate d at grid index i
-    (inf where never seen) and ``counts[d, i]`` how many records had it.
+    ``minima[d, i]`` is the best value seen with coordinate d at grid index i,
+    inf where never seen. Recorded values are always finite, so the finite
+    cells are exactly the observed ones.
     """
 
     def __init__(self, dims: int, max_grid: int):
         self.minima = np.full((dims, max_grid), np.inf)
-        self.counts = np.zeros((dims, max_grid), dtype=int)
 
     def update(self, records) -> None:
         rows = np.arange(len(self.minima))
         for rec in records:
             cells = (rows, np.asarray(rec.indices))
             self.minima[cells] = np.minimum(self.minima[cells], rec.value)
-            self.counts[cells] += 1
 
     def observed(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted observed indices of dimension d and their projected minima."""
-        idx = np.flatnonzero(self.counts[d])
+        idx = np.flatnonzero(np.isfinite(self.minima[d]))
         return idx.astype(float), self.minima[d, idx]
 
 
@@ -116,12 +119,6 @@ def _upper_quartile(values: np.ndarray) -> float:
     a, b = float(part[below]), float(part[above])
     gamma = pos - below
     return b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
-
-
-def _se_kernel(n: int, lengthscale: float) -> np.ndarray:
-    """Unit-variance squared-exponential kernel between grid indices 0..n-1."""
-    steps = np.arange(n, dtype=float)
-    return np.exp(-0.5 * (steps[:, None] - steps[None, :]) ** 2 / lengthscale**2)
 
 
 class LineEvidence:
@@ -213,19 +210,14 @@ class ScoreOptimizer:
     batch_size: int = 1
     seed: int = 0
     zeta: ZetaSchedule = field(default_factory=ZetaSchedule)
-    lengthscale_steps: float = 3.0
-    noise_variance: float = 1e-6
-    tau_fraction: float = 0.1              # softmax temperature as fraction of score range
-    refinement_lengthscale: float = 1.5    # line-model lengthscale, in grid steps
-    refinement_ei_min: float = 0.01        # EI floor (standardized) for line moves
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.rng = np.random.default_rng(self.seed)
         self.history = History(self.space, self.objective, on_record=self._absorb)
-        self.kernel = KernelConfig(lengthscale=self.lengthscale_steps,
-                                   noise_variance=self.noise_variance)
+        self.kernel = KernelConfig(lengthscale=LENGTHSCALE_STEPS,
+                                   noise_variance=NOISE_VARIANCE)
         self.iteration = 0
         self.gp_fit_count = 0                # per-dimension projection surrogates
         self.refinement_fit_count = 0        # selection-time line posteriors
@@ -233,7 +225,9 @@ class ScoreOptimizer:
         self._n_grid = np.array([len(g) for g in self.space.grids])
         max_grid = int(self._n_grid.max())
         self.projections = ProjectionTable(self.space.dims, max_grid)
-        self._line_kernel = _se_kernel(max_grid, self.refinement_lengthscale)
+        steps = np.arange(max_grid, dtype=float)[:, None]
+        self._line_kernel = kernel_matrix(steps, steps,
+                                          KernelConfig(lengthscale=LINE_LENGTHSCALE))
         self.lines = LineEvidence(self.space.dims, max_grid)
         self._predicted: np.ndarray | None = None   # line means of the last selection
         self._pending: dict[tuple[int, int], float] = {}
@@ -423,7 +417,7 @@ class ScoreOptimizer:
 
         First the merged move, then single-coordinate moves by line EI
         (standardized by each line's scale; a move must clear
-        ``refinement_ei_min``), then, for dimensions that have no line
+        ``LINE_EI_MIN``), then, for dimensions that have no line
         evidence, a move to the argmax of their projection score. Returns
         fewer than ``count`` tuples when nothing else is supported.
         """
@@ -447,12 +441,12 @@ class ScoreOptimizer:
                 self._pending[(d, t[d])] = float(profile[t[d]] - profile[inc[d]])
 
         # merged moves: each coordinate to its confidently best value, then
-        # to its best predicted value; a move must gain refinement_ei_min
-        # line scales
+        # to its best predicted value; a move must gain LINE_EI_MIN line
+        # scales
         for kappa in (MERGE_CONFIDENCE, 0.0):
             bound = np.where(valid & supported[:, None], mean + kappa * std, np.inf)
             best_v = np.argmin(bound, axis=1)
-            move = bound[np.arange(dims), best_v] < -self.refinement_ei_min * scale
+            move = bound[np.arange(dims), best_v] < -LINE_EI_MIN * scale
             merged = tuple(np.where(move, best_v, anchor).tolist())
             if len(out) < count and np.any(move) and self._fresh(merged, taken):
                 take(merged)
@@ -464,7 +458,7 @@ class ScoreOptimizer:
         ei = np.where(valid & supported[:, None], ei, 0.0)
         while len(out) < count:
             d, v = divmod(int(np.argmax(ei)), max_grid)
-            if ei[d, v] <= self.refinement_ei_min:
+            if ei[d, v] <= LINE_EI_MIN:
                 break
             ei[d, v] = 0.0
             t = inc[:d] + (v,) + inc[d + 1:]
@@ -531,7 +525,7 @@ class ScoreOptimizer:
             scores[d, :len(s)] = s
         top = scores.max(axis=1, keepdims=True)
         low = np.where(np.isfinite(scores), scores, np.inf).min(axis=1, keepdims=True)
-        tau = np.maximum(self.tau_fraction * (top - low), 1e-9)
+        tau = np.maximum(TAU_FRACTION * (top - low), 1e-9)
         p = np.exp((scores - top) / tau)
         cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]

@@ -17,6 +17,7 @@ from scipy.linalg import solve_triangular
 from .errors import SurrogateError
 
 MAX_JITTER = 1e-2
+NOISE_VARIANCE = 1e-6      # observation noise of both optimizers' surrogates
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class KernelConfig:
 
     lengthscale: float = 3.0
     signal_variance: float = 1.0
-    noise_variance: float = 1e-6
+    noise_variance: float = NOISE_VARIANCE
     jitter: float = 1e-12
 
     def __post_init__(self):
@@ -39,7 +40,8 @@ class KernelConfig:
             raise ValueError(f"jitter must be >= 1e-12, got {self.jitter}")
 
 
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+    """Squared-exponential kernel between the rows of ``a`` and of ``b``."""
     a2 = np.sum(a * a, axis=1)
     b2 = np.sum(b * b, axis=1)
     sq = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
@@ -78,7 +80,7 @@ class GpModel:
             raise ValueError(
                 f"query dimensionality {query.shape[1]} does not match "
                 f"training dimensionality {self.train_inputs.shape[1]}")
-        k_star = _kernel_matrix(self.train_inputs, query, self.kernel)
+        k_star = kernel_matrix(self.train_inputs, query, self.kernel)
         mean = k_star.T @ self.alpha
         v = solve_triangular(self.chol, k_star, lower=True, check_finite=False)
         var = self.kernel.signal_variance - np.sum(v * v, axis=0)
@@ -139,7 +141,7 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig(),
         target_mean, target_std = 0.0, 1.0
     z = (y - target_mean) / target_std
 
-    base = _kernel_matrix(x, x, kernel)
+    base = kernel_matrix(x, x, kernel)
     jitter = kernel.jitter
     while True:
         k = base + (kernel.noise_variance + jitter) * np.eye(len(z))

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import SolverError
+from .errors import ConfigurationError, SolverError
 from .space import SearchSpace, make_grid
 
 RESIDUAL_SENTINEL = sys.float_info.max  # flagged failed inner solve; finite on purpose
@@ -47,14 +47,13 @@ def ackley(point) -> float:
     return term1 + term2 + ACKLEY_A + math.e
 
 
-def ackley_space(dims: int, points: int = 61,
-                 lo: float = ACKLEY_LO, hi: float = ACKLEY_HI) -> SearchSpace:
-    """Identical linear grids in every dimension.
+def ackley_space(dims: int, points: int = 61) -> SearchSpace:
+    """Identical linear grids on [ACKLEY_LO, ACKLEY_HI] in every dimension.
 
     The default 61-point mesh on [-5, 10] has step 0.25, which places the
     global minimizer 0.0 exactly on the grid.
     """
-    grids = tuple(make_grid(lo, hi, points, "linear", name=f"x{d}")
+    grids = tuple(make_grid(ACKLEY_LO, ACKLEY_HI, points, "linear", name=f"x{d}")
                   for d in range(dims))
     return SearchSpace(grids)
 
@@ -226,19 +225,30 @@ def save_datasheet(path, targets: IvTargets,
 
 
 def load_datasheet(path) -> tuple[IvTargets, SdmParams | None]:
-    """Read a datasheet fixture written by save_datasheet."""
-    fields: dict[str, float] = {}
+    """Read a datasheet fixture written by save_datasheet.
+
+    A missing key, a value that is not a number, or targets that are not a
+    valid datasheet raise ``ConfigurationError`` naming the file.
+    """
+    values: dict[str, float] = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        fields[key.strip()] = float(value)
-    targets = IvTargets(isc=fields["isc"], vmp=fields["vmp"],
-                        imp=fields["imp"], voc=fields["voc"])
-    gt = None
-    if "gt_i_l" in fields:
-        gt = SdmParams(i_l=fields["gt_i_l"], i_o=fields["gt_i_o"],
-                       r_s=fields["gt_r_s"], r_sh=fields["gt_r_sh"],
-                       a=fields["gt_a"])
-    return targets, gt
+        key = key.strip()
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise ConfigurationError(f"{path}: {key} is not a number: {value!r}") from None
+
+    def build(cls, prefix=""):
+        try:
+            return cls(**{f.name: values[prefix + f.name] for f in fields(cls)})
+        except KeyError as exc:
+            raise ConfigurationError(f"{path}: missing key {exc}") from None
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+
+    targets = build(IvTargets)
+    return targets, build(SdmParams, "gt_") if "gt_i_l" in values else None

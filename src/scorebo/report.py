@@ -12,6 +12,8 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConfigurationError
+
 CSV_COLUMNS = ("method", "seed", "iteration", "evals", "best_value",
                "iter_time_ms", "cum_time_ms")
 
@@ -69,22 +71,27 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
 
 
 def read_trace_csv(path) -> ConvergenceTrace:
+    """Read a trace CSV; a wrong header, no rows or a bad cell raise
+    ``ConfigurationError``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected CSV columns {reader.fieldnames}")
+            raise ConfigurationError(f"{path}: unexpected CSV columns {reader.fieldnames}")
         rows = list(reader)
     if not rows:
-        raise ValueError(f"{path}: empty trace")
-    trace = ConvergenceTrace(method=rows[0]["method"], seed=int(rows[0]["seed"]))
-    for r in rows:
-        trace.rows.append(TraceRow(
-            iteration=int(r["iteration"]),
-            evals=int(r["evals"]),
-            best_value=float(r["best_value"]),
-            iter_time_ms=float(r["iter_time_ms"]),
-            cum_time_ms=float(r["cum_time_ms"]),
-        ))
+        raise ConfigurationError(f"{path}: empty trace")
+    try:
+        trace = ConvergenceTrace(method=rows[0]["method"], seed=int(rows[0]["seed"]))
+        for r in rows:
+            trace.rows.append(TraceRow(
+                iteration=int(r["iteration"]),
+                evals=int(r["evals"]),
+                best_value=float(r["best_value"]),
+                iter_time_ms=float(r["iter_time_ms"]),
+                cum_time_ms=float(r["cum_time_ms"]),
+            ))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     return trace
 
 

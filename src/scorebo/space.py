@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -120,20 +119,18 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One objective evaluation: where, what it returned, and how long it took."""
+    """One objective evaluation: its grid indices and what it returned."""
 
     indices: tuple[int, ...]
-    point: tuple[float, ...]
     value: float
     eval_id: int
-    wall_time: float = 0.0
 
 
 @dataclass
 class History:
     """The evaluation record both optimizers share.
 
-    ``evaluate`` calls the objective (timed) and records the result;
+    ``evaluate`` calls the objective and records the result;
     ``initialize`` evaluates the initial design. ``evaluated`` holds every
     tuple ever recorded, rejected ones included, so no tuple is tried twice.
     Non-finite objective values are rejected (counted, not stored) so a
@@ -163,8 +160,7 @@ class History:
     def __len__(self) -> int:
         return len(self.records)
 
-    def record_evaluation(self, indices, value: float,
-                          wall_time: float = 0.0) -> EvaluationRecord | None:
+    def record_evaluation(self, indices, value: float) -> EvaluationRecord | None:
         """Append an evaluation; returns the record, or None if rejected.
 
         Ties on the best value keep the earlier record.
@@ -176,13 +172,8 @@ class History:
             log.warning("dropping non-finite objective value %r at indices %s",
                         value, indices)
             return None
-        record = EvaluationRecord(
-            indices=indices,
-            point=tuple(self.space.point(indices)),
-            value=float(value),
-            eval_id=len(self.records),
-            wall_time=wall_time,
-        )
+        record = EvaluationRecord(indices=indices, value=float(value),
+                                  eval_id=len(self.records))
         self.records.append(record)
         if self.best_index is None or record.value < self.records[self.best_index].value:
             self.best_index = record.eval_id
@@ -190,10 +181,8 @@ class History:
 
     def evaluate(self, indices: tuple[int, ...]) -> EvaluationRecord | None:
         """Call the objective at ``indices`` and record the value."""
-        point = self.space.point(indices)
-        t0 = time.perf_counter()
-        value = float(self.objective(point))
-        record = self.record_evaluation(indices, value, time.perf_counter() - t0)
+        value = float(self.objective(self.space.point(indices)))
+        record = self.record_evaluation(indices, value)
         if record is not None and self.on_record is not None:
             self.on_record(record)
         return record

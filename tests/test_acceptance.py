@@ -118,10 +118,14 @@ def test_criterion_3_projection_equals_brute_force(capsys):
         max_grid = max(len(g) for g in space.grids)
         table = ProjectionTable(dims, max_grid)
         table.update(history.records)
-        minima, counts = dense_layout(
-            brute_force_projection(history.records, dims), max_grid)
-        if not (np.array_equal(table.minima, minima)
-                and np.array_equal(table.counts, counts)):
+        brute = brute_force_projection(history.records, dims)
+        minima, _ = dense_layout(brute, max_grid)
+        observed_ok = all(
+            np.array_equal(table.observed(d)[0], sorted(cells))
+            and np.array_equal(table.observed(d)[1],
+                               [cells[k][0] for k in sorted(cells)])
+            for d, cells in enumerate(brute))
+        if not (np.array_equal(table.minima, minima) and observed_ok):
             mismatches += 1
     _report(capsys, 3, mismatches == 0,
             f"{mismatches}/100 random histories disagreed with brute force")

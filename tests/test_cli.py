@@ -1,11 +1,12 @@
 """CLI harness: config handling, experiment runs, sweeps, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from scorebo.cli import (RunConfig, aggregate_median, load_config, main,
-                         run_experiment)
+from scorebo.cli import (RunConfig, aggregate_median, build_parser, load_config,
+                         main, run_experiment)
 from scorebo.errors import ConfigurationError
 from scorebo.report import CSV_COLUMNS, read_trace_csv
 
@@ -50,6 +51,12 @@ class TestConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigurationError):
             load_config(bad)
+
+    def test_every_field_is_a_run_flag(self):
+        args = vars(build_parser().parse_args(["run"]))
+        missing = [f.name for f in dataclasses.fields(RunConfig)
+                   if f.name not in args]
+        assert missing == []
 
     @pytest.mark.parametrize("kwargs", [
         {"method": "grid"},
@@ -177,3 +184,43 @@ class TestCommands:
         missing = tmp_path / "nope.csv"
         assert main(["report", str(missing)]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "iteration,evals\n0,4\n",
+        "method,seed,iteration,evals,best_value,iter_time_ms,cum_time_ms\n",
+        "method,seed,iteration,evals,best_value,iter_time_ms,cum_time_ms\n"
+        "score,0,0,four,1.0,1.0,1.0\n",
+    ], ids=["wrong-header", "no-rows", "bad-cell"])
+    def test_bad_trace_csv_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys):
+        code = main(["sweep", "--dims", "2", "--n-init", "4", "--max-evals", "6",
+                     "--seeds", "0,x", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert "'x'" in err[0]
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda lines: [ln for ln in lines if not ln.startswith("vmp=")], "vmp"),
+        (lambda lines: ["imp=lots" if ln.startswith("imp=") else ln
+                        for ln in lines], "imp"),
+        (lambda lines: ["voc=-1.0" if ln.startswith("voc=") else ln
+                        for ln in lines], "voc"),
+    ], ids=["missing-key", "non-numeric", "invalid-targets"])
+    def test_bad_datasheet_exits_2(self, tmp_path, capsys, datasheet, edit, key):
+        from scorebo.problems import save_datasheet
+        path = tmp_path / "panel.txt"
+        save_datasheet(path, datasheet)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code = main(["run", "--problem", "sdm", "--n-init", "4", "--max-evals", "6",
+                     "--datasheet", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert str(path) in err[0] and key in err[0]

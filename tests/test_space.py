@@ -124,11 +124,13 @@ class TestHistory:
         h.record_evaluation((1, 1), 1.0)
         assert h.best.value == 1.0
 
-    def test_record_point_matches_grid_values_exactly(self):
+    def test_objective_sees_exact_grid_values(self):
         space = small_space(5, 9)
-        h = History(space)
-        rec = h.record_evaluation((2, 7), 0.5)
-        assert rec.point == tuple(space.point((2, 7)))
+        seen = []
+        h = History(space, objective=lambda point: seen.append(point) or 0.5)
+        h.evaluate((2, 7))
+        assert seen[0].tolist() == [space.grids[0].values[2],
+                                    space.grids[1].values[7]]
 
     def test_eval_ids_contiguous_from_zero(self):
         h = History(small_space(6, 6))
