@@ -1,6 +1,6 @@
 """Dimension-decomposed Bayesian optimization on discrete grids."""
 
-from .acquisition import ZetaSchedule, expected_improvement, score_grid
+from .acquisition import expected_improvement, score_grid
 from .baseline import BoOptimizer
 from .engine import ProjectionTable, ScoreOptimizer
 from .errors import (ConfigurationError, SolverError, SpaceExhausted,
@@ -10,7 +10,7 @@ from .space import (EvaluationRecord, History, ParameterGrid, SearchSpace,
                     StepResult, make_grid)
 
 __all__ = [
-    "ZetaSchedule", "expected_improvement", "score_grid",
+    "expected_improvement", "score_grid",
     "BoOptimizer", "ProjectionTable", "ScoreOptimizer",
     "ConfigurationError", "SolverError", "SpaceExhausted", "SurrogateError",
     "GpModel", "KernelConfig", "gp_fit",

@@ -9,29 +9,11 @@ same (standardized) scale so zeta is problem-scale-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtr
 
 DEGENERATE_STD = 1e-12
-
-
-@dataclass(frozen=True)
-class ZetaSchedule:
-    """Exploration offset zeta, optionally decayed geometrically per iteration."""
-
-    initial: float = 0.01
-    decay: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.initial) and self.initial >= 0):
-            raise ValueError(f"zeta must be >= 0, got {self.initial}")
-        if not (0 < self.decay <= 1.0):
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-
-    def at(self, iteration: int) -> float:
-        return self.initial * self.decay**iteration
+ZETA = 0.01        # both optimizers' exploration offset, in standardized units
 
 
 def _norm_pdf(z):

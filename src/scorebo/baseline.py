@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import ZetaSchedule, score_grid
+from .acquisition import ZETA, score_grid
 from .errors import SpaceExhausted, SurrogateError
 from .gp import NOISE_VARIANCE, KernelConfig, gp_fit
 from .sampling import draw_unevaluated
@@ -29,6 +29,7 @@ from .space import History, SearchSpace, StepResult
 log = logging.getLogger(__name__)
 
 JOINT_LENGTHSCALE = 0.08   # joint-GP lengthscale, on [0, 1]-rescaled inputs
+CANDIDATE_POOL_SIZE = 1000  # random unevaluated tuples scored per step
 
 
 @dataclass
@@ -42,18 +43,12 @@ class BoOptimizer:
     space: SearchSpace
     objective: object
     seed: int = 0
-    candidate_pool_size: int = 1000
-    zeta: ZetaSchedule = field(default_factory=ZetaSchedule)
 
     def __post_init__(self):
-        if self.candidate_pool_size < 1:
-            raise ValueError(
-                f"candidate_pool_size must be >= 1, got {self.candidate_pool_size}")
         self.rng = np.random.default_rng(self.seed)
         self.history = History(self.space, self.objective)
         self.kernel = KernelConfig(lengthscale=JOINT_LENGTHSCALE,
                                    noise_variance=NOISE_VARIANCE)
-        self.iteration = 0
         self.gp_fit_count = 0
         self._scale = np.array([len(g) - 1 for g in self.space.grids], dtype=float)
 
@@ -90,7 +85,7 @@ class BoOptimizer:
             raise SpaceExhausted("search space exhausted")
 
         candidates = draw_unevaluated(self.space, self.rng, evaluated,
-                                      min(self.candidate_pool_size, remaining))
+                                      min(CANDIDATE_POOL_SIZE, remaining))
         for t in self._incumbent_neighbors():
             if t not in candidates:
                 candidates.append(t)
@@ -110,8 +105,7 @@ class BoOptimizer:
         if model is not None:
             mu, sigma = model.predict(self._rescale(candidates), standardized=True)
             z_best = (self.history.best.value - model.target_mean) / model.target_std
-            scores = score_grid(mu, sigma, z_best, self.zeta.at(self.iteration))
+            scores = score_grid(mu, sigma, z_best, ZETA)
             choice = candidates[int(np.argmax(scores))]
         self.history.evaluate(choice)
-        self.iteration += 1
         return StepResult(batch=[choice], gp_fit_seconds=gp_seconds)

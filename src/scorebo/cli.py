@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import statistics
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .acquisition import ZetaSchedule
 from .baseline import BoOptimizer
 from .engine import ScoreOptimizer
 from .errors import ConfigurationError, SolverError, SpaceExhausted, SurrogateError
@@ -28,6 +29,8 @@ from .problems import (ackley, ackley_space, load_datasheet,
                        make_synthetic_datasheet, sdm_objective, sdm_space)
 from .report import (ConvergenceTrace, TraceRow, read_trace_csv, render_svg,
                      write_trace_csv)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -40,9 +43,6 @@ class RunConfig:
     batch_size: int = 1
     max_evals: int = 300
     seed: int = 0
-    zeta_initial: float = 0.01
-    zeta_decay: float = 1.0
-    candidate_pool_size: int = 1000
     datasheet: str | None = None     # path to a fixture; default is synthesized
     out_dir: str = "runs"
 
@@ -72,10 +72,18 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             values = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(values) - known
+        if not isinstance(values, dict):
+            raise ConfigurationError(f"config {path} must hold a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        unknown = set(values) - set(fields)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in values.items():
+            # bool is an int subclass, and no field takes one
+            if isinstance(value, bool) or not isinstance(value, hints[key]):
+                raise ConfigurationError(
+                    f"config key {key!r} must be {fields[key].type}, got {value!r}")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     config = RunConfig(**values)
@@ -95,15 +103,11 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
     """Execute one optimizer to budget or space exhaustion."""
     config.validate()
     space, objective = _build_problem(config)
-    zeta = ZetaSchedule(config.zeta_initial, config.zeta_decay)
     if config.method == "score":
         opt = ScoreOptimizer(space=space, objective=objective,
-                             batch_size=config.batch_size, seed=config.seed,
-                             zeta=zeta)
+                             batch_size=config.batch_size, seed=config.seed)
     else:
-        opt = BoOptimizer(space=space, objective=objective, seed=config.seed,
-                          candidate_pool_size=config.candidate_pool_size,
-                          zeta=zeta)
+        opt = BoOptimizer(space=space, objective=objective, seed=config.seed)
     history = opt.history
 
     trace = ConvergenceTrace(method=config.method, seed=config.seed)
@@ -124,6 +128,9 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
         trace.append(TraceRow(iteration=len(trace.rows), evals=history.n_evaluations,
                               best_value=history.best.value,
                               iter_time_ms=iter_ms, cum_time_ms=cum_ms))
+    if history.n_rejected:
+        log.warning("dropped %d of %d evaluations: the objective returned a "
+                    "non-finite value", history.n_rejected, history.n_evaluations)
     return trace
 
 
@@ -217,9 +224,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--n-init", dest="n_init", type=int)
     p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--zeta", dest="zeta_initial", type=float)
-    p.add_argument("--zeta-decay", dest="zeta_decay", type=float)
-    p.add_argument("--pool-size", dest="candidate_pool_size", type=int)
     p.add_argument("--datasheet", help="key=value IV datasheet fixture")
     p.add_argument("--out", dest="out_dir", help="output directory")
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import ZetaSchedule, score_grid
+from .acquisition import ZETA, score_grid
 from .errors import SpaceExhausted, SurrogateError
 from .gp import NOISE_VARIANCE, KernelConfig, gp_fit, kernel_matrix
 from .sampling import draw_unevaluated
@@ -67,6 +67,7 @@ MIN_TRUST_OUTCOMES = 5     # predicted line moves before a shared profile can co
 TRUST_WINDOW = 60          # most recent predicted line moves that trust is measured on
 MIN_OWN_SHARE = 0.05       # line variance left to a dimension's own evidence
 LINE_WINDOW = 16           # freshest levels of a line used in its own model
+CLIP_FACTOR = 20.0         # 1D targets are capped at min + this * (p75 - min)
 
 
 class ProjectionTable:
@@ -92,18 +93,18 @@ class ProjectionTable:
         return idx.astype(float), self.minima[d, idx]
 
 
-def clip_targets(values: np.ndarray, factor: float = 20.0) -> np.ndarray:
+def clip_targets(values: np.ndarray) -> np.ndarray:
     """Winsorize targets for 1D surrogate fits.
 
     Objectives with penalty regions can span many orders of magnitude; a
     single huge value would dominate standardization and flatten the
     posterior everywhere else. Values are capped at
-    ``min + factor * (p75 - min)``, which preserves ordering near the
+    ``min + CLIP_FACTOR * (p75 - min)``, which preserves ordering near the
     minimum — the only region the acquisition cares about.
     """
     values = np.asarray(values, dtype=float)
     lo = values.min()
-    cap = lo + factor * (_upper_quartile(values) - lo)
+    cap = lo + CLIP_FACTOR * (_upper_quartile(values) - lo)
     if cap > lo:
         return np.minimum(values, cap)
     return values
@@ -209,7 +210,6 @@ class ScoreOptimizer:
     objective: object                      # callable: point array -> float
     batch_size: int = 1
     seed: int = 0
-    zeta: ZetaSchedule = field(default_factory=ZetaSchedule)
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -218,7 +218,6 @@ class ScoreOptimizer:
         self.history = History(self.space, self.objective, on_record=self._absorb)
         self.kernel = KernelConfig(lengthscale=LENGTHSCALE_STEPS,
                                    noise_variance=NOISE_VARIANCE)
-        self.iteration = 0
         self.gp_fit_count = 0                # per-dimension projection surrogates
         self.refinement_fit_count = 0        # selection-time line posteriors
         self._refine_dim = 0
@@ -265,7 +264,7 @@ class ScoreOptimizer:
 
     # -- one iteration ----------------------------------------------------
 
-    def score_dimension(self, d: int, zeta: float) -> np.ndarray:
+    def score_dimension(self, d: int) -> np.ndarray:
         """EI score for every grid value of dimension d.
 
         Falls back to uniform scores when the 1D GP cannot be fitted.
@@ -282,7 +281,7 @@ class ScoreOptimizer:
             return np.ones(n_grid)
         mu, sigma = model.predict(np.arange(n_grid, dtype=float), standardized=True)
         z_best = (self.history.best.value - model.target_mean) / model.target_std
-        return score_grid(mu, sigma, z_best, zeta)
+        return score_grid(mu, sigma, z_best, ZETA)
 
     def _follow_incumbent(self) -> None:
         """Re-anchor the line evidence to the current incumbent."""
@@ -551,14 +550,11 @@ class ScoreOptimizer:
         """One iteration: D 1D GP fits, one batch selection, B evaluations."""
         if not self.history.records:
             raise ValueError("initialize() must run before step()")
-        zeta = self.zeta.at(self.iteration)
         t0 = time.perf_counter()
-        per_dim_scores = [self.score_dimension(d, zeta)
-                          for d in range(self.space.dims)]
+        per_dim_scores = [self.score_dimension(d) for d in range(self.space.dims)]
         gp_seconds = time.perf_counter() - t0
 
         batch = self.select_batch(per_dim_scores, max_batch=max_batch)
         for indices in batch:
             self.history.evaluate(indices)
-        self.iteration += 1
         return StepResult(batch=batch, gp_fit_seconds=gp_seconds)

@@ -111,13 +111,11 @@ class GpModel:
         var[cols] = j * (1.0 - j * inv_diag)
 
 
-def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig(),
-           standardize: bool = True) -> GpModel:
+def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
     """Fit an exact GP, escalating jitter (x10, up to 1e-2) on Cholesky failure.
 
-    ``standardize=False`` keeps targets in raw units (kernel variances then
-    apply to raw units as well); the default standardizes to zero mean and
-    unit variance, using std=1 when the targets are constant.
+    Targets are standardized to zero mean and unit variance, using std=1
+    when they are constant.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 0:
@@ -132,13 +130,10 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig(),
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise ValueError("training data must be finite")
 
-    if standardize:
-        target_mean = float(np.mean(y))
-        target_std = float(np.std(y))
-        if target_std == 0.0:
-            target_std = 1.0
-    else:
-        target_mean, target_std = 0.0, 1.0
+    target_mean = float(np.mean(y))
+    target_std = float(np.std(y))
+    if target_std == 0.0:
+        target_std = 1.0
     z = (y - target_mean) / target_std
 
     base = kernel_matrix(x, x, kernel)

@@ -96,10 +96,12 @@ class IvTargets:
 
 
 DEFAULT_GROUND_TRUTH = SdmParams(i_l=9.0, i_o=3e-10, r_s=0.35, r_sh=800.0, a=1.9)
+BISECTION_TOL = 1e-10      # bracket width at which the SDM current solve stops
+BISECTION_MAX_ITER = 200
+SCAN_POINTS = 2000         # voltage scan of the synthetic maximum power point
 
 
-def sdm_current(params: SdmParams, v: float, tol: float = 1e-10,
-                max_iter: int = 200) -> float:
+def sdm_current(params: SdmParams, v: float) -> float:
     """Output current at voltage ``v``: the unique root of the implicit SDM.
 
     g(I) = I_L - I_o*(exp((v + I*R_s)/a) - 1) - (v + I*R_s)/R_sh - I is
@@ -134,10 +136,10 @@ def sdm_current(params: SdmParams, v: float, tol: float = 1e-10,
         hi *= 2.0
         g_lo, g_hi = g(lo), g(hi)
 
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
-        if g_mid == 0.0 or (hi - lo) < tol:
+        if g_mid == 0.0 or (hi - lo) < BISECTION_TOL:
             return mid
         if g_lo * g_mid < 0:
             hi = mid
@@ -170,25 +172,25 @@ def open_circuit_voltage(params: SdmParams) -> float:
     return float(brentq(f, 0.0, v_hi, xtol=1e-12))
 
 
-def make_synthetic_datasheet(ground_truth: SdmParams = DEFAULT_GROUND_TRUTH,
-                             scan_points: int = 2000) -> IvTargets:
-    """Forward-simulate the three datasheet points from known parameters.
+def make_synthetic_datasheet() -> IvTargets:
+    """Forward-simulate the three datasheet points from ``DEFAULT_GROUND_TRUTH``.
 
     The maximum power point comes from a dense voltage scan refined by a
     golden-section pass around the best scanned value.
     """
-    isc = sdm_current(ground_truth, 0.0)
-    voc = open_circuit_voltage(ground_truth)
-    vs = np.linspace(0.0, voc, scan_points)
-    powers = np.array([v * sdm_current(ground_truth, v) for v in vs])
+    truth = DEFAULT_GROUND_TRUTH
+    isc = sdm_current(truth, 0.0)
+    voc = open_circuit_voltage(truth)
+    vs = np.linspace(0.0, voc, SCAN_POINTS)
+    powers = np.array([v * sdm_current(truth, v) for v in vs])
     i_best = int(np.argmax(powers))
     lo = vs[max(i_best - 1, 0)]
-    hi = vs[min(i_best + 1, scan_points - 1)]
-    res = minimize_scalar(lambda v: -v * sdm_current(ground_truth, v),
+    hi = vs[min(i_best + 1, SCAN_POINTS - 1)]
+    res = minimize_scalar(lambda v: -v * sdm_current(truth, v),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
     vmp = float(res.x)
-    imp = sdm_current(ground_truth, vmp)
+    imp = sdm_current(truth, vmp)
     return IvTargets(isc=isc, vmp=vmp, imp=imp, voc=voc)
 
 

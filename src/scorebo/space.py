@@ -28,21 +28,16 @@ class ParameterGrid:
 
     name: str
     values: np.ndarray
-    scale: str = "linear"  # "linear" or "log"; metadata about how the mesh was built
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.scale not in ("linear", "log"):
-            raise ConfigurationError(f"{self.name}: unknown scale {self.scale!r}")
         if values.ndim != 1 or len(values) < 2:
             raise ConfigurationError(f"{self.name}: grid needs at least 2 values")
         if not np.all(np.isfinite(values)):
             raise ConfigurationError(f"{self.name}: grid values must be finite")
         if np.any(np.diff(values) <= 0):
             raise ConfigurationError(f"{self.name}: grid values must be strictly increasing")
-        if self.scale == "log" and values[0] <= 0:
-            raise ConfigurationError(f"{self.name}: log-scale grid requires positive values")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -67,7 +62,7 @@ def make_grid(lo: float, hi: float, count: int, scale: str = "linear",
         values = np.logspace(math.log10(lo), math.log10(hi), count)
     else:
         raise ConfigurationError(f"{name}: unknown scale {scale!r}")
-    return ParameterGrid(name=name, values=values, scale=scale)
+    return ParameterGrid(name=name, values=values)
 
 
 @dataclass(frozen=True)
@@ -169,8 +164,8 @@ class History:
         self.evaluated.add(indices)
         if not math.isfinite(value):
             self.n_rejected += 1
-            log.warning("dropping non-finite objective value %r at indices %s",
-                        value, indices)
+            log.debug("dropping non-finite objective value %r at indices %s",
+                      value, indices)
             return None
         record = EvaluationRecord(indices=indices, value=float(value),
                                   eval_id=len(self.records))

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorebo.acquisition import (ZetaSchedule, expected_improvement,
-                                 score_grid, _norm_pdf)
+from scorebo.acquisition import expected_improvement, score_grid, _norm_pdf
 
 from oracles import antithetic_normals, mc_expected_improvement
 
@@ -110,23 +109,3 @@ class TestScoreGrid:
             score_grid([], [], 0.0)
         with pytest.raises(ValueError):
             score_grid([0.0, 1.0], [1.0], 0.0)
-
-
-class TestZetaSchedule:
-    def test_constant_by_default(self):
-        z = ZetaSchedule()
-        assert z.at(0) == 0.01
-        assert z.at(500) == 0.01
-
-    def test_geometric_decay(self):
-        z = ZetaSchedule(initial=0.5, decay=0.9)
-        assert z.at(0) == 0.5
-        assert z.at(3) == pytest.approx(0.5 * 0.9**3)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"initial": -0.1}, {"initial": float("nan")},
-        {"decay": 0.0}, {"decay": 1.5},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ZetaSchedule(**kwargs)

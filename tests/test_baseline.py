@@ -52,7 +52,7 @@ class TestContracts:
         space = SearchSpace((make_grid(0, 1, 2, name="a"),
                              make_grid(0, 1, 2, name="b")))
         opt = BoOptimizer(space=space, objective=lambda p: float(sum(p)),
-                          seed=0, candidate_pool_size=10)
+                          seed=0)
         opt.initialize(1)
         for _ in range(3):
             opt.step()
@@ -68,11 +68,6 @@ class TestContracts:
         for t in neighbors:
             assert t not in opt.history.evaluated
             assert sum(abs(a - b) for a, b in zip(t, best)) == 1
-
-    def test_pool_size_validation(self):
-        with pytest.raises(ValueError):
-            BoOptimizer(space=ackley_space(2), objective=ackley,
-                        candidate_pool_size=0)
 
     def test_rejected_values_counted(self):
         calls = {"n": 0}

@@ -1,13 +1,18 @@
 """CLI harness: config handling, experiment runs, sweeps, exit codes."""
 
+import contextlib
 import dataclasses
 import json
+import logging
+import math
 
 import pytest
 
+from scorebo import cli
 from scorebo.cli import (RunConfig, aggregate_median, build_parser, load_config,
                          main, run_experiment)
 from scorebo.errors import ConfigurationError
+from scorebo.problems import ackley
 from scorebo.report import CSV_COLUMNS, read_trace_csv
 
 
@@ -20,6 +25,20 @@ def _strip_timing(csv_path):
         cells = line.split(",")
         out.append(",".join(cells[i] for i in keep))
     return out
+
+
+@contextlib.contextmanager
+def plain_logging():
+    """Log as a plain ``scorebo run`` does: with no handler on the root logger
+    (pytest's capture handler is taken off), records of level WARNING and
+    above reach stderr through logging's last-resort handler."""
+    root = logging.getLogger()
+    saved = root.handlers[:]
+    root.handlers.clear()
+    try:
+        yield
+    finally:
+        root.handlers[:] = saved
 
 
 class TestConfig:
@@ -48,9 +67,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            load_config(bad)
+        for text in ("{not json", "5", "null"):
+            bad.write_text(text)
+            with pytest.raises(ConfigurationError):
+                load_config(bad)
+
+    def test_null_is_accepted_for_optional_keys(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_init": None, "datasheet": None}))
+        config = load_config(path)
+        assert config.n_init is None and config.datasheet is None
 
     def test_every_field_is_a_run_flag(self):
         args = vars(build_parser().parse_args(["run"]))
@@ -205,6 +231,40 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert "'x'" in err[0]
+
+    @pytest.mark.parametrize("key, value", [
+        ("dims", "ten"), ("max_evals", 5.5), ("seed", True), ("out_dir", 3),
+    ], ids=["string-for-int", "float-for-int", "bool-for-int", "int-for-str"])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "config.json"
+        values = {"dims": 2, "n_init": 4, "max_evals": 6, "out_dir": str(tmp_path)}
+        path.write_text(json.dumps({**values, key: value}))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert repr(key) in err[0]
+
+    def test_rejected_values_give_one_warning(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def every_other_nan(point):
+            calls.append(point)
+            return math.nan if len(calls) % 2 else ackley(point)
+
+        monkeypatch.setattr(cli, "ackley", every_other_nan)
+        with plain_logging():
+            code = main(self.RUN_ARGS + ["--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "dropped 13 of 25 evaluations: the objective returned a non-finite value"]
+
+    def test_all_rejected_design_prints_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "ackley", lambda point: math.nan)
+        with plain_logging():
+            code = main(self.RUN_ARGS + ["--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error:")
 
     @pytest.mark.parametrize("edit, key", [
         (lambda lines: [ln for ln in lines if not ln.startswith("vmp=")], "vmp"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scorebo.acquisition import ZetaSchedule, expected_improvement
+from scorebo.acquisition import ZETA, expected_improvement
 from scorebo.engine import (LINE_LENGTHSCALE, LINE_NOISE, TAU_FRACTION,
                             ProjectionTable, ScoreOptimizer, clip_targets)
 from scorebo.errors import SpaceExhausted
@@ -129,7 +129,7 @@ class TestScoreDimension:
         opt = ScoreOptimizer(space=space,
                              objective=table_objective(space, {(0, 0): 1.0}))
         opt.history.evaluate((0, 0))
-        scores = opt.score_dimension(0, zeta=0.01)
+        scores = opt.score_dimension(0)
         assert scores[0] <= scores[4]
 
     def test_identical_projected_values_give_identical_scores(self):
@@ -139,7 +139,7 @@ class TestScoreDimension:
                              objective=table_objective(space, values))
         for i in range(5):
             opt.history.evaluate((i, 0))
-        scores = opt.score_dimension(0, zeta=0.01)
+        scores = opt.score_dimension(0)
         assert np.ptp(scores) <= 1e-12
 
     def test_two_observations_match_hand_assembled_pipeline(self):
@@ -149,8 +149,7 @@ class TestScoreDimension:
                              objective=table_objective(space, values))
         opt.history.evaluate((1, 0))
         opt.history.evaluate((3, 2))
-        zeta = 0.01
-        scores = opt.score_dimension(0, zeta)
+        scores = opt.score_dimension(0)
 
         mu, sigma = dense_gp_predict(
             [1.0, 3.0], [2.0, 5.0], np.arange(5, dtype=float),
@@ -159,7 +158,7 @@ class TestScoreDimension:
             noise_variance=opt.kernel.noise_variance,
             jitter=opt.kernel.jitter, standardized_out=True)
         z_best = (2.0 - 3.5) / np.std([2.0, 5.0])
-        oracle = [expected_improvement(m, s, z_best, zeta)
+        oracle = [expected_improvement(m, s, z_best, ZETA)
                   for m, s in zip(mu, sigma)]
         np.testing.assert_allclose(scores, oracle, atol=1e-8, rtol=0)
 
@@ -167,7 +166,7 @@ class TestScoreDimension:
         space = grid_space(3, 3)
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0)
         with pytest.raises(ValueError):
-            opt.score_dimension(0, zeta=0.0)
+            opt.score_dimension(0)
 
 
 class TestSelectBatch:
@@ -247,7 +246,7 @@ class TestLineEvidence:
                              objective=table_objective(space, values))
         for indices in values:
             opt.history.evaluate(indices)
-        scores = [opt.score_dimension(d, zeta=0.01) for d in range(2)]
+        scores = [opt.score_dimension(d) for d in range(2)]
         return opt.select_batch(scores)[0]
 
     def test_empty_line_follows_the_projection_evidence(self):
@@ -369,7 +368,6 @@ class TestFullLoop:
         for _ in range(10):
             opt.step()
         assert opt.history.n_evaluations == 120     # 20 init + 10 batches of 10
-        assert opt.iteration == 10
         assert opt.gp_fit_count == 10 * 10  # one fit per dimension per iteration
 
     def test_b1_evaluations_equal_iterations(self):
@@ -464,8 +462,3 @@ class TestFullLoop:
         opt = ScoreOptimizer(space=ackley_space(2), objective=ackley)
         with pytest.raises(ValueError):
             opt.initialize(0)
-
-    def test_zeta_schedule_is_honored(self):
-        opt = ScoreOptimizer(space=ackley_space(2), objective=ackley,
-                             zeta=ZetaSchedule(initial=0.5, decay=0.5))
-        assert opt.zeta.at(2) == pytest.approx(0.125)

@@ -108,10 +108,11 @@ class TestProperties:
             x2 = np.append(x, x[i])
             y2 = np.append(y, y[i])
             query = rng.uniform(-5.0, 65.0, 30)
-            # raw-unit fits: standardization constants would otherwise shift
-            # with the duplicate and change the prior between the two fits
-            _, std_before = gp_fit(x, y, cfg, standardize=False).predict(query)
-            _, std_after = gp_fit(x2, y2, cfg, standardize=False).predict(query)
+            # in standardized units the posterior std depends on the inputs
+            # only, so the duplicate's shift of the standardization constants
+            # does not enter
+            _, std_before = gp_fit(x, y, cfg).predict(query, standardized=True)
+            _, std_after = gp_fit(x2, y2, cfg).predict(query, standardized=True)
             assert np.all(std_after <= std_before + 1e-8)
 
     @settings(max_examples=40, deadline=None)

@@ -170,10 +170,11 @@ class TestFittingSpace:
         assert names == ["i_l", "i_o", "r_s", "r_sh", "a"]
         assert [len(g) for g in space.grids] == [41, 61, 41, 41, 31]
         i_o = space.grids[1]
-        assert i_o.scale == "log"
         np.testing.assert_allclose(i_o.values[0], 1e-12, rtol=1e-12)
         np.testing.assert_allclose(i_o.values[-1], 1e-6, rtol=1e-12)
-        assert space.grids[3].scale == "log"
+        for grid in (i_o, space.grids[3]):     # i_o and r_sh are log meshes
+            steps = np.diff(np.log10(grid.values))
+            np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
 
     def test_objective_wraps_residual(self, datasheet):
         space = sdm_space(datasheet)

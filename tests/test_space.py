@@ -61,11 +61,6 @@ class TestParameterGrid:
         with pytest.raises(ConfigurationError):
             ParameterGrid(name="x", values=np.array([0.0, np.inf]))
 
-    def test_log_scale_requires_positive_values(self):
-        with pytest.raises(ConfigurationError):
-            ParameterGrid(name="x", values=np.array([0.0, 1.0]), scale="log")
-        ParameterGrid(name="x", values=np.array([0.1, 1.0]), scale="log")
-
 
 class TestSearchSpace:
     def test_combination_count_is_exact_python_int(self):
