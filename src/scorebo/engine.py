@@ -4,7 +4,8 @@ Instead of one joint surrogate over the full D-dimensional space, each
 dimension gets its own 1D GP fitted to that parameter's min-projection of
 the history (for each grid value, the best objective ever observed with
 that value, the other parameters marginalized out by minimum). Every grid
-value is then scored with expected improvement.
+value is then scored with expected improvement. The D projection GPs are
+solved together in stacks (``gp.stacked_posterior``), not one fit each.
 
 Candidate assembly is led by incumbent-line refinement. Every evaluated
 tuple that differs from the incumbent in one coordinate is kept as line
@@ -36,7 +37,6 @@ have accumulated.
 
 from __future__ import annotations
 
-import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -44,12 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import ZETA, score_grid
-from .errors import SpaceExhausted, SurrogateError
-from .gp import NOISE_VARIANCE, KernelConfig, gp_fit, kernel_matrix
+from .errors import SpaceExhausted
+from .gp import NOISE_VARIANCE, KernelConfig, kernel_matrix, stacked_posterior
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
-
-log = logging.getLogger(__name__)
 
 LENGTHSCALE_STEPS = 3.0    # projection-GP lengthscale, in grid steps
 TAU_FRACTION = 0.1         # softmax temperature, as a fraction of the score range
@@ -94,30 +92,29 @@ class ProjectionTable:
 
 
 def clip_targets(values: np.ndarray) -> np.ndarray:
-    """Winsorize targets for 1D surrogate fits.
+    """Winsorize targets for 1D surrogate fits, each row on its own.
 
     Objectives with penalty regions can span many orders of magnitude; a
     single huge value would dominate standardization and flatten the
     posterior everywhere else. Values are capped at
-    ``min + CLIP_FACTOR * (p75 - min)``, which preserves ordering near the
-    minimum — the only region the acquisition cares about.
+    ``min + CLIP_FACTOR * (p75 - min)`` of their row (last axis), which
+    preserves ordering near the minimum — the only region the acquisition
+    cares about.
     """
     values = np.asarray(values, dtype=float)
-    lo = values.min()
+    lo = values.min(axis=-1, keepdims=True)
     cap = lo + CLIP_FACTOR * (_upper_quartile(values) - lo)
-    if cap > lo:
-        return np.minimum(values, cap)
-    return values
+    return np.where(cap > lo, np.minimum(values, cap), values)
 
 
-def _upper_quartile(values: np.ndarray) -> float:
-    """``np.percentile(values, 75)``, same linear interpolation, less overhead."""
-    n = len(values)
+def _upper_quartile(values: np.ndarray) -> np.ndarray:
+    """``np.percentile(values, 75, axis=-1, keepdims=True)``, less overhead."""
+    n = values.shape[-1]
     pos = 0.75 * (n - 1)
     below = int(pos)
     above = min(below + 1, n - 1)
-    part = np.partition(values, (below, above))
-    a, b = float(part[below]), float(part[above])
+    part = np.partition(values, (below, above), axis=-1)
+    a, b = part[..., below:below + 1], part[..., above:above + 1]
     gamma = pos - below
     return b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
 
@@ -225,6 +222,7 @@ class ScoreOptimizer:
         max_grid = int(self._n_grid.max())
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
+        self._projection_kernel = kernel_matrix(steps, steps, self.kernel)
         self._line_kernel = kernel_matrix(steps, steps,
                                           KernelConfig(lengthscale=LINE_LENGTHSCALE))
         self.lines = LineEvidence(self.space.dims, max_grid)
@@ -265,23 +263,45 @@ class ScoreOptimizer:
     # -- one iteration ----------------------------------------------------
 
     def score_dimension(self, d: int) -> np.ndarray:
-        """EI score for every grid value of dimension d.
+        """EI score for every grid value of dimension d."""
+        return self._projection_scores(np.array([d]))[0, :self._n_grid[d]]
 
-        Falls back to uniform scores when the 1D GP cannot be fitted.
+    def _projection_scores(self, dims: np.ndarray) -> np.ndarray:
+        """EI scores of dimensions ``dims`` on the longest grid, (len(dims), G).
+
+        One GP per dimension on its min-projection; dimensions with the
+        same number of observed values are solved in one stack. The
+        training inputs are distinct grid indices, so each training kernel
+        is an SE kernel plus (noise + jitter) I, whose smallest eigenvalue
+        is at least the 1e-6 noise: the solve cannot fail.
         """
-        idx, proj = self.projections.observed(d)
-        if len(idx) == 0:
-            raise ValueError(f"no observations project onto dimension {d}")
-        n_grid = len(self.space.grids[d])
-        try:
-            self.gp_fit_count += 1
-            model = gp_fit(idx, clip_targets(proj), self.kernel)
-        except SurrogateError:
-            log.warning("GP fit failed for dimension %d; using uniform scores", d)
-            return np.ones(n_grid)
-        mu, sigma = model.predict(np.arange(n_grid, dtype=float), standardized=True)
-        z_best = (self.history.best.value - model.target_mean) / model.target_std
-        return score_grid(mu, sigma, z_best, ZETA)
+        minima = self.projections.minima[dims]
+        finite = np.isfinite(minima)
+        counts = finite.sum(axis=1)
+        if not counts.all():
+            raise ValueError("no observations project onto dimension "
+                             f"{dims[np.argmin(counts)]}")
+        j = self.kernel.noise_variance + self.kernel.jitter
+        best = self.history.best.value
+        scores = np.empty(minima.shape)
+        for n in np.unique(counts):
+            rows = np.flatnonzero(counts == n)
+            idx = np.nonzero(finite[rows])[1].reshape(len(rows), n)
+            y = clip_targets(minima[rows[:, None], idx])
+            y_mean = y.mean(axis=1, keepdims=True)
+            y_std = y.std(axis=1, keepdims=True)
+            y_std[y_std == 0.0] = 1.0
+            mean, explained, inv_diag = stacked_posterior(
+                self._projection_kernel, idx, np.full(idx.shape, j),
+                (y - y_mean) / y_std)
+            var = self.kernel.signal_variance - explained
+            # at training points signal - explained has no digits left; use
+            # the cancellation-free j * (1 - j * (K^-1)_ii), as GpModel does
+            np.put_along_axis(var, idx, j * (1.0 - j * inv_diag), axis=1)
+            scores[rows] = score_grid(mean, np.sqrt(np.maximum(var, 0.0)),
+                                      (best - y_mean) / y_std, ZETA)
+        self.gp_fit_count += len(dims)
+        return scores
 
     def _follow_incumbent(self) -> None:
         """Re-anchor the line evidence to the current incumbent."""
@@ -386,23 +406,16 @@ class ScoreOptimizer:
         widths = 1 << np.ceil(np.log2(counts)).astype(int)
         order = np.argsort(np.where(known, noise, np.inf), axis=1, kind="stable")
         resid = levels - prior_mean
-        kern = self._line_kernel
         mean, var = prior_mean, prior_var + amp2[:, None]
         for width in np.unique(widths):
             rows = np.nonzero(widths == width)[0]
             pad = np.arange(width)[None, :] >= counts[rows, None]
             idx = np.take_along_axis(order[rows], np.where(pad, 0, np.arange(width)), 1)
-            a2 = amp2[rows, None, None]
-            k_oo = kern[idx[:, :, None], idx[:, None, :]] * a2
-            diag = np.where(pad, 1e12, noise[rows[:, None], idx])
-            k_oo[:, np.arange(width), np.arange(width)] += diag * a2[:, 0]
-            k_so = kern[idx] * a2                             # (lines, width, G)
-            # one small inverse per line: a stacked solve costs several times more
-            k_inv = np.linalg.inv(k_oo)
-            alpha = np.einsum("dnm,dm->dn", k_inv,
-                              np.where(pad, 0.0, resid[rows[:, None], idx]))
-            mean[rows] += np.einsum("dng,dn->dg", k_so, alpha)
-            var[rows] -= np.einsum("dng,dng->dg", k_so, k_inv @ k_so)
+            line_mean, explained, _ = stacked_posterior(
+                self._line_kernel, idx, np.where(pad, 1e12, noise[rows[:, None], idx]),
+                np.where(pad, 0.0, resid[rows[:, None], idx]), scale=amp2[rows])
+            mean[rows] += line_mean
+            var[rows] -= explained
         std = np.sqrt(np.maximum(var, 0.0))
         self.refinement_fit_count += dims
         return mean, std, np.sqrt(scale2), supported, share
@@ -547,11 +560,12 @@ class ScoreOptimizer:
         return chosen
 
     def step(self, max_batch: int | None = None) -> StepResult:
-        """One iteration: D 1D GP fits, one batch selection, B evaluations."""
+        """One iteration: D 1D GP posteriors, one batch selection, B evaluations."""
         if not self.history.records:
             raise ValueError("initialize() must run before step()")
         t0 = time.perf_counter()
-        per_dim_scores = [self.score_dimension(d) for d in range(self.space.dims)]
+        scores = self._projection_scores(np.arange(self.space.dims))
+        per_dim_scores = [s[:n] for s, n in zip(scores, self._n_grid)]
         gp_seconds = time.perf_counter() - t0
 
         batch = self.select_batch(per_dim_scores, max_batch=max_batch)

@@ -1,10 +1,13 @@
 """Exact Gaussian-process regression with a squared-exponential kernel.
 
-The same engine backs the per-dimension 1D surrogates of the decomposed
-optimizer and the joint D-dimensional surrogate of the classical baseline.
-Targets are standardized inside the model, so kernel variances are
-expressed in standardized target units (signal_variance=1.0 means "the
-sample variance of the targets").
+``gp_fit`` and ``GpModel`` back only the joint D-dimensional surrogate of
+the classical baseline (and the tests). Targets are standardized inside the
+model, so kernel variances are expressed in standardized target units
+(signal_variance=1.0 means "the sample variance of the targets").
+
+The decomposed optimizer's 1D GPs all take integer grid indices, so their
+training and cross covariances are slices of one precomputed kernel over
+grid steps; ``stacked_posterior`` solves many of them at once.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .errors import SurrogateError
 
 MAX_JITTER = 1e-2
 NOISE_VARIANCE = 1e-6      # observation noise of both optimizers' surrogates
+# GPs solved in one stack: bounds the (rows, n, G) cross-covariance working
+# set, which at 200 dimensions would otherwise hold several MB at once
+STACK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -152,3 +158,44 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
     return GpModel(train_inputs=x, train_targets=z, target_mean=target_mean,
                    target_std=target_std, chol=chol, alpha=alpha, kernel=kernel,
                    _jitter=jitter)
+
+
+def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
+                      targets: np.ndarray, scale: np.ndarray | None = None):
+    """Posterior of a stack of 1D GPs whose inputs are grid indices.
+
+    Row r is a GP with training indices ``idx[r]``, targets ``targets[r]``
+    and noise variances ``noise[r]``; its kernel is ``kern`` (over grid
+    steps), times ``scale[r]`` when given. The rows are solved at most
+    ``STACK_ROWS`` at a time, each with one stacked inverse of its training
+    kernels: the batched multi-right-hand-side solve of BBMM (Gardner et
+    al., 2018). Returns ``(mean, explained, inv_diag)``: the posterior mean
+    on every grid value, the prior variance the data explain there (prior
+    minus posterior variance), both ``(rows, G)``, and the diagonals of the
+    inverse training kernels, ``(rows, n)``.
+    """
+    rows, n = idx.shape
+    mean = np.empty((rows, kern.shape[1]))
+    explained = np.empty_like(mean)
+    inv_diag = np.empty((rows, n))
+    diag = np.arange(n)
+    for lo in range(0, rows, STACK_ROWS):
+        part = slice(lo, lo + STACK_ROWS)
+        i = idx[part]
+        k_oo = kern[i[:, :, None], i[:, None, :]]
+        k_so = kern[i]                                    # (rows, n, G)
+        if scale is None:
+            k_oo[:, diag, diag] += noise[part]
+        else:
+            a2 = scale[part, None, None]
+            k_oo *= a2
+            k_so *= a2
+            k_oo[:, diag, diag] += noise[part] * a2[:, 0]
+        # an inverse per GP, not np.linalg.solve: on these stacks the
+        # solve costs several times more
+        k_inv = np.linalg.inv(k_oo)
+        alpha = np.einsum("dnm,dm->dn", k_inv, targets[part])
+        mean[part] = np.einsum("dng,dn->dg", k_so, alpha)
+        explained[part] = np.einsum("dng,dng->dg", k_so, k_inv @ k_so)
+        inv_diag[part] = k_inv[:, diag, diag]
+    return mean, explained, inv_diag

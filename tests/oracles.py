@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately coded differently from the production path:
-the GP oracle uses explicit matrix inversion instead of Cholesky solves, the
+the GP oracle inverts one kernel per dataset, built from the inputs'
+differences, where production uses Cholesky solves (the joint GP) or stacked
+inverses of slices of one precomputed grid kernel (the 1D GPs); the
 EI oracle is a Monte Carlo expectation instead of the closed form, and the
 projection oracle is a from-scratch recomputation instead of incremental
 updates.

@@ -24,7 +24,8 @@ BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                    "MKL_NUM_THREADS": "1"}
 
 
-@pytest.mark.parametrize("workload", ["score-ackley10-b1", "bo-ackley10"])
+@pytest.mark.parametrize("workload", ["score-ackley10-b1", "score-ackley200-b10",
+                                      "bo-ackley10"])
 def test_traced_run_reads_every_layer(workload):
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", "0",

@@ -1,12 +1,17 @@
 """Decomposed optimizer: projections, scoring, batch assembly, full loop."""
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
 from scorebo.acquisition import ZETA, expected_improvement
-from scorebo.engine import (LINE_LENGTHSCALE, LINE_NOISE, TAU_FRACTION,
-                            ProjectionTable, ScoreOptimizer, clip_targets)
+from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
+                            LINE_NOISE, TAU_FRACTION, ProjectionTable,
+                            ScoreOptimizer, clip_targets)
 from scorebo.errors import SpaceExhausted
+from scorebo.gp import NOISE_VARIANCE, STACK_ROWS
 from scorebo.problems import ackley, ackley_space
 from scorebo.space import SearchSpace, make_grid
 
@@ -122,6 +127,15 @@ class TestClipTargets:
         values = np.full(5, 2.0)
         np.testing.assert_array_equal(clip_targets(values), values)
 
+    def test_rows_are_clipped_each_on_its_own(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 5, 12):
+            rows = rng.normal(size=(7, n))
+            rows[1, 0] = 1e300
+            rows[2] = 3.0
+            expected = np.array([clip_targets(row) for row in rows])
+            np.testing.assert_array_equal(clip_targets(rows), expected)
+
 
 class TestScoreDimension:
     def test_single_best_observation_favors_far_grid_points(self):
@@ -167,6 +181,59 @@ class TestScoreDimension:
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0)
         with pytest.raises(ValueError):
             opt.score_dimension(0)
+
+    @staticmethod
+    def _oracle_scores(row, n_grid, best):
+        """Clip, dense-inversion GP and closed-form EI of one projection row."""
+        idx = np.flatnonzero(np.isfinite(row))
+        y = row[idx]
+        lo = y.min()
+        cap = lo + CLIP_FACTOR * (np.percentile(y, 75) - lo)
+        if cap > lo:
+            y = np.minimum(y, cap)
+        mu, sigma = dense_gp_predict(idx, y, np.arange(n_grid), LENGTHSCALE_STEPS,
+                                     1.0, NOISE_VARIANCE, standardized_out=True)
+        z_best = (best - np.mean(y)) / (np.std(y) or 1.0)
+        return expected_improvement(mu, sigma, z_best, ZETA)
+
+    def test_stacked_scores_match_dense_oracle(self):
+        # Ragged grids as in SDM; one stack of equal counts holds more rows
+        # than STACK_ROWS; every grid value is queried, training points too.
+        rng = np.random.default_rng(11)
+        lengths = [31, 41, 61] * 14
+        space = grid_space(*lengths)
+        opt = ScoreOptimizer(space=space, objective=lambda p: -0.7)
+        opt.history.evaluate((0,) * len(lengths))
+        minima = np.full(opt.projections.minima.shape, np.inf)
+        for d, n_grid in enumerate(lengths):
+            if d < STACK_ROWS + 4:
+                count = 5
+            elif d == STACK_ROWS + 4:
+                count = 1                          # a single observation
+            elif d == STACK_ROWS + 5:
+                count = n_grid                     # the whole grid observed
+            else:
+                count = int(rng.integers(1, n_grid + 1))
+            idx = rng.choice(n_grid, size=count, replace=False)
+            minima[d, idx] = rng.normal(size=count) * 10.0 ** rng.uniform(-2, 2)
+        constant, outlier = STACK_ROWS + 6, STACK_ROWS + 7
+        minima[constant, np.isfinite(minima[constant])] = 2.0
+        minima[outlier] = np.inf
+        cells = rng.choice(lengths[outlier], size=8, replace=False)
+        minima[outlier, cells] = rng.normal(size=8)
+        minima[outlier, cells[3]] = 1e300
+        assert clip_targets(minima[outlier, cells]).max() < 1e300
+        opt.projections.minima = minima
+
+        dims = np.arange(len(lengths))
+        stacked = opt._projection_scores(dims)
+        assert opt.gp_fit_count == len(lengths)
+        best = opt.history.best.value
+        for d, n_grid in enumerate(lengths):
+            oracle = self._oracle_scores(minima[d], n_grid, best)
+            np.testing.assert_allclose(stacked[d, :n_grid], oracle, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(opt.score_dimension(d), oracle, rtol=0, atol=1e-8)
+        assert opt.gp_fit_count == 2 * len(lengths)
 
 
 class TestSelectBatch:
@@ -454,6 +521,27 @@ class TestFullLoop:
             opt.step()
         assert opt.refinement_fit_count > 0
         assert opt.gp_fit_count == 10 * 3
+
+    def test_step_time_is_linear_in_dims(self):
+        # The method's cost is linear in D. Steps at D=50 and D=400 from
+        # N=300 on are interleaved, so host drift hits both sizes alike. An
+        # O(D^2) term that dominates the step would read up to 8.
+        opts = {}
+        for dims in (50, 400):
+            opt = ScoreOptimizer(space=ackley_space(dims), objective=ackley,
+                                 batch_size=10, seed=0)
+            opt.initialize(250)
+            while opt.history.n_evaluations < 300:
+                opt.step()
+            opts[dims] = opt
+        per_dim = {dims: [] for dims in opts}
+        for _ in range(10):
+            for dims, opt in opts.items():
+                t0 = time.perf_counter()
+                opt.step()
+                per_dim[dims].append((time.perf_counter() - t0) / dims)
+        ratio = statistics.median(per_dim[400]) / statistics.median(per_dim[50])
+        assert ratio <= 2.0, f"per-dimension step time D=400 / D=50 = {ratio:.2f}"
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
