@@ -5,7 +5,9 @@ dimension gets its own 1D GP fitted to that parameter's min-projection of
 the history (for each grid value, the best objective ever observed with
 that value, the other parameters marginalized out by minimum). Every grid
 value is then scored with expected improvement. The D projection GPs are
-solved together in stacks (``gp.stacked_posterior``), not one fit each.
+solved together in stacks (``gp.stacked_posterior``), not one fit each, and
+each keeps its inverse training kernel while its observed grid values are
+unchanged.
 
 Candidate assembly is led by incumbent-line refinement. Every evaluated
 tuple that differs from the incumbent in one coordinate is kept as line
@@ -45,7 +47,8 @@ import numpy as np
 
 from .acquisition import ZETA, score_grid
 from .errors import SpaceExhausted
-from .gp import NOISE_VARIANCE, KernelConfig, kernel_matrix, stacked_posterior
+from .gp import (NOISE_VARIANCE, InverseStore, KernelConfig, kernel_matrix,
+                 stacked_posterior)
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
 
@@ -218,11 +221,12 @@ class ScoreOptimizer:
         self.gp_fit_count = 0                # per-dimension projection surrogates
         self.refinement_fit_count = 0        # selection-time line posteriors
         self._refine_dim = 0
-        self._n_grid = np.array([len(g) for g in self.space.grids])
+        self._n_grid = np.array(self.space.lengths)
         max_grid = int(self._n_grid.max())
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
         self._projection_kernel = kernel_matrix(steps, steps, self.kernel)
+        self._projection_inverses = InverseStore(self.space.dims, max_grid)
         self._line_kernel = kernel_matrix(steps, steps,
                                           KernelConfig(lengthscale=LINE_LENGTHSCALE))
         self.lines = LineEvidence(self.space.dims, max_grid)
@@ -274,6 +278,13 @@ class ScoreOptimizer:
         training inputs are distinct grid indices, so each training kernel
         is an SE kernel plus (noise + jitter) I, whose smallest eigenvalue
         is at least the 1e-6 noise: the solve cannot fail.
+
+        A projection cell never goes from observed back to unobserved, so a
+        dimension whose observed count is unchanged has the same training
+        indices, and its inverse training kernel is reused from
+        ``_projection_inverses``. Only its targets are new: every dimension
+        is still clipped, standardized and solved for its posterior mean,
+        so each call counts one fit per dimension.
         """
         minima = self.projections.minima[dims]
         finite = np.isfinite(minima)
@@ -293,7 +304,8 @@ class ScoreOptimizer:
             y_std[y_std == 0.0] = 1.0
             mean, explained, inv_diag = stacked_posterior(
                 self._projection_kernel, idx, np.full(idx.shape, j),
-                (y - y_mean) / y_std)
+                (y - y_mean) / y_std, store=self._projection_inverses,
+                keys=dims[rows])
             var = self.kernel.signal_variance - explained
             # at training points signal - explained has no digits left; use
             # the cancellation-free j * (1 - j * (K^-1)_ii), as GpModel does

@@ -7,7 +7,10 @@ model, so kernel variances are expressed in standardized target units
 
 The decomposed optimizer's 1D GPs all take integer grid indices, so their
 training and cross covariances are slices of one precomputed kernel over
-grid steps; ``stacked_posterior`` solves many of them at once.
+grid steps; ``stacked_posterior`` solves many of them at once. An
+``InverseStore`` keeps each GP's inverse training kernel between solves, so
+a GP whose training indices have not changed is solved for new targets
+without a new inverse.
 """
 
 from __future__ import annotations
@@ -160,8 +163,28 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
                    _jitter=jitter)
 
 
+class InverseStore:
+    """Inverse training kernels of a fixed set of 1D GPs, kept between solves.
+
+    Entry ``k`` holds GP k's inverse training kernel and the prior variance
+    its data explain on the grid, as of its last solve, and ``count[k]`` the
+    number of training points it had then (0: never solved); the training
+    indices are distinct, so there are at most ``grid`` of them. Each entry
+    is its own copy, not a view of a solved stack. ``stacked_posterior``
+    reuses an entry while a GP's count is unchanged, so its caller must keep
+    each GP's training indices, noise and scale fixed while its count is.
+    """
+
+    def __init__(self, gps: int, grid: int):
+        self.count = np.zeros(gps, dtype=int)
+        self.inverse = np.zeros((gps, grid, grid))
+        self.explained = np.zeros((gps, grid))
+
+
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
-                      targets: np.ndarray, scale: np.ndarray | None = None):
+                      targets: np.ndarray, scale: np.ndarray | None = None,
+                      store: InverseStore | None = None,
+                      keys: np.ndarray | None = None):
     """Posterior of a stack of 1D GPs whose inputs are grid indices.
 
     Row r is a GP with training indices ``idx[r]``, targets ``targets[r]``
@@ -169,10 +192,13 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
     steps), times ``scale[r]`` when given. The rows are solved at most
     ``STACK_ROWS`` at a time, each with one stacked inverse of its training
     kernels: the batched multi-right-hand-side solve of BBMM (Gardner et
-    al., 2018). Returns ``(mean, explained, inv_diag)``: the posterior mean
-    on every grid value, the prior variance the data explain there (prior
-    minus posterior variance), both ``(rows, G)``, and the diagonals of the
-    inverse training kernels, ``(rows, n)``.
+    al., 2018). With a ``store``, row r is GP ``keys[r]`` of it: a row
+    whose count matches its entry takes the stored inverse, and only the
+    others are inverted, and their entries overwritten. Either way every
+    row is solved for its targets. Returns ``(mean, explained, inv_diag)``:
+    the posterior mean on every grid value, the prior variance the data
+    explain there (prior minus posterior variance), both ``(rows, G)``, and
+    the diagonals of the inverse training kernels, ``(rows, n)``.
     """
     rows, n = idx.shape
     mean = np.empty((rows, kern.shape[1]))
@@ -182,20 +208,40 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
     for lo in range(0, rows, STACK_ROWS):
         part = slice(lo, lo + STACK_ROWS)
         i = idx[part]
-        k_oo = kern[i[:, :, None], i[:, None, :]]
         k_so = kern[i]                                    # (rows, n, G)
-        if scale is None:
-            k_oo[:, diag, diag] += noise[part]
-        else:
+        a2 = None
+        if scale is not None:
             a2 = scale[part, None, None]
-            k_oo *= a2
             k_so *= a2
-            k_oo[:, diag, diag] += noise[part] * a2[:, 0]
-        # an inverse per GP, not np.linalg.solve: on these stacks the
-        # solve costs several times more
-        k_inv = np.linalg.inv(k_oo)
+        if store is None:
+            k_inv, explained[part] = _inverse(kern, i, k_so, noise[part], a2)
+        else:
+            key = keys[part]
+            new = store.count[key] != n
+            if new.any():
+                k_new, e_new = _inverse(kern, i[new], k_so[new], noise[part][new],
+                                        None if a2 is None else a2[new])
+                store.inverse[key[new], :n, :n] = k_new
+                store.explained[key[new]] = e_new
+                store.count[key[new]] = n
+            k_inv = store.inverse[key, :n, :n]
+            explained[part] = store.explained[key]
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[part])
         mean[part] = np.einsum("dng,dn->dg", k_so, alpha)
-        explained[part] = np.einsum("dng,dng->dg", k_so, k_inv @ k_so)
         inv_diag[part] = k_inv[:, diag, diag]
     return mean, explained, inv_diag
+
+
+def _inverse(kern, i, k_so, noise, a2):
+    """Inverse training kernels of a stack and the prior variance explained."""
+    k_oo = kern[i[:, :, None], i[:, None, :]]
+    diag = np.arange(i.shape[1])
+    if a2 is None:
+        k_oo[:, diag, diag] += noise
+    else:
+        k_oo *= a2
+        k_oo[:, diag, diag] += noise * a2[:, 0]
+    # an inverse per GP, not np.linalg.solve: on these stacks the solve
+    # costs several times more
+    k_inv = np.linalg.inv(k_oo)
+    return k_inv, np.einsum("dng,dng->dg", k_so, k_inv @ k_so)

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ConfigurationError, SolverError
 from .space import SearchSpace, make_grid
@@ -165,6 +164,7 @@ def sdm_residual(params: SdmParams, targets: IvTargets) -> float:
 
 def open_circuit_voltage(params: SdmParams) -> float:
     """Voltage at which the output current crosses zero."""
+    from scipy.optimize import brentq   # slow to import, and only SDM needs it
     v_hi = 2.0 * params.a * math.log(params.i_l / params.i_o + 1.0)
     f = lambda v: sdm_current(params, v)
     if f(0.0) <= 0:
@@ -178,6 +178,7 @@ def make_synthetic_datasheet() -> IvTargets:
     The maximum power point comes from a dense voltage scan refined by a
     golden-section pass around the best scanned value.
     """
+    from scipy.optimize import minimize_scalar   # as in open_circuit_voltage
     truth = DEFAULT_GROUND_TRUTH
     isc = sdm_current(truth, 0.0)
     voc = open_circuit_voltage(truth)

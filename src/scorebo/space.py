@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -70,10 +71,12 @@ class SearchSpace:
     """Cartesian product of per-dimension grids."""
 
     grids: tuple[ParameterGrid, ...]
+    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grids = tuple(self.grids)
         object.__setattr__(self, "grids", grids)
+        object.__setattr__(self, "lengths", tuple(len(g) for g in grids))
         if len(grids) < 1:
             raise ConfigurationError("search space needs at least one dimension")
 
@@ -84,10 +87,7 @@ class SearchSpace:
     @property
     def combination_count(self) -> int:
         # Python int: 61**200 and the like must not overflow.
-        count = 1
-        for g in self.grids:
-            count *= len(g)
-        return count
+        return math.prod(self.lengths)
 
     def point(self, indices) -> np.ndarray:
         """Map grid indices to the corresponding parameter values."""
@@ -102,14 +102,13 @@ class SearchSpace:
         if len(indices) != self.dims:
             raise ConfigurationError(
                 f"expected {self.dims} indices, got {len(indices)}")
-        out = []
-        for d, (g, i) in enumerate(zip(self.grids, indices)):
-            i = int(i)
-            if not 0 <= i < len(g):
-                raise ConfigurationError(
-                    f"{g.name}: index {i} out of range [0, {len(g) - 1}] (dim {d})")
-            out.append(i)
-        return tuple(out)
+        out = tuple(map(int, indices))
+        if min(out) >= 0 and all(map(operator.lt, out, self.lengths)):
+            return out
+        d, i, n = next((d, i, n) for d, (i, n) in enumerate(zip(out, self.lengths))
+                       if not 0 <= i < n)
+        raise ConfigurationError(
+            f"{self.grids[d].name}: index {i} out of range [0, {n - 1}] (dim {d})")
 
 
 @dataclass(frozen=True)

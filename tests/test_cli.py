@@ -5,6 +5,9 @@ import dataclasses
 import json
 import logging
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +287,13 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert str(path) in err[0] and key in err[0]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs ~17 MiB and ~0.2 s to import; only SDM uses it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import scorebo.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

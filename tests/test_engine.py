@@ -6,13 +6,14 @@ import time
 import numpy as np
 import pytest
 
+from scorebo import gp
 from scorebo.acquisition import ZETA, expected_improvement
 from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
                             LINE_NOISE, TAU_FRACTION, ProjectionTable,
                             ScoreOptimizer, clip_targets)
 from scorebo.errors import SpaceExhausted
-from scorebo.gp import NOISE_VARIANCE, STACK_ROWS
-from scorebo.problems import ackley, ackley_space
+from scorebo.gp import NOISE_VARIANCE, STACK_ROWS, InverseStore
+from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.space import SearchSpace, make_grid
 
 from oracles import brute_force_projection, dense_gp_predict, dense_layout
@@ -234,6 +235,77 @@ class TestScoreDimension:
             np.testing.assert_allclose(stacked[d, :n_grid], oracle, rtol=0, atol=1e-8)
             np.testing.assert_allclose(opt.score_dimension(d), oracle, rtol=0, atol=1e-8)
         assert opt.gp_fit_count == 2 * len(lengths)
+
+
+class TestInverseReuse:
+    @staticmethod
+    def _check_every_step(opt, steps):
+        """Scores with the kept inverses equal scores with none kept, each step.
+
+        Returns how many rows were reused and how many solved in all.
+        """
+        dims = np.arange(opt.space.dims)
+        max_grid = opt.projections.minima.shape[1]
+        reused = solved = 0
+        for _ in range(steps):
+            kept = opt._projection_inverses
+            counts = np.isfinite(opt.projections.minima).sum(axis=1)
+            hit = kept.count == counts
+            reused, solved = reused + hit.sum(), solved + (~hit).sum()
+            scores = opt._projection_scores(dims)
+            opt._projection_inverses = InverseStore(opt.space.dims, max_grid)
+            assert np.array_equal(scores, opt._projection_scores(dims))
+            opt._projection_inverses = kept
+            opt.step()
+        return reused, solved
+
+    @pytest.mark.parametrize("dims,batch,n_init,steps", [(10, 1, 20, 40),
+                                                         (200, 10, 50, 4)])
+    def test_reuse_is_exact_on_ackley(self, dims, batch, n_init, steps):
+        opt = ScoreOptimizer(space=ackley_space(dims), objective=ackley,
+                             batch_size=batch, seed=0)
+        opt.initialize(n_init)
+        reused, solved = self._check_every_step(opt, steps)
+        assert reused > 0 and solved > 0
+
+    def test_reuse_is_exact_on_ragged_sdm_grids(self, datasheet):
+        space = sdm_space(datasheet)
+        assert len(set(space.lengths)) > 1
+        opt = ScoreOptimizer(space=space, objective=sdm_objective(datasheet), seed=0)
+        opt.initialize(30)
+        reused, solved = self._check_every_step(opt, 30)
+        assert reused > 0 and solved > 0
+
+    def test_step_without_new_grid_values_inverts_no_projection(self, monkeypatch):
+        opt = ScoreOptimizer(space=ackley_space(6), objective=ackley,
+                             batch_size=2, seed=0)
+        opt.initialize(12)
+        opt._projection_scores(np.arange(6))
+        inverted = []
+        original = gp._inverse
+
+        def spy(kern, i, *args):
+            if kern is opt._projection_kernel:
+                inverted.append(len(i))
+            return original(kern, i, *args)
+
+        monkeypatch.setattr(gp, "_inverse", spy)
+        # a tuple made only of grid values already observed in each dimension
+        first, second = opt.history.records[:2]
+        mixed = first.indices[:3] + second.indices[3:]
+        assert mixed not in opt.history.evaluated
+        opt.history.evaluate(mixed)
+        opt.step()
+        assert inverted == []
+        assert opt.gp_fit_count == 2 * 6          # still one fit per dimension
+        # one dimension gains a value: only it is inverted again
+        opt._projection_scores(np.arange(6))      # absorbs the step's batch
+        inverted.clear()
+        observed = np.isfinite(opt.projections.minima[0])
+        v = int(np.flatnonzero(~observed[:opt.space.lengths[0]])[0])
+        opt.history.evaluate((v,) + opt.history.best.indices[1:])
+        opt._projection_scores(np.arange(6))
+        assert inverted == [1]
 
 
 class TestSelectBatch:

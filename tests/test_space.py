@@ -85,6 +85,13 @@ class TestSearchSpace:
         with pytest.raises(ConfigurationError):
             space.validate_indices((0,))
 
+    def test_validate_indices_names_the_first_bad_dimension(self):
+        space = small_space(5, 7, 3)
+        with pytest.raises(ConfigurationError,
+                           match=r"^d1: index 7 out of range \[0, 6\] \(dim 1\)$"):
+            space.validate_indices((0, 7, -1))
+        assert space.validate_indices(np.array([4, 0, 2])) == (4, 0, 2)
+
     def test_requires_at_least_one_dimension(self):
         with pytest.raises(ConfigurationError):
             SearchSpace(())
