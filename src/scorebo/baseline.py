@@ -1,12 +1,15 @@
 """Classical full-dimensional Bayesian optimization baseline.
 
 One joint GP over all evaluated points, expected improvement maximized over
-a random candidate pool plus the grid neighbors of the incumbent. The GP is
-refit on the whole history every iteration, so per-iteration cost grows
-with the number of evaluations N (Cholesky is O(N^3)); this is the
-comparison arm for the bounded-cost decomposed optimizer. It shares the
-evaluation record (``History``) and the ``step()`` protocol (returning a
-``StepResult``) with the decomposed optimizer; each step evaluates one tuple.
+a random candidate pool plus the grid neighbors of the incumbent. On a space
+too large to enumerate the pool is drawn in one block
+(``sampling.draw_unevaluated``), so most of a step's time is the GP's fit
+and its predict on the pool. The GP is refit on the whole history every
+iteration, so per-iteration cost grows with the number of evaluations N
+(Cholesky is O(N^3)); this is the comparison arm for the bounded-cost
+decomposed optimizer. It shares the evaluation record (``History``) and the
+``step()`` protocol (returning a ``StepResult``) with the decomposed
+optimizer; each step evaluates one tuple.
 
 This is a clean-room standard BO loop, not a re-implementation of any
 specific package; it exists for the convergence and time-scaling contrast.
@@ -86,9 +89,8 @@ class BoOptimizer:
 
         candidates = draw_unevaluated(self.space, self.rng, evaluated,
                                       min(CANDIDATE_POOL_SIZE, remaining))
-        for t in self._incumbent_neighbors():
-            if t not in candidates:
-                candidates.append(t)
+        drawn = set(candidates)
+        candidates.extend(t for t in self._incumbent_neighbors() if t not in drawn)
 
         inputs = self._rescale([r.indices for r in self.history.records])
         targets = [r.value for r in self.history.records]

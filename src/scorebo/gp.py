@@ -109,10 +109,18 @@ class GpModel:
         j = noise + jitter involves no cancellation, so it is used verbatim.
         """
         j = self.kernel.noise_variance + self._jitter
-        matches = np.all(self.train_inputs[:, None, :] == query[None, :, :], axis=2)
-        rows, cols = np.nonzero(matches)
-        if len(rows) == 0:
+        # (training row, query) pairs of equal inputs, found by lookup and
+        # sorted as np.nonzero orders an equality matrix: the solve below
+        # sees the same right-hand sides, and a query equal to several
+        # training rows takes the last row's value
+        where: dict[tuple, list[int]] = {}
+        for i, x in enumerate(map(tuple, self.train_inputs.tolist())):
+            where.setdefault(x, []).append(i)
+        pairs = sorted((i, q) for q, x in enumerate(map(tuple, query.tolist()))
+                       for i in where.get(x, ()))
+        if not pairs:
             return
+        rows, cols = np.array(pairs).T
         unit = np.zeros((len(self.train_inputs), len(rows)))
         unit[rows, np.arange(len(rows))] = 1.0
         z = solve_triangular(self.chol, unit, lower=True, check_finite=False)

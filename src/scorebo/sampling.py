@@ -2,7 +2,13 @@
 
 Small spaces are enumerated so that unevaluated tuples can be drawn exactly;
 large spaces (where enumeration is impossible) fall back to rejection
-sampling, where collisions are vanishingly rare.
+sampling, where collisions are vanishingly rare. Rejection sampling draws
+its tuples as one ``(n, D)`` block of ``rng.integers``: numpy's generator
+(checked on numpy 2.4) gives such a block exactly the values, in row-major
+order, of n·D scalar draws, one per coordinate, and leaves the generator in
+the same state. So the block is the stream of a per-coordinate loop without
+its Python-level calls; ``tests/test_sampling.py`` checks that against such
+a loop.
 """
 
 from __future__ import annotations
@@ -18,10 +24,6 @@ if TYPE_CHECKING:  # space.py imports this module
     from .space import SearchSpace
 
 ENUMERATION_LIMIT = 200_000
-
-
-def random_tuple(space: SearchSpace, rng: np.random.Generator) -> tuple[int, ...]:
-    return tuple(int(rng.integers(len(g))) for g in space.grids)
 
 
 def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
@@ -41,14 +43,18 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
 
     chosen: list[tuple[int, ...]] = []
     seen = set(excluded)
-    # rejection sampling; collision probability is negligible at this size
-    attempts = 0
+    # rejection sampling; collision probability is negligible at this size.
+    # Each block is the shortfall, so no more tuples are drawn than one at a
+    # time would draw, and at most 1000 per tuple asked for.
+    budget = 1000 * count
     while len(chosen) < count:
-        attempts += 1
-        if attempts > 1000 * count:
+        need = min(count - len(chosen), budget)
+        if need <= 0:
             raise SpaceExhausted("rejection sampling failed to find unevaluated tuples")
-        t = random_tuple(space, rng)
-        if t not in seen:
-            seen.add(t)
-            chosen.append(t)
+        budget -= need
+        for t in map(tuple, rng.integers(0, space.lengths,
+                                         size=(need, len(space.lengths))).tolist()):
+            if t not in seen:
+                seen.add(t)
+                chosen.append(t)
     return chosen

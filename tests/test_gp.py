@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+import scorebo.gp as gp_mod
 from scorebo.errors import SurrogateError
 from scorebo.gp import KernelConfig, gp_fit
 
@@ -130,6 +132,60 @@ class TestProperties:
         mean, std = model.predict(np.linspace(-60, 60, 25))
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
         assert np.all(std >= 0.0)
+
+
+def scan_stabilize(model, query, var):
+    """The former training-point match: an N × queries × D equality scan."""
+    j = model.kernel.noise_variance + model._jitter
+    matches = np.all(model.train_inputs[:, None, :] == query[None, :, :], axis=2)
+    rows, cols = np.nonzero(matches)
+    if len(rows) == 0:
+        return
+    unit = np.zeros((len(model.train_inputs), len(rows)))
+    unit[rows, np.arange(len(rows))] = 1.0
+    z = solve_triangular(model.chol, unit, lower=True, check_finite=False)
+    var[cols] = j * (1.0 - j * np.sum(z * z, axis=0))
+
+
+class TestTrainingPointVariance:
+    """The lookup of training points gives the equality scan's digits."""
+
+    @staticmethod
+    def both(model, query, monkeypatch):
+        lookup = model.predict(query, standardized=True)
+        with monkeypatch.context() as m:
+            m.setattr(gp_mod.GpModel, "_stabilize_at_train_points", scan_stabilize)
+            scan = model.predict(query, standardized=True)
+        return lookup, scan
+
+    @pytest.mark.parametrize("dims", [1, 2, 10])
+    def test_variance_matches_equality_scan_bit_for_bit(self, dims, monkeypatch):
+        rng = np.random.default_rng(dims)
+        for _ in range(10):
+            n = int(rng.integers(3, 40))
+            x = rng.integers(0, 5, size=(n, dims)) / 4.0   # coarse grid: repeats
+            x = np.vstack([x, x[rng.integers(n, size=3)]])  # duplicated inputs
+            y = rng.normal(size=len(x))
+            model = gp_fit(x, y, KernelConfig(lengthscale=0.3))
+            at_train = x[rng.integers(len(x), size=25)]     # repeated queries
+            pools = {
+                "mixed": np.vstack([at_train, rng.integers(0, 5, size=(25, dims)) / 4.0,
+                                    -x[:2] * 0.0]),         # -0.0 equals 0.0
+                "all training": at_train,
+                "no match": rng.integers(0, 5, size=(30, dims)) / 4.0 + 0.125,
+            }
+            for name, query in pools.items():
+                (m1, s1), (m2, s2) = self.both(model, query, monkeypatch)
+                assert m1.tobytes() == m2.tobytes(), name
+                assert s1.tobytes() == s2.tobytes(), name
+
+    def test_duplicate_training_rows_keep_the_last_match(self, monkeypatch):
+        x = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        model = gp_fit(x, [1.0, 2.0, 3.0, 4.0, 5.0],
+                       KernelConfig(lengthscale=0.4))
+        query = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
+        (_, s1), (_, s2) = self.both(model, query, monkeypatch)
+        assert s1.tobytes() == s2.tobytes()
 
 
 class TestFitMechanics:
