@@ -4,10 +4,10 @@ Instead of one joint surrogate over the full D-dimensional space, each
 dimension gets its own 1D GP fitted to that parameter's min-projection of
 the history (for each grid value, the best objective ever observed with
 that value, the other parameters marginalized out by minimum). Every grid
-value is then scored with expected improvement. The D projection GPs are
-solved together in stacks (``gp.stacked_posterior``), not one fit each, and
-each keeps its inverse training kernel while its observed grid values are
-unchanged.
+value is then scored with expected improvement. Each projection GP keeps
+its inverse training kernel in grid coordinates (``gp.GridInverses``),
+inverted again only when the dimension gains a grid value, so all D GPs are
+scored in one batched pass over the (D, G) table, not one fit each.
 
 Candidate assembly is led by incumbent-line refinement. Every evaluated
 tuple that differs from the incumbent in one coordinate is kept as line
@@ -47,7 +47,7 @@ import numpy as np
 
 from .acquisition import ZETA, score_grid
 from .errors import SpaceExhausted
-from .gp import (NOISE_VARIANCE, InverseStore, KernelConfig, kernel_matrix,
+from .gp import (NOISE_VARIANCE, GridInverses, KernelConfig, kernel_matrix,
                  stacked_posterior)
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
@@ -102,24 +102,27 @@ def clip_targets(values: np.ndarray) -> np.ndarray:
     posterior everywhere else. Values are capped at
     ``min + CLIP_FACTOR * (p75 - min)`` of their row (last axis), which
     preserves ordering near the minimum — the only region the acquisition
-    cares about.
+    cares about. Rows may be padded with inf: those cells are not part of
+    the row and stay inf.
     """
     values = np.asarray(values, dtype=float)
+    finite = values < np.inf
     lo = values.min(axis=-1, keepdims=True)
-    cap = lo + CLIP_FACTOR * (_upper_quartile(values) - lo)
-    return np.where(cap > lo, np.minimum(values, cap), values)
+    cap = lo + CLIP_FACTOR * (_upper_quartile(values, finite) - lo)
+    return np.where((cap > lo) & finite, np.minimum(values, cap), values)
 
 
-def _upper_quartile(values: np.ndarray) -> np.ndarray:
-    """``np.percentile(values, 75, axis=-1, keepdims=True)``, less overhead."""
-    n = values.shape[-1]
+def _upper_quartile(values: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """``np.percentile(row[finite], 75)`` of each row, keeping dims."""
+    n = finite.sum(axis=-1, keepdims=True)
     pos = 0.75 * (n - 1)
-    below = int(pos)
-    above = min(below + 1, n - 1)
-    part = np.partition(values, (below, above), axis=-1)
-    a, b = part[..., below:below + 1], part[..., above:above + 1]
+    below = pos.astype(int)
+    flat = np.sort(values, axis=-1).ravel()      # infs sort past each row's values
+    first = np.arange(0, flat.size, values.shape[-1]).reshape(n.shape)
+    a = flat[first + below]
+    b = flat[first + np.minimum(below + 1, n - 1)]
     gamma = pos - below
-    return b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+    return np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)
 
 
 class LineEvidence:
@@ -136,13 +139,14 @@ class LineEvidence:
         self.born = np.zeros((dims, max_grid))       # drift when each level was set
         self.drift = 0.0      # coordinates the anchor has changed, over dims, summed
         self.anchor: tuple[int, ...] | None = None   # tuple the levels refer to
+        self.anchor_array: np.ndarray | None = None  # the same, as an array
         self.anchor_value = 0.0
 
     def reset(self, anchor: tuple[int, ...], value: float) -> None:
         self.levels[:] = np.nan
         self.levels[np.arange(len(anchor)), anchor] = 0.0
         self.born[:] = self.drift
-        self.anchor, self.anchor_value = anchor, value
+        self.anchor, self.anchor_array, self.anchor_value = anchor, np.array(anchor), value
 
     def staleness(self) -> np.ndarray:
         """Share of the incumbent's coordinates changed since each level was set."""
@@ -152,8 +156,8 @@ class LineEvidence:
         """The one coordinate in which ``indices`` differs from the anchor."""
         if self.anchor is None:
             return None
-        diff = [d for d, (a, b) in enumerate(zip(self.anchor, indices)) if a != b]
-        return diff[0] if len(diff) == 1 else None
+        diff = np.flatnonzero(self.anchor_array != np.fromiter(indices, int))
+        return int(diff[0]) if len(diff) == 1 else None
 
     def record(self, d: int, v: int, value: float) -> float:
         level = value - self.anchor_value
@@ -170,9 +174,10 @@ class LineEvidence:
         Dimensions whose index is unchanged keep their levels as they are.
         Levels measured a full state ago (staleness 1) are dropped.
         """
-        changed = [d for d, (a, b) in enumerate(zip(self.anchor, anchor)) if a != b]
+        new = np.array(anchor)
+        changed = np.flatnonzero(self.anchor_array != new)
         self.drift += len(changed) / len(anchor)
-        for d in changed:
+        for d in changed.tolist():
             b = anchor[d]
             shift = self.levels[d, b]
             if np.isnan(shift):
@@ -180,9 +185,9 @@ class LineEvidence:
             self.levels[d] -= shift
         self.levels[self.staleness() >= 1.0] = np.nan
         rows = np.arange(len(anchor))
-        self.levels[rows, anchor] = 0.0          # exact by definition, never stale
-        self.born[rows, anchor] = self.drift
-        self.anchor, self.anchor_value = anchor, value
+        self.levels[rows, new] = 0.0             # exact by definition, never stale
+        self.born[rows, new] = self.drift
+        self.anchor, self.anchor_array, self.anchor_value = anchor, new, value
 
 
 @dataclass
@@ -226,7 +231,7 @@ class ScoreOptimizer:
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
         self._projection_kernel = kernel_matrix(steps, steps, self.kernel)
-        self._projection_inverses = InverseStore(self.space.dims, max_grid)
+        self._projection_inverses = GridInverses(self.space.dims, max_grid)
         self._line_kernel = kernel_matrix(steps, steps,
                                           KernelConfig(lengthscale=LINE_LENGTHSCALE))
         self.lines = LineEvidence(self.space.dims, max_grid)
@@ -268,52 +273,44 @@ class ScoreOptimizer:
 
     def score_dimension(self, d: int) -> np.ndarray:
         """EI score for every grid value of dimension d."""
-        return self._projection_scores(np.array([d]))[0, :self._n_grid[d]]
+        return self._projection_scores(slice(d, d + 1))[0, :self._n_grid[d]]
 
-    def _projection_scores(self, dims: np.ndarray) -> np.ndarray:
+    def _projection_scores(self, dims: slice = slice(None)) -> np.ndarray:
         """EI scores of dimensions ``dims`` on the longest grid, (len(dims), G).
 
-        One GP per dimension on its min-projection; dimensions with the
-        same number of observed values are solved in one stack. The
-        training inputs are distinct grid indices, so each training kernel
-        is an SE kernel plus (noise + jitter) I, whose smallest eigenvalue
-        is at least the 1e-6 noise: the solve cannot fail.
-
-        A projection cell never goes from observed back to unobserved, so a
-        dimension whose observed count is unchanged has the same training
-        indices, and its inverse training kernel is reused from
-        ``_projection_inverses``. Only its targets are new: every dimension
-        is still clipped, standardized and solved for its posterior mean,
-        so each call counts one fit per dimension.
+        One GP per dimension on its min-projection, all scored in one pass
+        over the inf-padded minima: clip, standardize the observed cells,
+        ``alpha = K^-1 z`` as one batched mat-vec with the inverses kept in
+        grid coordinates, and the mean ``alpha @ kern`` as one product.
+        Projection cells never become unobserved, so a dimension whose count
+        is unchanged keeps its inverse; only the others are inverted again
+        (distinct indices and the 1e-6 noise keep each training kernel well
+        conditioned). Every dimension is solved for its new targets, so each
+        call counts one fit per dimension.
         """
         minima = self.projections.minima[dims]
         finite = np.isfinite(minima)
-        counts = finite.sum(axis=1)
+        counts = finite.sum(axis=1, keepdims=True)
         if not counts.all():
             raise ValueError("no observations project onto dimension "
-                             f"{dims[np.argmin(counts)]}")
+                             f"{np.arange(self.space.dims)[dims][np.argmin(counts)]}")
         j = self.kernel.noise_variance + self.kernel.jitter
-        best = self.history.best.value
-        scores = np.empty(minima.shape)
-        for n in np.unique(counts):
-            rows = np.flatnonzero(counts == n)
-            idx = np.nonzero(finite[rows])[1].reshape(len(rows), n)
-            y = clip_targets(minima[rows[:, None], idx])
-            y_mean = y.mean(axis=1, keepdims=True)
-            y_std = y.std(axis=1, keepdims=True)
-            y_std[y_std == 0.0] = 1.0
-            mean, explained, inv_diag = stacked_posterior(
-                self._projection_kernel, idx, np.full(idx.shape, j),
-                (y - y_mean) / y_std, store=self._projection_inverses,
-                keys=dims[rows])
-            var = self.kernel.signal_variance - explained
-            # at training points signal - explained has no digits left; use
-            # the cancellation-free j * (1 - j * (K^-1)_ii), as GpModel does
-            np.put_along_axis(var, idx, j * (1.0 - j * inv_diag), axis=1)
-            scores[rows] = score_grid(mean, np.sqrt(np.maximum(var, 0.0)),
-                                      (best - y_mean) / y_std, ZETA)
-        self.gp_fit_count += len(dims)
-        return scores
+        store = self._projection_inverses
+        store.refresh(self._projection_kernel, finite, j, dims)
+        y = clip_targets(minima)
+        y_mean = np.sum(y, axis=1, keepdims=True, where=finite) / counts
+        dev = np.where(finite, y - y_mean, 0.0)
+        y_std = np.sqrt(np.sum(dev * dev, axis=1, keepdims=True) / counts)
+        y_std[y_std == 0.0] = 1.0
+        alpha = np.matmul(store.inverse[dims], (dev / y_std)[:, :, None])[:, :, 0]
+        mean = alpha @ self._projection_kernel
+        # at training points signal - explained has no digits left; use the
+        # cancellation-free j * (1 - j * (K^-1)_ii), as GpModel does
+        var = np.where(finite, j * (1.0 - j * np.diagonal(store.inverse[dims], 0, 1, 2)),
+                       self.kernel.signal_variance - store.explained[dims])
+        self.gp_fit_count += len(minima)
+        return score_grid(mean, np.sqrt(np.maximum(var, 0.0)),
+                          (self.history.best.value - y_mean) / y_std, ZETA)
 
     def _follow_incumbent(self) -> None:
         """Re-anchor the line evidence to the current incumbent."""
@@ -331,7 +328,7 @@ class ScoreOptimizer:
         kept.
         """
         n = group.n_grid
-        anchor = np.asarray(self.lines.anchor)[group.dims]
+        anchor = self.lines.anchor_array[group.dims]
         rows, b = np.nonzero(moved)
         a, y = anchor[rows], levels[rows, b]
         wt = 1.0 / noise[rows, b]
@@ -368,7 +365,7 @@ class ScoreOptimizer:
         profile (0 for dimensions that share with no other).
         """
         dims, max_grid = self.lines.levels.shape
-        anchor = np.asarray(self.lines.anchor)
+        anchor = self.lines.anchor_array
         levels = self.lines.levels.copy()
         known = ~np.isnan(levels)
         moved = known.copy()                  # kept levels other than the anchors
@@ -423,7 +420,7 @@ class ScoreOptimizer:
             rows = np.nonzero(widths == width)[0]
             pad = np.arange(width)[None, :] >= counts[rows, None]
             idx = np.take_along_axis(order[rows], np.where(pad, 0, np.arange(width)), 1)
-            line_mean, explained, _ = stacked_posterior(
+            line_mean, explained = stacked_posterior(
                 self._line_kernel, idx, np.where(pad, 1e12, noise[rows[:, None], idx]),
                 np.where(pad, 0.0, resid[rows[:, None], idx]), scale=amp2[rows])
             mean[rows] += line_mean
@@ -447,7 +444,7 @@ class ScoreOptimizer:
         """
         self._follow_incumbent()
         inc = self.lines.anchor
-        anchor = np.asarray(inc)
+        anchor = self.lines.anchor_array
         dims, max_grid = self.lines.levels.shape
         mean, std, scale, supported, share = self._line_posterior()
         self._predicted = mean
@@ -576,7 +573,7 @@ class ScoreOptimizer:
         if not self.history.records:
             raise ValueError("initialize() must run before step()")
         t0 = time.perf_counter()
-        scores = self._projection_scores(np.arange(self.space.dims))
+        scores = self._projection_scores()
         per_dim_scores = [s[:n] for s, n in zip(scores, self._n_grid)]
         gp_seconds = time.perf_counter() - t0
 

@@ -7,10 +7,10 @@ model, so kernel variances are expressed in standardized target units
 
 The decomposed optimizer's 1D GPs all take integer grid indices, so their
 training and cross covariances are slices of one precomputed kernel over
-grid steps; ``stacked_posterior`` solves many of them at once. An
-``InverseStore`` keeps each GP's inverse training kernel between solves, so
-a GP whose training indices have not changed is solved for new targets
-without a new inverse.
+grid steps. ``stacked_posterior`` solves many of them at once;
+``GridInverses`` keeps each projection GP's inverse training kernel in grid
+coordinates, inverted again only when its training indices change, so all
+of them are solved for new targets in one batched pass.
 """
 
 from __future__ import annotations
@@ -171,16 +171,15 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
                    _jitter=jitter)
 
 
-class InverseStore:
-    """Inverse training kernels of a fixed set of 1D GPs, kept between solves.
+class GridInverses:
+    """Inverse training kernels of 1D GPs on one grid, in grid coordinates.
 
-    Entry ``k`` holds GP k's inverse training kernel and the prior variance
-    its data explain on the grid, as of its last solve, and ``count[k]`` the
-    number of training points it had then (0: never solved); the training
-    indices are distinct, so there are at most ``grid`` of them. Each entry
-    is its own copy, not a view of a solved stack. ``stacked_posterior``
-    reuses an entry while a GP's count is unchanged, so its caller must keep
-    each GP's training indices, noise and scale fixed while its count is.
+    GP r is trained at the grid indices marked in its row of an ``observed``
+    mask. ``inverse[r]`` holds its inverse training kernel on those rows and
+    columns, zeros elsewhere; ``explained[r]`` the prior variance its data
+    explain on every grid value; ``count[r]`` its index count when inverted.
+    Only GPs whose count changed are inverted again, so a GP's indices must
+    change only by growing.
     """
 
     def __init__(self, gps: int, grid: int):
@@ -188,67 +187,61 @@ class InverseStore:
         self.inverse = np.zeros((gps, grid, grid))
         self.explained = np.zeros((gps, grid))
 
+    def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float,
+                gps: slice) -> None:
+        """Invert again those GPs of the slice ``gps`` whose count changed.
+
+        ``observed`` holds their training masks, in order. GPs with equal
+        counts are inverted in stacks of ``STACK_ROWS``: the batched
+        multi-right-hand-side solve of BBMM (Gardner et al., 2018).
+        """
+        counts = observed.sum(axis=1)
+        inverse, explained, count = self.inverse[gps], self.explained[gps], self.count[gps]
+        stale = np.flatnonzero(count != counts)
+        for n in np.unique(counts[stale]):
+            rows = stale[counts[stale] == n]
+            idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
+            for lo in range(0, len(rows), STACK_ROWS):
+                r, i = rows[lo:lo + STACK_ROWS], idx[lo:lo + STACK_ROWS]
+                k_inv, explained[r] = _inverse(kern, i, kern[i], noise)
+                inverse[r] = 0.0
+                inverse[r[:, None, None], i[:, :, None], i[:, None, :]] = k_inv
+            count[rows] = n
+
 
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
-                      targets: np.ndarray, scale: np.ndarray | None = None,
-                      store: InverseStore | None = None,
-                      keys: np.ndarray | None = None):
+                      targets: np.ndarray, scale: np.ndarray):
     """Posterior of a stack of 1D GPs whose inputs are grid indices.
 
     Row r is a GP with training indices ``idx[r]``, targets ``targets[r]``
     and noise variances ``noise[r]``; its kernel is ``kern`` (over grid
-    steps), times ``scale[r]`` when given. The rows are solved at most
-    ``STACK_ROWS`` at a time, each with one stacked inverse of its training
-    kernels: the batched multi-right-hand-side solve of BBMM (Gardner et
-    al., 2018). With a ``store``, row r is GP ``keys[r]`` of it: a row
-    whose count matches its entry takes the stored inverse, and only the
-    others are inverted, and their entries overwritten. Either way every
-    row is solved for its targets. Returns ``(mean, explained, inv_diag)``:
-    the posterior mean on every grid value, the prior variance the data
-    explain there (prior minus posterior variance), both ``(rows, G)``, and
-    the diagonals of the inverse training kernels, ``(rows, n)``.
+    steps) times ``scale[r]``. The rows are solved at most ``STACK_ROWS`` at
+    a time, each with one stacked inverse of its training kernels. Returns
+    ``(mean, explained)``, both ``(rows, G)``: the posterior mean on every
+    grid value and the prior variance the data explain there.
     """
-    rows, n = idx.shape
-    mean = np.empty((rows, kern.shape[1]))
+    mean = np.empty((len(idx), kern.shape[1]))
     explained = np.empty_like(mean)
-    inv_diag = np.empty((rows, n))
-    diag = np.arange(n)
-    for lo in range(0, rows, STACK_ROWS):
+    for lo in range(0, len(idx), STACK_ROWS):
         part = slice(lo, lo + STACK_ROWS)
-        i = idx[part]
-        k_so = kern[i]                                    # (rows, n, G)
-        a2 = None
-        if scale is not None:
-            a2 = scale[part, None, None]
-            k_so *= a2
-        if store is None:
-            k_inv, explained[part] = _inverse(kern, i, k_so, noise[part], a2)
-        else:
-            key = keys[part]
-            new = store.count[key] != n
-            if new.any():
-                k_new, e_new = _inverse(kern, i[new], k_so[new], noise[part][new],
-                                        None if a2 is None else a2[new])
-                store.inverse[key[new], :n, :n] = k_new
-                store.explained[key[new]] = e_new
-                store.count[key[new]] = n
-            k_inv = store.inverse[key, :n, :n]
-            explained[part] = store.explained[key]
+        i, a2 = idx[part], scale[part, None, None]
+        k_so = kern[i] * a2                               # (rows, n, G)
+        k_inv, explained[part] = _inverse(kern, i, k_so, noise[part] * a2[:, 0], a2)
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[part])
         mean[part] = np.einsum("dng,dn->dg", k_so, alpha)
-        inv_diag[part] = k_inv[:, diag, diag]
-    return mean, explained, inv_diag
+    return mean, explained
 
 
-def _inverse(kern, i, k_so, noise, a2):
-    """Inverse training kernels of a stack and the prior variance explained."""
+def _inverse(kern, i, k_so, noise, a2=1.0):
+    """Inverse training kernels of a stack and the prior variance explained.
+
+    Row r's training kernel is ``a2[r]`` times ``kern`` on its indices
+    ``i[r]``, plus ``noise[r]`` on the diagonal.
+    """
     k_oo = kern[i[:, :, None], i[:, None, :]]
+    k_oo *= a2
     diag = np.arange(i.shape[1])
-    if a2 is None:
-        k_oo[:, diag, diag] += noise
-    else:
-        k_oo *= a2
-        k_oo[:, diag, diag] += noise * a2[:, 0]
+    k_oo[:, diag, diag] += noise
     # an inverse per GP, not np.linalg.solve: on these stacks the solve
     # costs several times more
     k_inv = np.linalg.inv(k_oo)

@@ -72,6 +72,8 @@ class SearchSpace:
 
     grids: tuple[ParameterGrid, ...]
     lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # values[d, i] is grid d's value at index i, NaN past the grid's end
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grids = tuple(self.grids)
@@ -79,6 +81,10 @@ class SearchSpace:
         object.__setattr__(self, "lengths", tuple(len(g) for g in grids))
         if len(grids) < 1:
             raise ConfigurationError("search space needs at least one dimension")
+        values = np.full((len(grids), max(self.lengths)), np.nan)
+        for row, g in zip(values, grids):
+            row[:len(g)] = g.values
+        object.__setattr__(self, "values", values)
 
     @property
     def dims(self) -> int:
@@ -90,8 +96,8 @@ class SearchSpace:
         return math.prod(self.lengths)
 
     def point(self, indices) -> np.ndarray:
-        """Map grid indices to the corresponding parameter values."""
-        return np.array([g.values[i] for g, i in zip(self.grids, indices)])
+        """Map in-range grid indices to the corresponding parameter values."""
+        return self.values[np.arange(self.dims), np.fromiter(indices, np.intp, self.dims)]
 
     def nearest_indices(self, point) -> tuple[int, ...]:
         """Map a point back to the nearest grid index in each dimension."""

@@ -9,10 +9,10 @@ import pytest
 from scorebo import gp
 from scorebo.acquisition import ZETA, expected_improvement
 from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
-                            LINE_NOISE, TAU_FRACTION, ProjectionTable,
-                            ScoreOptimizer, clip_targets)
+                            LINE_NOISE, TAU_FRACTION, LineEvidence,
+                            ProjectionTable, ScoreOptimizer, clip_targets)
 from scorebo.errors import SpaceExhausted
-from scorebo.gp import NOISE_VARIANCE, STACK_ROWS, InverseStore
+from scorebo.gp import NOISE_VARIANCE, STACK_ROWS, GridInverses
 from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.space import SearchSpace, make_grid
 
@@ -226,8 +226,7 @@ class TestScoreDimension:
         assert clip_targets(minima[outlier, cells]).max() < 1e300
         opt.projections.minima = minima
 
-        dims = np.arange(len(lengths))
-        stacked = opt._projection_scores(dims)
+        stacked = opt._projection_scores()
         assert opt.gp_fit_count == len(lengths)
         best = opt.history.best.value
         for d, n_grid in enumerate(lengths):
@@ -236,28 +235,70 @@ class TestScoreDimension:
             np.testing.assert_allclose(opt.score_dimension(d), oracle, rtol=0, atol=1e-8)
         assert opt.gp_fit_count == 2 * len(lengths)
 
+    def test_scores_match_dense_oracle_as_projections_grow(self):
+        # Ragged grids; cells are added a random batch at a time, as steps
+        # add them, and observed minima may fall. Every batch is checked
+        # against the oracle, so kept and new inverses are both exercised.
+        rng = np.random.default_rng(12)
+        lengths = [31, 41, 61] * 4
+        space = grid_space(*lengths)
+        opt = ScoreOptimizer(space=space, objective=lambda p: -0.7)
+        opt.history.evaluate((0,) * len(lengths))
+        single, whole, constant, outlier = 0, 1, 2, 5
+        minima = np.full(opt.projections.minima.shape, np.inf)
+        for d, n_grid in enumerate(lengths):
+            cells = 8 if d == outlier else 1
+            minima[d, rng.choice(n_grid, size=cells, replace=False)] = rng.normal(size=cells)
+        opt.projections.minima = minima
+        best = opt.history.best.value
+        for batch in range(8):
+            for d, n_grid in enumerate(lengths):
+                free = np.flatnonzero(np.isinf(minima[d, :n_grid]))
+                if d == single or not len(free):
+                    continue
+                new = free if d == whole and batch == 7 else rng.choice(
+                    free, size=min(len(free), int(rng.integers(0, 4))), replace=False)
+                minima[d, new] = rng.normal(size=len(new)) * 10.0 ** rng.uniform(-2, 2)
+                seen = np.flatnonzero(np.isfinite(minima[d]))
+                minima[d, seen[:1]] -= rng.uniform(0, 1)        # a minimum falls
+            minima[constant, np.isfinite(minima[constant])] = 2.0
+            if batch >= 2:
+                minima[outlier, np.flatnonzero(np.isfinite(minima[outlier]))[-1]] = 1e300
+            clipped = clip_targets(minima)
+            assert batch < 2 or clipped[outlier, np.isfinite(minima[outlier])].max() < 1e300
+            for row, out in zip(minima, clipped):
+                observed = np.isfinite(row)
+                assert np.array_equal(out[observed], clip_targets(row[observed]))
+                assert np.isinf(out[~observed]).all()
+            scores = opt._projection_scores()
+            for d, n_grid in enumerate(lengths):
+                oracle = self._oracle_scores(minima[d], n_grid, best)
+                np.testing.assert_allclose(scores[d, :n_grid], oracle, rtol=0, atol=1e-8)
+        assert np.isfinite(minima[whole, :lengths[whole]]).all()
+        assert np.isfinite(minima[single]).sum() == 1
+        assert opt.gp_fit_count == 8 * len(lengths)
+
 
 class TestInverseReuse:
     @staticmethod
     def _check_every_step(opt, steps):
-        """Scores with the kept inverses equal scores with none kept, each step.
+        """Scores with the kept inverses equal scores with a fresh store, each step.
 
-        Returns how many rows were reused and how many solved in all.
+        Returns how many rows were reused and how many inverted in all.
         """
-        dims = np.arange(opt.space.dims)
-        max_grid = opt.projections.minima.shape[1]
-        reused = solved = 0
+        reused = inverted = 0
         for _ in range(steps):
             kept = opt._projection_inverses
             counts = np.isfinite(opt.projections.minima).sum(axis=1)
             hit = kept.count == counts
-            reused, solved = reused + hit.sum(), solved + (~hit).sum()
-            scores = opt._projection_scores(dims)
-            opt._projection_inverses = InverseStore(opt.space.dims, max_grid)
-            assert np.array_equal(scores, opt._projection_scores(dims))
+            reused, inverted = reused + hit.sum(), inverted + (~hit).sum()
+            scores = opt._projection_scores()
+            fresh = opt._projection_inverses = GridInverses(*kept.explained.shape)
+            assert np.array_equal(scores, opt._projection_scores())
+            assert np.array_equal(kept.inverse, fresh.inverse)
             opt._projection_inverses = kept
             opt.step()
-        return reused, solved
+        return reused, inverted
 
     @pytest.mark.parametrize("dims,batch,n_init,steps", [(10, 1, 20, 40),
                                                          (200, 10, 50, 4)])
@@ -280,7 +321,7 @@ class TestInverseReuse:
         opt = ScoreOptimizer(space=ackley_space(6), objective=ackley,
                              batch_size=2, seed=0)
         opt.initialize(12)
-        opt._projection_scores(np.arange(6))
+        opt._projection_scores()
         inverted = []
         original = gp._inverse
 
@@ -299,12 +340,12 @@ class TestInverseReuse:
         assert inverted == []
         assert opt.gp_fit_count == 2 * 6          # still one fit per dimension
         # one dimension gains a value: only it is inverted again
-        opt._projection_scores(np.arange(6))      # absorbs the step's batch
+        opt._projection_scores()                  # absorbs the step's batch
         inverted.clear()
         observed = np.isfinite(opt.projections.minima[0])
         v = int(np.flatnonzero(~observed[:opt.space.lengths[0]])[0])
         opt.history.evaluate((v,) + opt.history.best.indices[1:])
-        opt._projection_scores(np.arange(6))
+        opt._projection_scores()
         assert inverted == [1]
 
 
@@ -420,6 +461,18 @@ class TestLineEvidence:
         assert opt.lines.levels[0, 4] == pytest.approx(0.5)
         assert opt.lines.levels[1, 0] == pytest.approx(-0.5)
         assert np.sum(~np.isnan(opt.lines.levels)) == 4   # two anchors, two moves
+
+    def test_moved_dim_names_the_one_changed_coordinate(self):
+        lines = LineEvidence(4, 5)
+        assert lines.moved_dim((1, 2, 3, 4)) is None
+        lines.reset((1, 2, 3, 4), 0.0)
+        assert lines.moved_dim((1, 2, 3, 4)) is None
+        assert lines.moved_dim((1, 0, 3, 4)) == 1
+        assert lines.moved_dim((0, 2, 3, 0)) is None
+        lines.reanchor((1, 0, 3, 4), 0.0, None)
+        assert lines.anchor_array.tolist() == [1, 0, 3, 4]
+        assert lines.drift == 0.25
+        assert lines.moved_dim((1, 2, 3, 4)) == 1
 
     def test_line_posterior_matches_dense_oracle(self):
         # Distinct grids share nothing; every level is fresh, so each line
