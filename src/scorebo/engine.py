@@ -31,6 +31,12 @@ with no line evidence, a move to the argmax of the dimension's projection
 score; then the per-dimension greedy argmax tuple, softmax-sampled tuples
 and uniform-random unevaluated tuples.
 
+The line posterior, the merged moves and the line-EI table depend on the
+line evidence alone. They are kept, read-only, with the evidence's version
+and derived again only at a selection where the evidence has changed (a
+line move recorded or the incumbent moved); a selection that follows only
+non-line, non-improving evaluations reuses them bit for bit.
+
 Per-dimension GP training sets never exceed the grid length, and the line
 evidence holds at most one entry per (dimension, grid value), so the cost of
 one iteration is bounded by a constant independent of how many evaluations
@@ -132,9 +138,15 @@ class LineEvidence:
     grid index v (NaN where nothing is known); the incumbent's own index
     holds 0. A newer move to the same (d, v) replaces the older one, so the
     store never holds more than one entry per (dimension, grid value).
+
+    ``version`` rises with every write. ``reset``, ``record`` and
+    ``reanchor`` are the only writers of the levels, their birth drifts,
+    the drift and the anchor, so anything derived from those alone is
+    current while the version is unchanged.
     """
 
     def __init__(self, dims: int, max_grid: int):
+        self.version = 0
         self.levels = np.full((dims, max_grid), np.nan)
         self.born = np.zeros((dims, max_grid))       # drift when each level was set
         self.drift = 0.0      # coordinates the anchor has changed, over dims, summed
@@ -143,6 +155,7 @@ class LineEvidence:
         self.anchor_value = 0.0
 
     def reset(self, anchor: tuple[int, ...], value: float) -> None:
+        self.version += 1
         self.levels[:] = np.nan
         self.levels[np.arange(len(anchor)), anchor] = 0.0
         self.born[:] = self.drift
@@ -160,6 +173,7 @@ class LineEvidence:
         return int(diff[0]) if len(diff) == 1 else None
 
     def record(self, d: int, v: int, value: float) -> float:
+        self.version += 1
         level = value - self.anchor_value
         self.levels[d, v] = level
         self.born[d, v] = self.drift
@@ -174,6 +188,7 @@ class LineEvidence:
         Dimensions whose index is unchanged keep their levels as they are.
         Levels measured a full state ago (staleness 1) are dropped.
         """
+        self.version += 1
         new = np.array(anchor)
         changed = np.flatnonzero(self.anchor_array != new)
         self.drift += len(changed) / len(anchor)
@@ -202,6 +217,17 @@ class _GridGroup:
     profile: np.ndarray | None = None   # shared profile mean of the last fit
 
 
+@dataclass(frozen=True)
+class _LineTables:
+    """What a selection derives from the line evidence alone; arrays read-only."""
+
+    version: int                  # ``LineEvidence.version`` they were derived at
+    posterior: tuple              # ``_line_posterior()``: mean, std, scale, supported, share
+    valid: np.ndarray             # (D, G) grid values a line move may go to
+    merged: tuple                 # merged moves that move some coordinate, in order
+    ei: np.ndarray                # (D, G) line EI before any move is taken
+
+
 @dataclass
 class ScoreOptimizer:
     """Batch optimizer over a discrete search space.
@@ -224,10 +250,11 @@ class ScoreOptimizer:
         self.kernel = KernelConfig(lengthscale=LENGTHSCALE_STEPS,
                                    noise_variance=NOISE_VARIANCE)
         self.gp_fit_count = 0                # per-dimension projection surrogates
-        self.refinement_fit_count = 0        # selection-time line posteriors
+        self.refinement_fit_count = 0        # line posteriors computed at selections
         self._refine_dim = 0
         self._n_grid = np.array(self.space.lengths)
         max_grid = int(self._n_grid.max())
+        self._grid_cells = np.arange(max_grid)[None, :] < self._n_grid[:, None]
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
         self._projection_kernel = kernel_matrix(steps, steps, self.kernel)
@@ -235,7 +262,7 @@ class ScoreOptimizer:
         self._line_kernel = kernel_matrix(steps, steps,
                                           KernelConfig(lengthscale=LINE_LENGTHSCALE))
         self.lines = LineEvidence(self.space.dims, max_grid)
-        self._predicted: np.ndarray | None = None   # line means of the last selection
+        self._line_tables_kept: _LineTables | None = None   # of the last selection
         self._pending: dict[tuple[int, int], float] = {}
         by_grid: dict[bytes, list[int]] = {}
         for d, g in enumerate(self.space.grids):
@@ -261,6 +288,8 @@ class ScoreOptimizer:
         if d is not None:
             v = record.indices[d]
             level = self.lines.record(d, v, record.value)
+            # outcomes grow only here, right after a record, so the line
+            # evidence's version covers what _trust reads from them too
             pred = self._pending.pop((d, v), None)
             if pred is not None:
                 self._groups[self._group_of[d]].outcomes.append((pred, level))
@@ -316,7 +345,9 @@ class ScoreOptimizer:
         """Re-anchor the line evidence to the current incumbent."""
         best = self.history.best
         if best.indices != self.lines.anchor:
-            self.lines.reanchor(best.indices, best.value, self._predicted)
+            kept = self._line_tables_kept
+            self.lines.reanchor(best.indices, best.value,
+                                kept.posterior[0] if kept is not None else None)
 
     def _shared_profile(self, group: _GridGroup, levels: np.ndarray,
                         moved: np.ndarray, noise: np.ndarray, scale2: float):
@@ -429,27 +460,69 @@ class ScoreOptimizer:
         self.refinement_fit_count += dims
         return mean, std, np.sqrt(scale2), supported, share
 
+    def _line_tables(self) -> _LineTables:
+        """The line tables of the current line evidence.
+
+        They depend on nothing else, so they are derived again only when
+        ``lines.version`` has moved since the last selection; otherwise the
+        kept ones are returned.
+        """
+        kept = self._line_tables_kept
+        if kept is None or kept.version != self.lines.version:
+            kept = self._line_tables_kept = self._derive_line_tables()
+        return kept
+
+    def _derive_line_tables(self) -> _LineTables:
+        """Line posterior, move mask, merged moves and line EI, all read-only."""
+        posterior = self._line_posterior()
+        mean, std, scale, supported, _ = posterior
+        dims = len(mean)
+        anchor = self.lines.anchor_array
+        valid = self._grid_cells.copy()
+        valid[np.arange(dims), anchor] = False
+        open_lines = valid & supported[:, None]
+
+        # merged moves: each coordinate to its confidently best value, then
+        # to its best predicted value; a move must gain LINE_EI_MIN line
+        # scales
+        merged = []
+        for kappa in (MERGE_CONFIDENCE, 0.0):
+            bound = np.where(open_lines, mean + kappa * std, np.inf)
+            best_v = np.argmin(bound, axis=1)
+            move = bound[np.arange(dims), best_v] < -LINE_EI_MIN * scale
+            if np.any(move):
+                merged.append(tuple(np.where(move, best_v, anchor).tolist()))
+
+        best_level = np.minimum(np.nanmin(self.lines.levels, axis=1), 0.0)
+        ei = score_grid(mean / scale[:, None], std / scale[:, None],
+                        (best_level / scale)[:, None], 0.0)
+        ei = np.where(open_lines, ei, 0.0)
+        profiles = [g.profile for g in self._groups if g.profile is not None]
+        for array in (*posterior, valid, ei, *profiles):
+            array.flags.writeable = False
+        return _LineTables(self.lines.version, posterior, valid, tuple(merged), ei)
+
     def _fresh(self, t: tuple[int, ...], taken: set) -> bool:
         return t not in taken and t not in self.history.evaluated
 
-    def _refinement_candidates(self, per_dim_scores: list[np.ndarray],
-                               taken: set, count: int) -> list[tuple[int, ...]]:
+    def _refinement_candidates(self, scores: np.ndarray, taken: set,
+                               count: int) -> list[tuple[int, ...]]:
         """Moves from the incumbent proposed by the line evidence.
 
-        First the merged move, then single-coordinate moves by line EI
+        First the merged moves, then single-coordinate moves by line EI
         (standardized by each line's scale; a move must clear
         ``LINE_EI_MIN``), then, for dimensions that have no line
-        evidence, a move to the argmax of their projection score. Returns
-        fewer than ``count`` tuples when nothing else is supported.
+        evidence, a move to the argmax of their projection score (``scores``
+        is the (D, G) table, -inf past each grid's end). The line tables
+        come from ``_line_tables``, kept while the line evidence is
+        unchanged; only what the batch has taken is tracked per selection.
+        Returns fewer than ``count`` tuples when nothing else is supported.
         """
         self._follow_incumbent()
+        tables = self._line_tables()
+        _, _, _, supported, share = tables.posterior
         inc = self.lines.anchor
-        anchor = self.lines.anchor_array
-        dims, max_grid = self.lines.levels.shape
-        mean, std, scale, supported, share = self._line_posterior()
-        self._predicted = mean
-        valid = np.arange(max_grid)[None, :] < self._n_grid[:, None]
-        valid[np.arange(dims), anchor] = False
+        dims, max_grid = tables.ei.shape
         out: list[tuple[int, ...]] = []
 
         def take(t):
@@ -461,22 +534,12 @@ class ScoreOptimizer:
                 profile = group.profile
                 self._pending[(d, t[d])] = float(profile[t[d]] - profile[inc[d]])
 
-        # merged moves: each coordinate to its confidently best value, then
-        # to its best predicted value; a move must gain LINE_EI_MIN line
-        # scales
-        for kappa in (MERGE_CONFIDENCE, 0.0):
-            bound = np.where(valid & supported[:, None], mean + kappa * std, np.inf)
-            best_v = np.argmin(bound, axis=1)
-            move = bound[np.arange(dims), best_v] < -LINE_EI_MIN * scale
-            merged = tuple(np.where(move, best_v, anchor).tolist())
-            if len(out) < count and np.any(move) and self._fresh(merged, taken):
+        for merged in tables.merged:
+            if len(out) < count and self._fresh(merged, taken):
                 take(merged)
 
         # single-coordinate moves by line EI
-        best_level = np.minimum(np.nanmin(self.lines.levels, axis=1), 0.0)
-        ei = score_grid(mean / scale[:, None], std / scale[:, None],
-                        (best_level / scale)[:, None], 0.0)
-        ei = np.where(valid & supported[:, None], ei, 0.0)
+        ei = tables.ei.copy()
         while len(out) < count:
             d, v = divmod(int(np.argmax(ei)), max_grid)
             if ei[d, v] <= LINE_EI_MIN:
@@ -500,11 +563,10 @@ class ScoreOptimizer:
             d = (self._refine_dim + k) % dims
             if supported[d]:
                 continue
-            scores = np.where(valid[d, :len(per_dim_scores[d])],
-                              per_dim_scores[d], -np.inf)
-            v = int(np.argmax(scores))
+            row = np.where(tables.valid[d], scores[d], -np.inf)
+            v = int(np.argmax(row))
             t = inc[:d] + (v,) + inc[d + 1:]
-            if scores[v] > -np.inf and self._fresh(t, taken):
+            if row[v] > -np.inf and self._fresh(t, taken):
                 take(t)
                 self._refine_dim = d + 1
         return out
@@ -526,13 +588,16 @@ class ScoreOptimizer:
         if max_batch is not None:
             b = min(b, max_batch)
 
+        # one (D, G) score table, -inf past each grid's end
+        scores = np.full(self._grid_cells.shape, -np.inf)
+        scores[self._grid_cells] = np.concatenate(per_dim_scores)
         taken: set[tuple[int, ...]] = set()   # chosen in this batch
         chosen: list[tuple[int, ...]] = []
         self._pending.clear()
         if len(self.history) > 0:
-            chosen.extend(self._refinement_candidates(per_dim_scores, taken, b))
+            chosen.extend(self._refinement_candidates(scores, taken, b))
 
-        greedy = tuple(int(np.argmax(s)) for s in per_dim_scores)
+        greedy = tuple(np.argmax(scores, axis=1).tolist())
         if len(chosen) < b and self._fresh(greedy, taken):
             chosen.append(greedy)
             taken.add(greedy)
@@ -540,10 +605,7 @@ class ScoreOptimizer:
         if len(chosen) >= b:
             return chosen
 
-        # per-dimension softmax CDFs, rows padded past each grid's end
-        scores = np.full((len(per_dim_scores), self._n_grid.max()), -np.inf)
-        for d, s in enumerate(per_dim_scores):
-            scores[d, :len(s)] = s
+        # per-dimension softmax CDFs
         top = scores.max(axis=1, keepdims=True)
         low = np.where(np.isfinite(scores), scores, np.inf).min(axis=1, keepdims=True)
         tau = np.maximum(TAU_FRACTION * (top - low), 1e-9)

@@ -552,6 +552,138 @@ class TestLineEvidence:
         assert groups == [[0, 1], [2]]
 
 
+class TestLineTableReuse:
+    @staticmethod
+    def _check_every_selection(opt, steps):
+        """Kept line tables equal freshly derived ones at every selection.
+
+        Returns how many selections reused the kept tables and how many
+        derived them.
+        """
+        counts = {"reused": 0, "derived": 0}
+        line_tables = opt._line_tables
+
+        def checked():
+            before = opt._line_tables_kept
+            kept = line_tables()
+            counts["reused" if kept is before else "derived"] += 1
+            profiles = [g.profile for g in opt._groups]
+            fresh = opt._derive_line_tables()
+            for a, b in zip(kept.posterior, fresh.posterior):
+                assert np.array_equal(a, b)
+            assert kept.merged == fresh.merged
+            assert np.array_equal(kept.valid, fresh.valid)
+            assert np.array_equal(kept.ei, fresh.ei)
+            for g, profile in zip(opt._groups, profiles):
+                assert (profile is None) == (g.profile is None)
+                assert profile is None or np.array_equal(profile, g.profile)
+                g.profile = profile
+            return kept
+
+        opt._line_tables = checked
+        for _ in range(steps):
+            opt.step()
+        return counts["reused"], counts["derived"]
+
+    @pytest.mark.parametrize("dims,batch,n_init,steps", [(10, 1, 20, 280),
+                                                         (200, 10, 50, 8)])
+    def test_kept_tables_are_exact_on_ackley(self, dims, batch, n_init, steps):
+        opt = ScoreOptimizer(space=ackley_space(dims), objective=ackley,
+                             batch_size=batch, seed=0)
+        opt.initialize(n_init)
+        reused, derived = self._check_every_selection(opt, steps)
+        assert reused + derived == steps and derived > 0
+
+    def test_kept_tables_are_exact_on_sdm(self, datasheet):
+        opt = ScoreOptimizer(space=sdm_space(datasheet),
+                             objective=sdm_objective(datasheet), seed=0)
+        opt.initialize(30)
+        reused, derived = self._check_every_selection(opt, 60)
+        assert reused + derived == 60 and derived > 0
+
+    @staticmethod
+    def _spy(opt):
+        """Log of line-evidence writes and line posteriors, as they happen."""
+        log = []
+        for name in ("reset", "record", "reanchor"):
+            def write(*args, _method=getattr(opt.lines, name), _name=name):
+                log.append(_name)
+                return _method(*args)
+            setattr(opt.lines, name, write)
+        line_posterior = opt._line_posterior
+
+        def posterior():
+            log.append("posterior")
+            return line_posterior()
+        opt._line_posterior = posterior
+        return log
+
+    def test_posterior_is_recomputed_once_per_write_and_never_without(self):
+        opt = ScoreOptimizer(space=ackley_space(10), objective=ackley, seed=0)
+        log = self._spy(opt)
+        refinement_candidates = opt._refinement_candidates
+        per_selection = []
+
+        def selection(*args):
+            mark = len(log)
+            out = refinement_candidates(*args)
+            writes = [e for e in log[:mark] if e != "posterior"]
+            computed = log[mark:].count("posterior")
+            # this selection's own re-anchoring comes before its posterior
+            writes += [e for e in log[mark:] if e == "reanchor"]
+            per_selection.append((writes, computed))
+            log.clear()
+            return out
+
+        opt._refinement_candidates = selection
+        opt.initialize(20)
+        while opt.history.n_evaluations < 300:
+            opt.step()
+        assert per_selection[0][0][0] == "reset"
+        for writes, computed in per_selection:
+            assert computed == (1 if writes else 0), (writes, computed)
+        reused = sum(not writes for writes, _ in per_selection)
+        assert 0 < reused < len(per_selection)
+        assert opt.refinement_fit_count == 10 * (len(per_selection) - reused)
+
+    def test_record_and_reanchor_each_force_one_recomputation(self):
+        opt = ScoreOptimizer(space=grid_space(9, 9, 9),
+                             objective=lambda p: float(np.sum(p)), seed=0)
+        log = self._spy(opt)
+        scores = [np.zeros(9)] * 3
+
+        def posteriors_of_a_selection():
+            log.clear()
+            opt.select_batch(scores)
+            return log.count("posterior")
+
+        opt.history.evaluate((4, 4, 4))
+        assert posteriors_of_a_selection() == 1
+        assert posteriors_of_a_selection() == 0
+        opt.history.evaluate((4, 4, 8))           # worse line move: record only
+        assert posteriors_of_a_selection() == 1
+        assert posteriors_of_a_selection() == 0
+        opt.history.evaluate((2, 2, 4))           # better, two coordinates: reanchor only
+        log.clear()
+        opt.select_batch(scores)
+        assert log == ["reanchor", "posterior"]
+        assert posteriors_of_a_selection() == 0
+
+    def test_kept_arrays_are_read_only(self):
+        space = grid_space(21, 21, 21, 21)
+        opt = ScoreOptimizer(space=space, objective=lambda p: float(np.sum(p ** 2)),
+                             batch_size=4, seed=0)
+        opt.initialize(8)
+        for _ in range(6):
+            opt.step()
+        kept = opt._line_tables()
+        profiles = [g.profile for g in opt._groups if g.profile is not None]
+        assert profiles
+        for array in (*kept.posterior, kept.valid, kept.ei, *profiles):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+
 class TestFullLoop:
     def test_batch_accounting_b10(self):
         opt = ScoreOptimizer(space=ackley_space(10), objective=ackley,
