@@ -53,9 +53,19 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> np.ndarray
     """Squared-exponential kernel between the rows of ``a`` and of ``b``."""
     a2 = np.sum(a * a, axis=1)
     b2 = np.sum(b * b, axis=1)
-    sq = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return cfg.signal_variance * np.exp(-0.5 * sq / cfg.lengthscale**2)
+    # the operations of sigma^2 * exp(-0.5 * (a2 + b2 - 2 a.b) / l^2) in
+    # their order, in place: the expression's bits with two (n, m) buffers
+    # instead of one per operation
+    cross = a @ b.T
+    cross *= 2.0
+    out = a2[:, None] + b2[None, :]
+    out -= cross
+    np.maximum(out, 0.0, out=out)
+    out *= -0.5
+    out /= cfg.lengthscale**2
+    np.exp(out, out=out)
+    out *= cfg.signal_variance
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,12 +81,21 @@ class GpModel:
     kernel: KernelConfig
     _jitter: float = 1e-12       # jitter actually used (after any escalation)
 
-    def predict(self, query_points, standardized: bool = False):
+    def predict(self, query_points, standardized: bool = False, *,
+                at_train_points: bool = True):
         """Posterior mean and std at each query point.
 
         Returns ``(mean, std)`` arrays. With ``standardized=True`` the values
         stay in the model's internal target scale; otherwise they are mapped
         back to objective units. Variances are clamped at 0 before sqrt.
+
+        At a query equal to a training input the variance is computed in a
+        cancellation-free form, which needs a lookup of the queries among
+        the training inputs. A caller that knows no query equals a training
+        input, as the baseline does (its pool holds only unevaluated tuples),
+        may pass ``at_train_points=False`` to skip the lookup; the result is
+        then the same. At a query that does equal one, the variance would
+        keep the direct expression's rounding error.
         """
         query = np.asarray(query_points, dtype=float)
         d_in = self.train_inputs.shape[1]
@@ -92,8 +111,10 @@ class GpModel:
         k_star = kernel_matrix(self.train_inputs, query, self.kernel)
         mean = k_star.T @ self.alpha
         v = solve_triangular(self.chol, k_star, lower=True, check_finite=False)
-        var = self.kernel.signal_variance - np.sum(v * v, axis=0)
-        self._stabilize_at_train_points(query, var)
+        v *= v
+        var = self.kernel.signal_variance - np.sum(v, axis=0)
+        if at_train_points:
+            self._stabilize_at_train_points(query, var)
         std = np.sqrt(np.maximum(var, 0.0))
         if standardized:
             return mean, std

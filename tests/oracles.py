@@ -6,7 +6,9 @@ differences, where production uses Cholesky solves (the joint GP) or stacked
 inverses of slices of one precomputed grid kernel (the 1D GPs); the
 EI oracle is a Monte Carlo expectation instead of the closed form, and the
 projection oracle is a from-scratch recomputation instead of incremental
-updates.
+updates. The one exception is ``se_kernel_expression``: the kernel as one
+array expression, kept verbatim as the bit-level reference for
+``gp.kernel_matrix``, which performs the same operations on one buffer.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ def _se_kernel(a: np.ndarray, b: np.ndarray, lengthscale: float,
                signal_variance: float) -> np.ndarray:
     d2 = (a[:, None] - b[None, :]) ** 2
     return signal_variance * np.exp(-0.5 * d2 / lengthscale**2)
+
+
+def se_kernel_expression(a: np.ndarray, b: np.ndarray, cfg) -> np.ndarray:
+    """The squared-exponential kernel between rows, one temporary per operation."""
+    a2 = np.sum(a * a, axis=1)
+    b2 = np.sum(b * b, axis=1)
+    sq = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return cfg.signal_variance * np.exp(-0.5 * sq / cfg.lengthscale**2)
 
 
 def dense_gp_predict(train_x, train_y, query, lengthscale, signal_variance,

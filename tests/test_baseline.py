@@ -3,10 +3,24 @@
 import numpy as np
 import pytest
 
+from scorebo import baseline
 from scorebo.baseline import BoOptimizer
 from scorebo.errors import SpaceExhausted
+from scorebo.gp import GpModel
 from scorebo.problems import ackley, ackley_space
+from scorebo.sampling import ENUMERATION_LIMIT
 from scorebo.space import SearchSpace, make_grid
+
+
+def nan_every(k):
+    """Ackley, except that every k-th call returns NaN."""
+    calls = {"n": 0}
+
+    def objective(point):
+        calls["n"] += 1
+        return float("nan") if calls["n"] % k == 0 else ackley(point)
+
+    return objective
 
 
 class TestContracts:
@@ -70,18 +84,56 @@ class TestContracts:
             assert sum(abs(a - b) for a, b in zip(t, best)) == 1
 
     def test_rejected_values_counted(self):
-        calls = {"n": 0}
-
-        def flaky(point):
-            calls["n"] += 1
-            return float("nan") if calls["n"] % 7 == 0 else ackley(point)
-
-        opt = BoOptimizer(space=ackley_space(2), objective=flaky, seed=0)
+        opt = BoOptimizer(space=ackley_space(2), objective=nan_every(7), seed=0)
         opt.initialize(10)
         for _ in range(10):
             opt.step()
         assert opt.history.n_rejected > 0
         assert opt.history.n_evaluations == len(opt.history) + opt.history.n_rejected
+
+
+class TestStepInputs:
+    """The GP's inputs at each step: what lets the step skip work."""
+
+    @pytest.mark.parametrize("dims", [2, 10])
+    def test_pool_holds_no_evaluated_tuple(self, dims, monkeypatch):
+        # 2 dimensions: an enumerated pool; 10: a rejection-sampled one
+        space = ackley_space(dims)
+        assert (space.combination_count <= ENUMERATION_LIMIT) == (dims == 2)
+        opt = BoOptimizer(space=space, objective=nan_every(5), seed=dims)
+        predict, pools = GpModel.predict, []
+
+        def checked(model, query, standardized=False, **kwargs):
+            assert kwargs == {"at_train_points": False}
+            pool = set(map(tuple, np.rint(query * opt._scale).astype(int).tolist()))
+            assert len(pool) == len(query)
+            assert not pool & opt.history.evaluated
+            lookup = predict(model, query, standardized)
+            skipped = predict(model, query, standardized, **kwargs)
+            for a, b in zip(lookup, skipped):
+                assert a.tobytes() == b.tobytes()
+            pools.append(len(query))
+            return skipped
+
+        monkeypatch.setattr(GpModel, "predict", checked)
+        opt.initialize(2 * dims)
+        for _ in range(30):
+            opt.step()
+        assert len(pools) == 30
+        assert opt.history.n_rejected > 0
+
+    def test_training_rows_follow_the_stored_records(self):
+        opt = BoOptimizer(space=ackley_space(2), objective=nan_every(6), seed=5)
+        opt.initialize(4)
+        while len(opt.history) <= 2 * baseline.TRAIN_ROWS:   # grows twice
+            opt.step()
+            records = opt.history.records
+            n = len(records)
+            assert np.array_equal(opt._train_inputs[:n],
+                                  opt._rescale([r.indices for r in records]))
+            assert opt._train_targets[:n].tolist() == [r.value for r in records]
+        assert opt.history.n_rejected > 0
+        assert len(opt._train_targets) > 2 * baseline.TRAIN_ROWS
 
 
 class TestSanityFloor:

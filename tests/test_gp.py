@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 import scorebo.gp as gp_mod
+from scorebo import baseline, engine
 from scorebo.errors import SurrogateError
-from scorebo.gp import KernelConfig, gp_fit
+from scorebo.gp import KernelConfig, gp_fit, kernel_matrix
 
-from oracles import dense_gp_predict
+from oracles import dense_gp_predict, se_kernel_expression
 
 
 def random_dataset(rng, max_points=20, noise_lo=1e-4, noise_hi=1e-1):
@@ -50,6 +51,39 @@ class TestDenseOracle:
                                          cfg.noise_variance, cfg.jitter)
         np.testing.assert_allclose(mean, o_mean, atol=1e-8, rtol=0)
         np.testing.assert_allclose(std, o_std, atol=1e-8, rtol=0)
+
+
+def kernel_inputs():
+    """(id, a, b, cfg): every kind of input the package passes the kernel."""
+    rng = np.random.default_rng(11)
+    joint = KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE)
+    train = rng.integers(0, 61, size=(300, 10)) / 60.0
+    pool = rng.integers(0, 61, size=(baseline.CANDIDATE_POOL_SIZE + 20, 10)) / 60.0
+    steps = np.arange(61, dtype=float)[:, None]
+    yield "bo-train-vs-pool", train, pool, joint
+    yield "bo-self", train, train, joint
+    yield "projection-steps", steps, steps, KernelConfig(
+        lengthscale=engine.LENGTHSCALE_STEPS)
+    yield "line-steps", steps, steps, KernelConfig(lengthscale=engine.LINE_LENGTHSCALE)
+    for k in range(10):
+        x, _, cfg = random_dataset(rng)
+        query = rng.uniform(-5.0, 65.0, 20)[:, None]
+        yield f"raw-1d-{k}", x[:, None], query, cfg
+        yield f"raw-1d-self-{k}", x[:, None], x[:, None], cfg
+
+
+KERNEL_CASES = list(kernel_inputs())
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("name, a, b, cfg", KERNEL_CASES,
+                             ids=[case[0] for case in KERNEL_CASES])
+    def test_bit_identical_to_the_array_expression(self, name, a, b, cfg):
+        a_before, b_before = a.copy(), b.copy()
+        k = kernel_matrix(a, b, cfg)
+        assert np.array_equal(k, se_kernel_expression(a, b, cfg))
+        assert not np.shares_memory(k, a) and not np.shares_memory(k, b)
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
 class TestInterpolation:
