@@ -1,18 +1,18 @@
 """Classical full-dimensional Bayesian optimization baseline.
 
 One joint GP over all evaluated points, expected improvement maximized over
-a random candidate pool plus the grid neighbors of the incumbent. On a space
-too large to enumerate the pool is drawn in one block
-(``sampling.draw_unevaluated``), and the training rows are kept as arrays
-that grow by one row per stored record, so most of a step's time is the
-GP's predict on the pool and its fit: 58 % and 20 % of step time in a
-traced 10D Ackley run (300 evaluations, one BLAS thread), against 9 % for
-drawing the pool. The GP is refit on the whole history every
-iteration, so per-iteration cost grows with the number of evaluations N
-(Cholesky is O(N^3)); this is the comparison arm for the bounded-cost
-decomposed optimizer. It shares the evaluation record (``History``) and the
-``step()`` protocol (returning a ``StepResult``) with the decomposed
-optimizer; each step evaluates one tuple.
+a random candidate pool plus the grid neighbors of the incumbent. The pool
+is scored from the index block ``sampling.draw_unevaluated`` draws, and the
+training rows are kept as arrays that grow by one row per stored record, so
+most of a step's time is the GP's predict on the pool: 68 % of step time in
+a traced 10D Ackley run (300 evaluations, one BLAS thread), against 15 %
+for drawing the pool and 12 % for the fit. The GP is refit on the whole
+history every iteration, one Cholesky factor and two triangular solves, so
+per-iteration cost grows with the number of evaluations N (Cholesky is
+O(N^3)); this is the comparison arm for the bounded-cost decomposed
+optimizer. It shares the evaluation record (``History``) and the ``step()``
+protocol (returning a ``StepResult``) with the decomposed optimizer; each
+step evaluates one tuple.
 
 This is a clean-room standard BO loop, not a re-implementation of any
 specific package; it exists for the convergence and time-scaling contrast.
@@ -63,9 +63,6 @@ class BoOptimizer:
         self._train_inputs = np.empty((TRAIN_ROWS, self.space.dims))
         self._train_targets = np.empty(TRAIN_ROWS)
 
-    def _rescale(self, index_tuples) -> np.ndarray:
-        return np.asarray(index_tuples, dtype=float) / self._scale
-
     def _keep(self, record: EvaluationRecord) -> None:
         """Append a stored record to the training rows and targets."""
         n = record.eval_id
@@ -74,7 +71,7 @@ class BoOptimizer:
                                                  np.empty_like(self._train_inputs)])
             self._train_targets = np.concatenate([self._train_targets,
                                                   np.empty_like(self._train_targets)])
-        self._train_inputs[n] = self._rescale(record.indices)
+        self._train_inputs[n] = np.asarray(record.indices) / self._scale
         self._train_targets[n] = record.value
 
     def initialize(self, n_init: int | None = None) -> None:
@@ -106,10 +103,15 @@ class BoOptimizer:
         if remaining <= 0:
             raise SpaceExhausted("search space exhausted")
 
-        candidates = draw_unevaluated(self.space, self.rng, evaluated,
-                                      min(CANDIDATE_POOL_SIZE, remaining))
-        drawn = set(candidates)
-        candidates.extend(t for t in self._incumbent_neighbors() if t not in drawn)
+        pool = draw_unevaluated(self.space, self.rng, evaluated,
+                                min(CANDIDATE_POOL_SIZE, remaining))
+        # a neighbor differs from the incumbent in one coordinate, so only
+        # the drawn rows that do can equal one
+        near = pool[np.count_nonzero(pool != self.history.best.indices, axis=1) == 1]
+        drawn = set(map(tuple, near.tolist()))
+        neighbors = [t for t in self._incumbent_neighbors() if t not in drawn]
+        if neighbors:
+            pool = np.concatenate([pool, neighbors])
 
         n = len(self.history.records)
         t0 = time.perf_counter()
@@ -121,14 +123,15 @@ class BoOptimizer:
             model = None
         gp_seconds = time.perf_counter() - t0
 
-        choice = candidates[0]
+        row = 0
         if model is not None:
             # the pool holds only unevaluated tuples and the training rows
             # only evaluated ones, so no query is a training input
-            mu, sigma = model.predict(self._rescale(candidates), standardized=True,
+            mu, sigma = model.predict(pool / self._scale, standardized=True,
                                       at_train_points=False)
             z_best = (self.history.best.value - model.target_mean) / model.target_std
             scores = score_grid(mu, sigma, z_best, ZETA)
-            choice = candidates[int(np.argmax(scores))]
+            row = int(np.argmax(scores))
+        choice = tuple(pool[row].tolist())
         self.history.evaluate(choice)
         return StepResult(batch=[choice], gp_fit_seconds=gp_seconds)

@@ -625,9 +625,9 @@ class ScoreOptimizer:
                 taken.add(t)
 
         if len(chosen) < b:
-            chosen.extend(draw_unevaluated(self.space, self.rng,
-                                           self.history.evaluated | taken,
-                                           b - len(chosen)))
+            fill = draw_unevaluated(self.space, self.rng, self.history.evaluated | taken,
+                                    b - len(chosen))
+            chosen.extend(map(tuple, fill.tolist()))
         return chosen
 
     def step(self, max_batch: int | None = None) -> StepResult:

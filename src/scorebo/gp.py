@@ -77,7 +77,7 @@ class GpModel:
     target_mean: float
     target_std: float
     chol: np.ndarray             # lower Cholesky of K + (noise + jitter) I
-    alpha: np.ndarray            # (K + (noise + jitter) I)^-1 y
+    alpha: np.ndarray            # (K + (noise + jitter) I)^-1 y, from chol
     kernel: KernelConfig
     _jitter: float = 1e-12       # jitter actually used (after any escalation)
 
@@ -152,8 +152,10 @@ class GpModel:
 def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
     """Fit an exact GP, escalating jitter (x10, up to 1e-2) on Cholesky failure.
 
-    Targets are standardized to zero mean and unit variance, using std=1
-    when they are constant.
+    One Cholesky factor and two triangular solves for ``alpha`` (Rasmussen
+    & Williams 2006, Alg. 2.1); the whole factor is computed again on every
+    fit, so a fit costs O(N^3). Targets are standardized to zero mean and
+    unit variance, using std=1 when they are constant.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 0:
@@ -174,10 +176,13 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
         target_std = 1.0
     z = (y - target_mean) / target_std
 
-    base = kernel_matrix(x, x, kernel)
+    k = kernel_matrix(x, x, kernel)
+    prior = k.diagonal().copy()
     jitter = kernel.jitter
     while True:
-        k = base + (kernel.noise_variance + jitter) * np.eye(len(z))
+        # each attempt sets the diagonal from the kernel's own, so k is
+        # the kernel plus (noise + jitter) I for this attempt's jitter
+        np.fill_diagonal(k, prior + (kernel.noise_variance + jitter))
         try:
             chol = np.linalg.cholesky(k)
             break
@@ -186,7 +191,8 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
             if jitter > MAX_JITTER:
                 raise SurrogateError(
                     f"Cholesky failed for {len(z)} points even at jitter {MAX_JITTER}")
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    alpha = solve_triangular(chol, z, lower=True, check_finite=False)
+    alpha = solve_triangular(chol, alpha, lower=True, trans="T", check_finite=False)
     return GpModel(train_inputs=x, train_targets=z, target_mean=target_mean,
                    target_std=target_std, chol=chol, alpha=alpha, kernel=kernel,
                    _jitter=jitter)

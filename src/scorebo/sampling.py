@@ -27,8 +27,12 @@ ENUMERATION_LIMIT = 200_000
 
 
 def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
-                     excluded: set, count: int) -> list[tuple[int, ...]]:
-    """Draw ``count`` distinct uniform-random tuples not in ``excluded``."""
+                     excluded: set, count: int) -> np.ndarray:
+    """Draw ``count`` distinct uniform-random tuples not in ``excluded``.
+
+    Returns them as the rows, in draw order, of a ``(count, D)`` integer
+    array of grid indices.
+    """
     total = space.combination_count
     remaining = total - len(excluded)
     if remaining <= 0:
@@ -39,9 +43,9 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
         pool = [t for t in itertools.product(*(range(len(g)) for g in space.grids))
                 if t not in excluded]
         picks = rng.choice(len(pool), size=count, replace=False)
-        return [pool[i] for i in picks]
+        return np.array([pool[i] for i in picks], dtype=np.int64).reshape(count, space.dims)
 
-    chosen: list[tuple[int, ...]] = []
+    chosen = np.empty((0, space.dims), dtype=np.int64)
     seen = set(excluded)
     # rejection sampling; collision probability is negligible at this size.
     # Each block is the shortfall, so no more tuples are drawn than one at a
@@ -52,9 +56,12 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
         if need <= 0:
             raise SpaceExhausted("rejection sampling failed to find unevaluated tuples")
         budget -= need
-        for t in map(tuple, rng.integers(0, space.lengths,
-                                         size=(need, len(space.lengths))).tolist()):
-            if t not in seen:
+        block = rng.integers(0, space.lengths, size=(need, space.dims))
+        rejected = []
+        for i, t in enumerate(map(tuple, block.tolist())):
+            if t in seen:
+                rejected.append(i)
+            else:
                 seen.add(t)
-                chosen.append(t)
+        chosen = np.concatenate([chosen, np.delete(block, rejected, axis=0)])
     return chosen

@@ -198,7 +198,8 @@ class History:
             n_init = 2 * self.space.dims
         if n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {n_init}")
-        for indices in draw_unevaluated(self.space, rng, self.evaluated, n_init):
+        design = draw_unevaluated(self.space, rng, self.evaluated, n_init)
+        for indices in map(tuple, design.tolist()):
             self.evaluate(indices)
         if not self.records:
             raise SurrogateError(f"all {self.n_rejected} evaluations of the initial "

@@ -23,6 +23,11 @@ def nan_every(k):
     return objective
 
 
+def rescale(opt, index_tuples):
+    """The former ``BoOptimizer._rescale``: index tuples to [0, 1] rows."""
+    return np.asarray(index_tuples, dtype=float) / opt._scale
+
+
 class TestContracts:
     def test_single_record_smoke(self):
         opt = BoOptimizer(space=ackley_space(2), objective=ackley, seed=0)
@@ -122,6 +127,57 @@ class TestStepInputs:
         assert len(pools) == 30
         assert opt.history.n_rejected > 0
 
+    @pytest.mark.parametrize("dims", [2, 10])
+    def test_pool_rows_are_the_rescaled_candidate_tuples(self, dims, monkeypatch):
+        # the former pool: the drawn tuples as a list, the incumbent's
+        # neighbors not drawn appended, rescaled from the tuples; the
+        # evaluated tuple is the one at the best score
+        opt = BoOptimizer(space=ackley_space(dims), objective=nan_every(5), seed=dims)
+        draw, predict, score = baseline.draw_unevaluated, GpModel.predict, baseline.score_grid
+        evaluate = opt.history.evaluate
+        steps = {"draws": [], "pools": [], "scores": [], "choices": [], "deduped": 0}
+
+        def spy_draw(*args):
+            block = draw(*args)
+            steps["draws"].append(list(map(tuple, block.tolist())))
+            return block
+
+        def spy_predict(model, query, *args, **kwargs):
+            candidates = steps["draws"][-1]
+            drawn, neighbors = set(candidates), opt._incumbent_neighbors()
+            candidates = candidates + [t for t in neighbors if t not in drawn]
+            steps["deduped"] += sum(t in drawn for t in neighbors)
+            expected = rescale(opt, candidates)
+            assert query.shape == expected.shape
+            assert query.tobytes() == expected.tobytes()
+            steps["pools"].append(candidates)
+            return predict(model, query, *args, **kwargs)
+
+        def spy_score(*args):
+            steps["scores"].append(score(*args))
+            return steps["scores"][-1]
+
+        def spy_evaluate(indices):
+            steps["choices"].append(indices)
+            return evaluate(indices)
+
+        monkeypatch.setattr(baseline, "draw_unevaluated", spy_draw)
+        monkeypatch.setattr(GpModel, "predict", spy_predict)
+        monkeypatch.setattr(baseline, "score_grid", spy_score)
+        opt.initialize(2 * dims)
+        monkeypatch.setattr(opt.history, "evaluate", spy_evaluate)
+        for _ in range(30):
+            opt.step()
+
+        assert len(steps["pools"]) == len(steps["choices"]) == 30
+        for pool, scores, choice in zip(steps["pools"], steps["scores"], steps["choices"]):
+            assert choice == pool[int(np.argmax(scores))]
+            assert all(type(i) is int for i in choice)
+        assert any(len(p) > len(d) for p, d in zip(steps["pools"], steps["draws"]))
+        # an enumerated pool of 1 000 of 3 721 tuples draws some neighbors
+        assert (steps["deduped"] > 0) == (dims == 2)
+        assert opt.history.n_rejected > 0
+
     def test_training_rows_follow_the_stored_records(self):
         opt = BoOptimizer(space=ackley_space(2), objective=nan_every(6), seed=5)
         opt.initialize(4)
@@ -130,7 +186,7 @@ class TestStepInputs:
             records = opt.history.records
             n = len(records)
             assert np.array_equal(opt._train_inputs[:n],
-                                  opt._rescale([r.indices for r in records]))
+                                  rescale(opt, [r.indices for r in records]))
             assert opt._train_targets[:n].tolist() == [r.value for r in records]
         assert opt.history.n_rejected > 0
         assert len(opt._train_targets) > 2 * baseline.TRAIN_ROWS

@@ -12,6 +12,7 @@ import scorebo.gp as gp_mod
 from scorebo import baseline, engine
 from scorebo.errors import SurrogateError
 from scorebo.gp import KernelConfig, gp_fit, kernel_matrix
+from scorebo.problems import ackley, ackley_space
 
 from oracles import dense_gp_predict, se_kernel_expression
 
@@ -220,6 +221,72 @@ class TestTrainingPointVariance:
         query = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
         (_, s1), (_, s2) = self.both(model, query, monkeypatch)
         assert s1.tobytes() == s2.tobytes()
+
+
+def dense_system(model):
+    """The fitted system K + (noise + jitter) I, built with an identity matrix."""
+    n = len(model.train_targets)
+    j = model.kernel.noise_variance + model._jitter
+    return kernel_matrix(model.train_inputs, model.train_inputs, model.kernel) + j * np.eye(n)
+
+
+def fit_cases():
+    """(x, y, cfg): the random 1D datasets and BO's [0, 1]-scaled 300 x 10 rows."""
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        yield random_dataset(rng)
+    joint = KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE)
+    for _ in range(3):
+        yield rng.integers(0, 61, size=(300, 10)) / 60.0, rng.normal(size=300), joint
+
+
+class TestCholeskyFit:
+    """The fit's factor and weights against dense LAPACK references."""
+
+    def test_alpha_solves_the_dense_system(self):
+        eps = np.finfo(float).eps
+        for x, y, cfg in fit_cases():
+            model = gp_fit(x, y, cfg)
+            k = dense_system(model)
+            dense = np.linalg.solve(k, model.train_targets)
+            # the forward-error bound of a backward-stable solve,
+            # n * eps * cond(K), with a factor 10 of margin
+            tol = 10 * len(k) * eps * np.linalg.cond(k)
+            err = np.max(np.abs(model.alpha - dense)) / np.max(np.abs(dense))
+            assert err <= tol, (len(k), err, tol)
+
+    def test_chol_is_the_dense_systems_factor_bit_for_bit(self):
+        for x, y, cfg in fit_cases():
+            model = gp_fit(x, y, cfg)
+            assert model.chol.tobytes() == np.linalg.cholesky(dense_system(model)).tobytes()
+
+    def test_escalated_jitter_is_added_once_to_the_kernel_diagonal(self, monkeypatch):
+        real_cholesky = np.linalg.cholesky
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.0, 60.0, 12), rng.normal(size=12)
+
+        def picky_cholesky(k):
+            if k[0, 0] - 1.0 < 1e-6:  # reject until jitter reaches 1e-6
+                raise np.linalg.LinAlgError("not positive definite")
+            return real_cholesky(k)
+
+        monkeypatch.setattr(gp_mod.np.linalg, "cholesky", picky_cholesky)
+        model = gp_fit(x, y, KernelConfig(noise_variance=0.0))
+        monkeypatch.undo()
+        assert model._jitter >= 1e-6
+        assert model.chol.tobytes() == np.linalg.cholesky(dense_system(model)).tobytes()
+
+    def test_bo_steps_need_no_dense_solve_or_inverse(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("dense solve or inverse called")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        opt = baseline.BoOptimizer(space=ackley_space(10), objective=ackley, seed=0)
+        opt.initialize(20)
+        for _ in range(10):
+            opt.step()
+        assert opt.gp_fit_count == 10 and len(opt.history) == 30
 
 
 class TestFitMechanics:
