@@ -5,6 +5,14 @@ the classical baseline (and the tests). Targets are standardized inside the
 model, so kernel variances are expressed in standardized target units
 (signal_variance=1.0 means "the sample variance of the targets").
 
+Only ``gp_fit``, ``GpModel.predict`` and ``GpModel._stabilize_at_train_points``
+need ``scipy.linalg`` (its triangular solve against the Cholesky factor).
+Each imports it inside the function: the decomposed optimizer never calls
+them, and importing ``scipy.linalg`` at module scope would cost every
+decomposed run about 6 MiB resident and 40-75 ms of start-up.
+``BoOptimizer`` imports it when constructed, so that its first step does
+not pay for it.
+
 The decomposed optimizer's 1D GPs all take integer grid indices, so their
 training and cross covariances are slices of one precomputed kernel over
 grid steps. ``stacked_posterior`` solves many of them at once;
@@ -18,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SurrogateError
 
@@ -108,6 +115,7 @@ class GpModel:
             raise ValueError(
                 f"query dimensionality {query.shape[1]} does not match "
                 f"training dimensionality {self.train_inputs.shape[1]}")
+        from scipy.linalg import solve_triangular   # only the joint GP needs it
         k_star = kernel_matrix(self.train_inputs, query, self.kernel)
         mean = k_star.T @ self.alpha
         v = solve_triangular(self.chol, k_star, lower=True, check_finite=False)
@@ -141,6 +149,7 @@ class GpModel:
                        for i in where.get(x, ()))
         if not pairs:
             return
+        from scipy.linalg import solve_triangular   # only the joint GP needs it
         rows, cols = np.array(pairs).T
         unit = np.zeros((len(self.train_inputs), len(rows)))
         unit[rows, np.arange(len(rows))] = 1.0
@@ -191,6 +200,7 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
             if jitter > MAX_JITTER:
                 raise SurrogateError(
                     f"Cholesky failed for {len(z)} points even at jitter {MAX_JITTER}")
+    from scipy.linalg import solve_triangular   # only the joint GP needs it
     alpha = solve_triangular(chol, z, lower=True, check_finite=False)
     alpha = solve_triangular(chol, alpha, lower=True, trans="T", check_finite=False)
     return GpModel(train_inputs=x, train_targets=z, target_mean=target_mean,

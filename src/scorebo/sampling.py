@@ -1,8 +1,9 @@
 """Random draws of grid index-tuples, with duplicate avoidance.
 
-Small spaces are enumerated so that unevaluated tuples can be drawn exactly;
-large spaces (where enumeration is impossible) fall back to rejection
-sampling, where collisions are vanishingly rare. Rejection sampling draws
+Small spaces are enumerated, as the mixed-radix codes of their tuples, so
+that unevaluated tuples can be drawn exactly; large spaces (where
+enumeration is impossible) fall back to rejection sampling, where
+collisions are vanishingly rare. Rejection sampling draws
 its tuples as one ``(n, D)`` block of ``rng.integers``: numpy's generator
 (checked on numpy 2.4) gives such a block exactly the values, in row-major
 order, of n·D scalar draws, one per coordinate, and leaves the generator in
@@ -13,7 +14,6 @@ a loop.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,10 +40,15 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
     count = min(count, remaining)
 
     if total <= ENUMERATION_LIMIT:
-        pool = [t for t in itertools.product(*(range(len(g)) for g in space.grids))
-                if t not in excluded]
+        # the unevaluated tuples as mixed-radix codes, in increasing order:
+        # the order in which itertools.product would list them
+        free = np.ones(total, dtype=bool)
+        if excluded:
+            free[np.ravel_multi_index(np.array(list(excluded)).T, space.lengths)] = False
+        pool = np.flatnonzero(free)
         picks = rng.choice(len(pool), size=count, replace=False)
-        return np.array([pool[i] for i in picks], dtype=np.int64).reshape(count, space.dims)
+        rows = np.stack(np.unravel_index(pool[picks], space.lengths), axis=1)
+        return rows.astype(np.int64, copy=False)
 
     chosen = np.empty((0, space.dims), dtype=np.int64)
     seen = set(excluded)

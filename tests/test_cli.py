@@ -289,11 +289,27 @@ class TestCommands:
         assert str(path) in err[0] and key in err[0]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs ~17 MiB and ~0.2 s to import; only SDM uses it
+def _scipy_loaded_after(code: str) -> set:
+    """Which of scipy.linalg and scipy.optimize a fresh interpreter has
+    imported after it runs ``code``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import scorebo.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+    script = (f"import sys; sys.path.insert(0, sys.argv[1]); {code}; "
+              "print(*(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
+
+
+# scipy.optimize costs ~17 MiB and ~0.2 s to import, and only SDM uses it;
+# scipy.linalg ~6 MiB and 40-75 ms, and only the joint GP of BO uses it
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
+def test_package_import_leaves_scipy_module_unloaded(module):
+    assert module not in _scipy_loaded_after("import scorebo, scorebo.cli")
+
+
+def test_only_bo_run_loads_scipy_linalg():
+    # run_experiment writes nothing; main writes the trace afterwards
+    run = ("from scorebo.cli import RunConfig, run_experiment; "
+           "run_experiment(RunConfig(method={!r}, dims=5, max_evals=30))")
+    assert _scipy_loaded_after(run.format("score")) == set()
+    assert _scipy_loaded_after(run.format("bo")) == {"scipy.linalg"}

@@ -235,6 +235,29 @@ class TestScoreDimension:
             np.testing.assert_allclose(opt.score_dimension(d), oracle, rtol=0, atol=1e-8)
         assert opt.gp_fit_count == 2 * len(lengths)
 
+    def test_random_tables_match_dense_oracle(self):
+        # The fixed table above, drawn at random: every dimension's count
+        # from 1 to its grid length, each row on its own scale. Each table
+        # gets a fresh optimizer, so every inverse is computed for it.
+        lengths = [31, 41, 61] * 14
+        space = grid_space(*lengths)
+        for table in range(20):
+            rng = np.random.default_rng(1000 + table)
+            opt = ScoreOptimizer(space=space, objective=lambda p: -0.7)
+            opt.history.evaluate((0,) * len(lengths))
+            minima = np.full(opt.projections.minima.shape, np.inf)
+            for d, n_grid in enumerate(lengths):
+                count = int(rng.integers(1, n_grid + 1))
+                idx = rng.choice(n_grid, size=count, replace=False)
+                minima[d, idx] = rng.normal(size=count) * 10.0 ** rng.uniform(-2, 2)
+            opt.projections.minima = minima
+            scores = opt._projection_scores()
+            best = opt.history.best.value
+            for d, n_grid in enumerate(lengths):
+                oracle = self._oracle_scores(minima[d], n_grid, best)
+                np.testing.assert_allclose(scores[d, :n_grid], oracle, rtol=0, atol=1e-8,
+                                           err_msg=f"table {table}, dimension {d}")
+
     def test_scores_match_dense_oracle_as_projections_grow(self):
         # Ragged grids; cells are added a random batch at a time, as steps
         # add them, and observed minima may fall. Every batch is checked

@@ -1,11 +1,15 @@
-"""Rejection sampling draws the stream of a per-coordinate scalar loop.
+"""Both branches of ``draw_unevaluated`` draw the stream of their references.
 
-``draw_unevaluated`` draws its tuples for spaces above ``ENUMERATION_LIMIT``
-as one ``(n, D)`` block of ``rng.integers``. These tests keep the scalar
-loop it replaced as the reference and check that the block gives the same
-tuples and leaves the generator in the same state. They fail if a numpy
-release ever changes how a block draw consumes the stream.
+For spaces above ``ENUMERATION_LIMIT`` it draws its tuples as one ``(n, D)``
+block of ``rng.integers``. These tests keep the scalar loop it replaced as
+the reference and check that the block gives the same tuples and leaves the
+generator in the same state. They fail if a numpy release ever changes how
+a block draw consumes the stream. Smaller spaces are drawn from the
+mixed-radix codes of their unevaluated tuples; the ``itertools.product``
+list those codes replaced is kept as the reference for them.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -30,6 +34,15 @@ def reference_draw(space, rng, excluded, count):
             seen.add(t)
             chosen.append(t)
     return np.array(chosen, dtype=np.int64).reshape(count, space.dims)
+
+
+def reference_enumerated_draw(space, rng, excluded, count):
+    """The former enumeration: every tuple listed, then ``count`` picked."""
+    count = min(count, space.combination_count - len(excluded))
+    pool = [t for t in itertools.product(*(range(len(g)) for g in space.grids))
+            if t not in excluded]
+    picks = rng.choice(len(pool), size=count, replace=False)
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(count, space.dims)
 
 
 def grid_space(*lengths):
@@ -112,3 +125,22 @@ def test_bo_run_matches_one_drawn_with_the_scalar_loop(monkeypatch):
     monkeypatch.setattr(baseline, "draw_unevaluated", reference_draw)
     monkeypatch.setattr(space_module, "draw_unevaluated", reference_draw)
     assert run() == block
+
+
+@pytest.mark.parametrize("lengths", [(61, 61), (11,) * 5, (3, 7, 2, 5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_enumerated_draw_matches_the_itertools_list(lengths, seed):
+    space = grid_space(*lengths)
+    total = space.combination_count
+    assert total <= ENUMERATION_LIMIT
+    every = list(itertools.product(*map(range, lengths)))
+    some = np.random.default_rng(100 + seed).choice(total, size=total // 3, replace=False)
+    for excluded in (set(), {every[i] for i in some}):
+        # a count above what remains draws every unevaluated tuple
+        for count in (1, 50, total - len(excluded), total):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(draw_unevaluated(space, rng, excluded, count),
+                                          reference_enumerated_draw(space, ref_rng,
+                                                                    excluded, count),
+                                          strict=True)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
