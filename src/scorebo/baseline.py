@@ -4,13 +4,16 @@ One joint GP over all evaluated points, expected improvement maximized over
 a random candidate pool plus the grid neighbors of the incumbent. The pool
 is scored from the index block ``sampling.draw_unevaluated`` draws, and the
 training rows are kept as arrays that grow by one row per stored record, so
-most of a step's time is the GP's predict on the pool: 68 % of step time in
-a traced 10D Ackley run (300 evaluations, one BLAS thread), against 15 %
-for drawing the pool and 12 % for the fit. The GP is refit on the whole
-history every iteration, one Cholesky factor and two triangular solves, so
-per-iteration cost grows with the number of evaluations N (Cholesky is
-O(N^3)); this is the comparison arm for the bounded-cost decomposed
-optimizer. It shares the evaluation record (``History``) and the ``step()``
+most of a step's time is the GP's predict on the pool, even though its
+variance solve takes only the pool rows near an evaluated tuple: 59 % of
+step time in three traced 10D Ackley runs (300 evaluations each, one BLAS
+thread), against 18 % for drawing the pool and 16 % for the fit. Under
+cProfile the largest single cost is now ``kernel_matrix`` (about a third
+of step time, the fit's kernel included), and the draw the second. The GP
+is refit on the whole history every iteration, one Cholesky factor and two
+triangular solves, so per-iteration cost grows with the number of
+evaluations N (Cholesky is O(N^3)); this is the comparison arm for the
+bounded-cost decomposed optimizer. It shares the evaluation record (``History``) and the ``step()``
 protocol (returning a ``StepResult``) with the decomposed optimizer; each
 step evaluates one tuple.
 

@@ -13,6 +13,15 @@ decomposed run about 6 MiB resident and 40-75 ms of start-up.
 ``BoOptimizer`` imports it when constructed, so that its first step does
 not pay for it.
 
+``GpModel.predict`` solves only the queries near some training input. A
+query's variance is signal - k^T K^-1 k, and k^T K^-1 k <= |k|^2 /
+(noise + jitter), since the kernel part of K is positive semi-definite.
+Where |k|^2 < signal * 2^-56 * (noise + jitter), that is under a quarter of
+half an ulp of signal, so the full solve would return signal to the bit;
+the variance is set to signal without it. At the baseline's lengthscale
+0.08 on [0, 1]^10 that leaves 5-6 % of the pool in the solve at 20
+evaluations and 25 % at 300.
+
 The decomposed optimizer's 1D GPs all take integer grid indices, so their
 training and cross covariances are slices of one precomputed kernel over
 grid steps. ``stacked_posterior`` solves many of them at once;
@@ -58,20 +67,21 @@ class KernelConfig:
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """Squared-exponential kernel between the rows of ``a`` and of ``b``."""
-    a2 = np.sum(a * a, axis=1)
-    b2 = np.sum(b * b, axis=1)
-    # the operations of sigma^2 * exp(-0.5 * (a2 + b2 - 2 a.b) / l^2) in
-    # their order, in place: the expression's bits with two (n, m) buffers
-    # instead of one per operation
-    cross = a @ b.T
-    cross *= 2.0
+    # sigma^2 * exp(-0.5 * (a2 + b2 - 2 a.b) / l^2) on one (n, m) buffer,
+    # with every term of the squared distance halved: halving a normal
+    # float is exact, so each rounding is the expression's own halved and
+    # (a2/2 + b2/2 - a.b) / -l^2 has its bits. The product stays a @ b.T,
+    # which numpy computes as a symmetric product when b is a, as it does
+    # in the expression
+    a2 = 0.5 * np.sum(a * a, axis=1)
+    b2 = 0.5 * np.sum(b * b, axis=1)
     out = a2[:, None] + b2[None, :]
-    out -= cross
+    out -= a @ b.T
     np.maximum(out, 0.0, out=out)
-    out *= -0.5
-    out /= cfg.lengthscale**2
+    out /= -(cfg.lengthscale**2)
     np.exp(out, out=out)
-    out *= cfg.signal_variance
+    if cfg.signal_variance != 1.0:
+        out *= cfg.signal_variance
     return out
 
 
@@ -103,6 +113,12 @@ class GpModel:
         may pass ``at_train_points=False`` to skip the lookup; the result is
         then the same. At a query that does equal one, the variance would
         keep the direct expression's rounding error.
+
+        The triangular solve for the variance takes only the queries whose
+        |k|^2 reaches signal * 2^-56 * (noise + jitter), with the jitter the
+        fit used. The others get the variance signal, which is what the
+        full solve gives them bit for bit: their k^T K^-1 k is at most
+        |k|^2 / (noise + jitter), under a quarter of half an ulp of signal.
         """
         query = np.asarray(query_points, dtype=float)
         d_in = self.train_inputs.shape[1]
@@ -118,9 +134,23 @@ class GpModel:
         from scipy.linalg import solve_triangular   # only the joint GP needs it
         k_star = kernel_matrix(self.train_inputs, query, self.kernel)
         mean = k_star.T @ self.alpha
-        v = solve_triangular(self.chol, k_star, lower=True, check_finite=False)
+        signal = self.kernel.signal_variance
+        # below the floor signal - sum(v^2) is signal (see the docstring);
+        # the factor 4 under half an ulp covers the solve's rounding, and a
+        # NaN column stays in the solve
+        floor = signal * 2.0**-56 * (self.kernel.noise_variance + self._jitter)
+        near = ~(np.einsum("ij,ij->j", k_star, k_star) < floor)
+        if np.count_nonzero(near) == 1:
+            # one column takes BLAS's single-vector solve, whose bits differ
+            # from the block solve's: solve a second one along
+            near[np.argmin(near)] = True
+        var = np.full(len(query), signal)
+        # the solve of two or more columns gives their columns of the full
+        # solve; an F-ordered block reaches LAPACK uncopied
+        v = solve_triangular(self.chol, k_star.T[near].T, lower=True,
+                             check_finite=False)
         v *= v
-        var = self.kernel.signal_variance - np.sum(v, axis=0)
+        var[near] = signal - np.sum(v, axis=0)
         if at_train_points:
             self._stabilize_at_train_points(query, var)
         std = np.sqrt(np.maximum(var, 0.0))

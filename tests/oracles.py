@@ -6,9 +6,12 @@ differences, where production uses Cholesky solves (the joint GP) or stacked
 inverses of slices of one precomputed grid kernel (the 1D GPs); the
 EI oracle is a Monte Carlo expectation instead of the closed form, and the
 projection oracle is a from-scratch recomputation instead of incremental
-updates. The one exception is ``se_kernel_expression``: the kernel as one
-array expression, kept verbatim as the bit-level reference for
-``gp.kernel_matrix``, which performs the same operations on one buffer.
+updates. The exceptions are bit-level references: ``se_kernel_expression``,
+the kernel as one array expression, kept verbatim for ``gp.kernel_matrix``,
+which performs the same operations halved on one buffer; and
+``full_solve_predict``, the joint GP's predict with the triangular solve
+over every query, for ``GpModel.predict``, which leaves out the queries too
+far from the training inputs for the solve to change their variance.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +39,23 @@ def se_kernel_expression(a: np.ndarray, b: np.ndarray, cfg) -> np.ndarray:
     sq = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return cfg.signal_variance * np.exp(-0.5 * sq / cfg.lengthscale**2)
+
+
+def full_solve_predict(model, query_points, standardized=False, *,
+                       at_train_points=True):
+    """``GpModel.predict`` with the solve over all queries, rows of a 2-D array."""
+    query = np.asarray(query_points, dtype=float)
+    k_star = se_kernel_expression(model.train_inputs, query, model.kernel)
+    mean = k_star.T @ model.alpha
+    v = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
+    v *= v
+    var = model.kernel.signal_variance - np.sum(v, axis=0)
+    if at_train_points:
+        model._stabilize_at_train_points(query, var)
+    std = np.sqrt(np.maximum(var, 0.0))
+    if standardized:
+        return mean, std
+    return model.target_mean + model.target_std * mean, model.target_std * std
 
 
 def dense_gp_predict(train_x, train_y, query, lengthscale, signal_variance,

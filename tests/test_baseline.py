@@ -11,6 +11,8 @@ from scorebo.problems import ackley, ackley_space
 from scorebo.sampling import ENUMERATION_LIMIT
 from scorebo.space import SearchSpace, make_grid
 
+from oracles import full_solve_predict
+
 
 def nan_every(k):
     """Ackley, except that every k-th call returns NaN."""
@@ -177,6 +179,39 @@ class TestStepInputs:
         # an enumerated pool of 1 000 of 3 721 tuples draws some neighbors
         assert (steps["deduped"] > 0) == (dims == 2)
         assert opt.history.n_rejected > 0
+
+    def test_predict_solves_fewer_columns_than_the_pool(self, monkeypatch):
+        # at lengthscale 0.08 on [0, 1]^10 most pool tuples are too far from
+        # every evaluated one for the solve to change their variance; the
+        # run that solves every column evaluates the same tuples
+        import scipy.linalg
+        solve, predict = scipy.linalg.solve_triangular, GpModel.predict
+        pools, solved = [], []
+
+        def spy_solve(a, b, *args, **kwargs):
+            if b.ndim == 2:   # the fit solves for one vector
+                solved.append(b.shape[1])
+            return solve(a, b, *args, **kwargs)
+
+        def spy_predict(model, query, *args, **kwargs):
+            pools.append(len(query))
+            return predict(model, query, *args, **kwargs)
+
+        def run():
+            opt = BoOptimizer(space=ackley_space(10), objective=ackley, seed=3)
+            opt.initialize(20)
+            for _ in range(80):
+                opt.step()
+            return [(r.indices, r.value) for r in opt.history.records]
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", spy_solve)
+        monkeypatch.setattr(GpModel, "predict", spy_predict)
+        cut = run()
+        monkeypatch.undo()
+        monkeypatch.setattr(GpModel, "predict", full_solve_predict)
+        assert run() == cut
+        assert len(solved) == len(pools) == 80
+        assert sum(s < p for s, p in zip(solved, pools)) > 60
 
     def test_training_rows_follow_the_stored_records(self):
         opt = BoOptimizer(space=ackley_space(2), objective=nan_every(6), seed=5)

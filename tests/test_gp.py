@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
@@ -14,7 +15,7 @@ from scorebo.errors import SurrogateError
 from scorebo.gp import KernelConfig, gp_fit, kernel_matrix
 from scorebo.problems import ackley, ackley_space
 
-from oracles import dense_gp_predict, se_kernel_expression
+from oracles import dense_gp_predict, full_solve_predict, se_kernel_expression
 
 
 def random_dataset(rng, max_points=20, noise_lo=1e-4, noise_hi=1e-1):
@@ -62,7 +63,11 @@ def kernel_inputs():
     pool = rng.integers(0, 61, size=(baseline.CANDIDATE_POOL_SIZE + 20, 10)) / 60.0
     steps = np.arange(61, dtype=float)[:, None]
     yield "bo-train-vs-pool", train, pool, joint
-    yield "bo-self", train, train, joint
+    yield "bo-self", train, train, joint          # numpy's symmetric product
+    yield "bo-self-copy", train, train.copy(), joint
+    for signal in (0.3, 2.5):
+        yield f"bo-train-vs-pool-signal-{signal}", train, pool, KernelConfig(
+            lengthscale=baseline.JOINT_LENGTHSCALE, signal_variance=signal)
     yield "projection-steps", steps, steps, KernelConfig(
         lengthscale=engine.LENGTHSCALE_STEPS)
     yield "line-steps", steps, steps, KernelConfig(lengthscale=engine.LINE_LENGTHSCALE)
@@ -221,6 +226,168 @@ class TestTrainingPointVariance:
         query = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
         (_, s1), (_, s2) = self.both(model, query, monkeypatch)
         assert s1.tobytes() == s2.tobytes()
+
+
+def bo_like_data(rng, n, dims=10):
+    """n [0, 1]-scaled grid rows clustered as a BO run's, and a pool to score.
+
+    Past 20 random rows, each row moves a few coordinates of an earlier one
+    by a few grid steps; the pool is 1 000 random rows and the 20 grid
+    neighbors of the last row.
+    """
+    x = rng.integers(0, 61, size=(n, dims))
+    for i in range(min(n, 20), n):
+        x[i] = x[rng.integers(i)]
+        moved = rng.choice(dims, size=rng.integers(1, 4), replace=False)
+        x[i, moved] = np.clip(x[i, moved] + rng.integers(-3, 4, len(moved)), 0, 60)
+    neighbors = np.repeat(x[-1:], 2 * dims, axis=0)
+    neighbors[np.arange(2 * dims), np.arange(2 * dims) // 2] += np.tile([-1, 1], dims)
+    pool = np.vstack([rng.integers(0, 61, size=(1000, dims)), np.clip(neighbors, 0, 60)])
+    return x / 60.0, rng.normal(size=n), pool / 60.0
+
+
+def floor(model):
+    """The |k|^2 below which predict leaves a query out of its solve."""
+    signal = model.kernel.signal_variance
+    return signal * 2.0**-56 * (model.kernel.noise_variance + model._jitter)
+
+
+def squared_norms(model, query):
+    k = kernel_matrix(model.train_inputs, query, model.kernel)
+    return np.sum(k * k, axis=0)
+
+
+def near_floor(model):
+    """1D queries past the data whose |k|^2 lies within 2^±8 of the floor."""
+    top = float(np.max(model.train_inputs))
+    query = top + np.linspace(0.0, 60.0 * model.kernel.lengthscale, 20_000)[:, None]
+    with np.errstate(divide="ignore"):
+        octaves = np.log2(squared_norms(model, query) / floor(model))
+    return query[np.abs(octaves) <= 8.0]
+
+
+SIGNALS = [0.3, 1.0, 2.5]
+
+
+class TestFarColumns:
+    """Predict solves only the queries near some training input, same bits.
+
+    A query whose |k|^2 is below floor() keeps the variance signal: the
+    full solve could not change it by a bit, since k^T K^-1 k is at most
+    |k|^2 / (noise + jitter).
+    """
+
+    @staticmethod
+    def solved_columns(model, query, monkeypatch):
+        """Predict against the full solve bit for bit; the columns it solved."""
+        solve, widths = scipy.linalg.solve_triangular, []
+
+        def spy(a, b, *args, **kwargs):
+            widths.append(b.shape[1])
+            return solve(a, b, *args, **kwargs)
+
+        for at_train_points in (True, False):
+            with monkeypatch.context() as m:
+                m.setattr(scipy.linalg, "solve_triangular", spy)
+                got = model.predict(query, at_train_points=at_train_points)
+            want = full_solve_predict(model, query, at_train_points=at_train_points)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        near = np.count_nonzero(squared_norms(model, query) >= floor(model))
+        # one near column is solved with a second, as a block
+        assert widths[0] == widths[-1] == (2 if near == 1 < len(query) else near)
+        return widths[0]
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    @pytest.mark.parametrize("n", [20, 60, 140, 300])
+    def test_bo_like_pools_skip_most_columns(self, n, signal, monkeypatch):
+        rng = np.random.default_rng(n)
+        x, y, pool = bo_like_data(rng, n)
+        query = np.vstack([pool, x[:3]])   # training inputs: stabilized, solved
+        cfg = KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE,
+                           signal_variance=signal)
+        solved = self.solved_columns(gp_fit(x, y, cfg), query, monkeypatch)
+        assert 3 <= solved < len(query) / 2
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    def test_every_column_near(self, signal, monkeypatch):
+        x, y, pool = bo_like_data(np.random.default_rng(7), 100)
+        model = gp_fit(x, y, KernelConfig(lengthscale=3.0, signal_variance=signal))
+        assert self.solved_columns(model, pool, monkeypatch) == len(pool)
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    def test_no_column_near_solves_an_empty_block(self, signal, monkeypatch):
+        x, y, pool = bo_like_data(np.random.default_rng(8), 100)
+        model = gp_fit(x, y, KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE,
+                                          signal_variance=signal))
+        assert self.solved_columns(model, pool + 10.0, monkeypatch) == 0
+        _, std = model.predict(pool + 10.0, standardized=True)
+        assert np.all(std == np.sqrt(signal))
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    def test_one_near_column(self, signal, monkeypatch):
+        # near several training inputs at once, where a one-column solve
+        # mostly differs from the block solve in the last bit
+        x, y, pool = bo_like_data(np.random.default_rng(11), 100)
+        model = gp_fit(x, y, KernelConfig(lengthscale=0.3, signal_variance=signal))
+        for i, at in enumerate((0, 1, 500, 1020)):
+            query = np.insert(pool + 10.0, at, x[i] + 0.01, axis=0)
+            assert self.solved_columns(model, query, monkeypatch) == 2
+        assert self.solved_columns(model, x[-1:] + 0.01, monkeypatch) == 1
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    @pytest.mark.parametrize("noise", [0.0, 1e-6, 1.0])
+    def test_queries_within_2_to_the_8_of_the_floor(self, noise, signal, monkeypatch):
+        # with noise 1 the bound is within a small factor of k^T K^-1 k, so
+        # columns a few octaves above the floor already move the variance
+        rng = np.random.default_rng(9)
+        x = np.array([0.0, 2.0, 4.0, 7.0])
+        model = gp_fit(x, rng.normal(size=4),
+                       KernelConfig(lengthscale=3.0, signal_variance=signal,
+                                    noise_variance=noise))
+        query = near_floor(model)
+        solved = self.solved_columns(model, query, monkeypatch)
+        assert 0 < solved < len(query)
+
+    def test_escalated_jitter_sets_the_floor(self, monkeypatch):
+        real_cholesky = np.linalg.cholesky
+
+        def picky_cholesky(k):
+            if k[0, 0] - 1.0 < 0.9e-3:  # reject until jitter reaches 1e-3
+                raise np.linalg.LinAlgError("not positive definite")
+            return real_cholesky(k)
+
+        with monkeypatch.context() as m:
+            m.setattr(gp_mod.np.linalg, "cholesky", picky_cholesky)
+            model = gp_fit([0.0, 2.0, 4.0, 7.0], [0.5, -1.0, 0.25, 2.0],
+                           KernelConfig(lengthscale=3.0, noise_variance=0.0))
+        assert model._jitter > 1e-4
+        query = near_floor(model)
+        solved = self.solved_columns(model, query, monkeypatch)
+        assert 0 < solved < len(query)
+        # the configured jitter's floor would solve more of them
+        configured = floor(model) * model.kernel.jitter / model._jitter
+        assert solved < np.count_nonzero(squared_norms(model, query) >= configured)
+
+    def test_a_column_subset_solves_as_in_the_full_solve(self):
+        # the LAPACK property the rule relies on: the solve of two or more
+        # columns of K* gives their columns of the full solve, and so do the
+        # sums of their squares, for an F-ordered block as predict passes.
+        # One column goes through BLAS's single-vector solve instead
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 20, 300):
+            x, y, pool = bo_like_data(rng, n)
+            model = gp_fit(x, y, KernelConfig(lengthscale=0.5))
+            k = kernel_matrix(model.train_inputs, pool, model.kernel)
+            full = solve_triangular(model.chol, k, lower=True, check_finite=False)
+            for width in (0, 2, 3, 8, 51, 510, 1019, 1020):
+                near = np.zeros(len(pool), dtype=bool)
+                near[rng.choice(len(pool), size=width, replace=False)] = True
+                part = solve_triangular(model.chol, k.T[near].T, lower=True,
+                                        check_finite=False)
+                assert part.tobytes() == full[:, near].tobytes()
+                assert (np.sum(part * part, axis=0).tobytes()
+                        == np.sum(full * full, axis=0)[near].tobytes())
 
 
 def dense_system(model):
