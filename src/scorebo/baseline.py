@@ -2,14 +2,14 @@
 
 One joint GP over all evaluated points, expected improvement maximized over
 a random candidate pool plus the grid neighbors of the incumbent. The pool
-is scored from the index block ``sampling.draw_unevaluated`` draws, and the
-training rows are kept as arrays that grow by one row per stored record, so
-most of a step's time is the GP's predict on the pool, even though its
-variance solve takes only the pool rows near an evaluated tuple: 59 % of
-step time in three traced 10D Ackley runs (300 evaluations each, one BLAS
-thread), against 18 % for drawing the pool and 16 % for the fit. Under
-cProfile the largest single cost is now ``kernel_matrix`` (about a third
-of step time, the fit's kernel included), and the draw the second. The GP
+is scored from the index block ``sampling.draw_unevaluated`` draws, the
+training rows are kept as arrays that grow by one row per stored record,
+and predict writes its (N, pool) kernel into a work area the optimizer
+keeps, so no step maps and zeroes two such arrays again. Most of a step's
+time is still the GP's predict on the pool, even though its variance solve
+takes only the pool rows near an evaluated tuple: 53 % of step time in
+three traced 10D Ackley runs (300 evaluations each, one BLAS thread),
+against 21 % for the fit and 16 % for drawing the pool. The GP
 is refit on the whole history every iteration, one Cholesky factor and two
 triangular solves, so per-iteration cost grows with the number of
 evaluations N (Cholesky is O(N^3)); this is the comparison arm for the
@@ -69,6 +69,9 @@ class BoOptimizer:
         # rows past len(history.records) are unused capacity
         self._train_inputs = np.empty((TRAIN_ROWS, self.space.dims))
         self._train_targets = np.empty(TRAIN_ROWS)
+        # predict's work area, as many rows as the training arrays; it is
+        # scratch, so it grows with them without a copy
+        self._kernel_work = self._work_area(TRAIN_ROWS)
 
     def _keep(self, record: EvaluationRecord) -> None:
         """Append a stored record to the training rows and targets."""
@@ -78,8 +81,19 @@ class BoOptimizer:
                                                  np.empty_like(self._train_inputs)])
             self._train_targets = np.concatenate([self._train_targets,
                                                   np.empty_like(self._train_targets)])
+            self._kernel_work = self._work_area(2 * n)
         self._train_inputs[n] = np.asarray(record.indices) / self._scale
         self._train_targets[n] = record.value
+
+    def _work_area(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """A work area for the kernel of ``rows`` training rows and the
+        widest pool: the draw and at most two neighbors per dimension."""
+        size = rows * (CANDIDATE_POOL_SIZE + 2 * self.space.dims)
+        # two arrays, not one (2, size) array: numpy advises huge pages for
+        # an array of 4 MiB or more, and those map the partly used area in
+        # 2 MiB pages (at 10D, one array read 3 MiB more peak RSS per run;
+        # each of two stays under 4 MiB up to 512 rows)
+        return np.empty(size), np.empty(size)
 
     def initialize(self, n_init: int | None = None) -> None:
         """Evaluate the initial design (see ``History.initialize``)."""
@@ -135,7 +149,7 @@ class BoOptimizer:
             # the pool holds only unevaluated tuples and the training rows
             # only evaluated ones, so no query is a training input
             mu, sigma = model.predict(pool / self._scale, standardized=True,
-                                      at_train_points=False)
+                                      at_train_points=False, work=self._kernel_work)
             z_best = (self.history.best.value - model.target_mean) / model.target_std
             scores = score_grid(mu, sigma, z_best, ZETA)
             row = int(np.argmax(scores))

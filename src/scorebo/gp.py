@@ -22,6 +22,12 @@ the variance is set to signal without it. At the baseline's lengthscale
 0.08 on [0, 1]^10 that leaves 5-6 % of the pool in the solve at 20
 evaluations and 25 % at 300.
 
+A fitted ``GpModel`` is never modified, so concurrent predicts are safe
+unless two of them share one work area: ``predict`` can write its
+(training, query) kernel into a caller-owned buffer, which the baseline
+keeps across steps so that its two (N, pool) arrays are not mapped and
+zeroed again on every step.
+
 The decomposed optimizer's 1D GPs all take integer grid indices, so their
 training and cross covariances are slices of one precomputed kernel over
 grid steps. ``stacked_posterior`` solves many of them at once;
@@ -65,18 +71,31 @@ class KernelConfig:
             raise ValueError(f"jitter must be >= 1e-12, got {self.jitter}")
 
 
-def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Squared-exponential kernel between the rows of ``a`` and of ``b``."""
+def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig,
+                  work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Squared-exponential kernel between the rows of ``a`` and of ``b``.
+
+    ``work``, if given, is a caller-owned pair of contiguous 1-D float64
+    arrays, each of at least ``len(a) * len(b)`` elements. The kernel and
+    the product ``a @ b.T`` are then written into them instead of into two
+    new arrays, and the result is a view of ``work[0]`` that the next call
+    with the same work area overwrites. Its values are the same to the bit.
+    """
     # sigma^2 * exp(-0.5 * (a2 + b2 - 2 a.b) / l^2) on one (n, m) buffer,
     # with every term of the squared distance halved: halving a normal
     # float is exact, so each rounding is the expression's own halved and
     # (a2/2 + b2/2 - a.b) / -l^2 has its bits. The product stays a @ b.T,
     # which numpy computes as a symmetric product when b is a, as it does
-    # in the expression
+    # in the expression. A work area's arrays are used as C-contiguous
+    # (n, m) blocks, the layout of a new array, so BLAS sees the same call
     a2 = 0.5 * np.sum(a * a, axis=1)
     b2 = 0.5 * np.sum(b * b, axis=1)
-    out = a2[:, None] + b2[None, :]
-    out -= a @ b.T
+    n, m = len(a), len(b)
+    out = prod = None
+    if work is not None:
+        out, prod = (w[:n * m].reshape(n, m) for w in work)
+    out = np.add(a2[:, None], b2[None, :], out=out)
+    out -= np.matmul(a, b.T, out=prod)
     np.maximum(out, 0.0, out=out)
     out /= -(cfg.lengthscale**2)
     np.exp(out, out=out)
@@ -87,7 +106,11 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig) -> np.ndarray
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted GP: immutable after construction, safe to query concurrently."""
+    """Fitted GP, immutable after construction.
+
+    Concurrent predicts are safe as long as no two of them are given the
+    same work area (see ``predict``).
+    """
 
     train_inputs: np.ndarray     # (n, d)
     train_targets: np.ndarray    # (n,), standardized
@@ -99,7 +122,8 @@ class GpModel:
     _jitter: float = 1e-12       # jitter actually used (after any escalation)
 
     def predict(self, query_points, standardized: bool = False, *,
-                at_train_points: bool = True):
+                at_train_points: bool = True,
+                work: tuple[np.ndarray, np.ndarray] | None = None):
         """Posterior mean and std at each query point.
 
         Returns ``(mean, std)`` arrays. With ``standardized=True`` the values
@@ -119,6 +143,12 @@ class GpModel:
         fit used. The others get the variance signal, which is what the
         full solve gives them bit for bit: their k^T K^-1 k is at most
         |k|^2 / (noise + jitter), under a quarter of half an ulp of signal.
+
+        ``work`` is a caller-owned work area for the (training, query)
+        kernel, as ``kernel_matrix`` takes it. It saves two such arrays per
+        call and changes no value; the returned arrays never share its
+        memory, so it may be reused as soon as the call returns, but not by
+        a concurrent call.
         """
         query = np.asarray(query_points, dtype=float)
         d_in = self.train_inputs.shape[1]
@@ -132,7 +162,7 @@ class GpModel:
                 f"query dimensionality {query.shape[1]} does not match "
                 f"training dimensionality {self.train_inputs.shape[1]}")
         from scipy.linalg import solve_triangular   # only the joint GP needs it
-        k_star = kernel_matrix(self.train_inputs, query, self.kernel)
+        k_star = kernel_matrix(self.train_inputs, query, self.kernel, work)
         mean = k_star.T @ self.alpha
         signal = self.kernel.signal_variance
         # below the floor signal - sum(v^2) is signal (see the docstring);

@@ -9,7 +9,9 @@ its tuples as one ``(n, D)`` block of ``rng.integers``: numpy's generator
 order, of n·D scalar draws, one per coordinate, and leaves the generator in
 the same state. So the block is the stream of a per-coordinate loop without
 its Python-level calls; ``tests/test_sampling.py`` checks that against such
-a loop.
+a loop. A block whose rows are distinct and none excluded, the usual case,
+is accepted whole, its rows compared as tuples built in C, without the
+per-row loop or a copy of the excluded set.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
         return rows.astype(np.int64, copy=False)
 
     chosen = np.empty((0, space.dims), dtype=np.int64)
-    seen = set(excluded)
+    seen = excluded     # copied before the first tuple is added to it
     # rejection sampling; collision probability is negligible at this size.
     # Each block is the shortfall, so no more tuples are drawn than one at a
     # time would draw, and at most 1000 per tuple asked for.
@@ -62,8 +64,14 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
             raise SpaceExhausted("rejection sampling failed to find unevaluated tuples")
         budget -= need
         block = rng.integers(0, space.lengths, size=(need, space.dims))
+        keys = list(zip(*block.T.tolist()))
+        if len(set(keys)) == need and seen.isdisjoint(keys):
+            # every row is accepted, so the draw is complete
+            return np.concatenate([chosen, block])
+        if seen is excluded:
+            seen = set(excluded)
         rejected = []
-        for i, t in enumerate(map(tuple, block.tolist())):
+        for i, t in enumerate(keys):
             if t in seen:
                 rejected.append(i)
             else:

@@ -42,8 +42,11 @@ def se_kernel_expression(a: np.ndarray, b: np.ndarray, cfg) -> np.ndarray:
 
 
 def full_solve_predict(model, query_points, standardized=False, *,
-                       at_train_points=True):
-    """``GpModel.predict`` with the solve over all queries, rows of a 2-D array."""
+                       at_train_points=True, work=None):
+    """``GpModel.predict`` with the solve over all queries, rows of a 2-D array.
+
+    ``work`` is accepted and not used: a work area changes no value.
+    """
     query = np.asarray(query_points, dtype=float)
     k_star = se_kernel_expression(model.train_inputs, query, model.kernel)
     mean = k_star.T @ model.alpha

@@ -1,5 +1,7 @@
 """Classical joint-GP BO baseline: contracts and the 2D sanity floor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,8 @@ class TestStepInputs:
         predict, pools = GpModel.predict, []
 
         def checked(model, query, standardized=False, **kwargs):
-            assert kwargs == {"at_train_points": False}
+            assert kwargs.keys() == {"at_train_points", "work"}
+            assert kwargs["at_train_points"] is False
             pool = set(map(tuple, np.rint(query * opt._scale).astype(int).tolist()))
             assert len(pool) == len(query)
             assert not pool & opt.history.evaluated
@@ -225,6 +228,55 @@ class TestStepInputs:
             assert opt._train_targets[:n].tolist() == [r.value for r in records]
         assert opt.history.n_rejected > 0
         assert len(opt._train_targets) > 2 * baseline.TRAIN_ROWS
+
+
+class TestKernelWorkArea:
+    """The step's predict writes the pool kernel into the optimizer's buffers."""
+
+    def test_predicts_equal_allocating_ones_across_growths(self, monkeypatch):
+        # 300 evaluations grow the training rows, and the work area with
+        # them, at 64, 128 and 256 rows; the pool's width varies with the
+        # incumbent's neighbors
+        opt = BoOptimizer(space=ackley_space(10), objective=ackley, seed=3)
+        predict, widths, areas = GpModel.predict, set(), set()
+
+        def checked(model, query, *args, work=None, **kwargs):
+            assert work is opt._kernel_work
+            kept = predict(model, query, *args, work=work, **kwargs)
+            fresh = predict(model, query, *args, **kwargs)
+            for got, expected in zip(kept, fresh):
+                assert got.tobytes() == expected.tobytes()
+                assert not any(np.shares_memory(got, w) for w in work)
+            widths.add(len(query))
+            areas.add(len(work[0]))
+            return kept
+
+        monkeypatch.setattr(GpModel, "predict", checked)
+        opt.initialize(20)
+        while opt.history.n_evaluations < 300:
+            opt.step()
+        assert len(areas) == 4 and len(widths) > 1
+
+    def test_step_allocates_less_than_one_pool_kernel(self):
+        # the (N, pool) kernel and its GEMM product live in the work area,
+        # so what a step allocates anew (the fit's (N, N) arrays, the pool
+        # and the solved block) stays under one (N, pool) float64 array
+        opt = BoOptimizer(space=ackley_space(10), objective=ackley, seed=3)
+        opt.initialize(20)
+        while len(opt.history) < 200:
+            opt.step()
+        ratios = []
+        tracemalloc.start()
+        try:
+            for _ in range(10):     # no growth: the work area holds 256 rows
+                kernel_bytes = len(opt.history) * baseline.CANDIDATE_POOL_SIZE * 8
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                opt.step()
+                ratios.append((tracemalloc.get_traced_memory()[1] - before) / kernel_bytes)
+        finally:
+            tracemalloc.stop()
+        assert max(ratios) < 1.0, ratios
 
 
 class TestSanityFloor:

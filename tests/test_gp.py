@@ -91,6 +91,18 @@ class TestKernelMatrix:
         assert not np.shares_memory(k, a) and not np.shares_memory(k, b)
         assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
+    @pytest.mark.parametrize("name, a, b, cfg", KERNEL_CASES,
+                             ids=[case[0] for case in KERNEL_CASES])
+    def test_work_area_gives_the_same_bytes(self, name, a, b, cfg):
+        # a larger work area than the kernel needs, filled with NaN, as the
+        # baseline's is larger and holds the previous step's values
+        size = len(a) * len(b) + 7
+        work = (np.full(size, np.nan), np.full(size, np.nan))
+        k = kernel_matrix(a, b, cfg, work)
+        assert k.tobytes() == kernel_matrix(a, b, cfg).tobytes()
+        assert k.flags.c_contiguous and np.shares_memory(k, work[0])
+        assert not np.shares_memory(k, a) and not np.shares_memory(k, b)
+
 
 class TestInterpolation:
     def test_one_noiseless_pair_interpolates_exactly(self):

@@ -60,9 +60,11 @@ SPACES = {
 
 
 def assert_same_draw(space, seed, excluded, count):
-    """Block and reference give the same tuples (or error) and end state."""
+    """Block and reference give the same tuples (or error) and end state,
+    and ``excluded`` is left as it was."""
     assert space.combination_count > ENUMERATION_LIMIT
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    excluded_before = set(excluded)
     try:
         expected = reference_draw(space, ref_rng, excluded, count)
     except SpaceExhausted:
@@ -73,6 +75,7 @@ def assert_same_draw(space, seed, excluded, count):
                                       expected, strict=True)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.integers(2**40) == ref_rng.integers(2**40)
+    assert excluded == excluded_before
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
