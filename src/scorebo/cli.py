@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .baseline import BoOptimizer
 from .engine import ScoreOptimizer
-from .errors import ConfigurationError, SolverError, SpaceExhausted, SurrogateError
+from .errors import (ConfigurationError, ObjectiveError, SolverError, SpaceExhausted,
+                     SurrogateError)
 from .problems import (ackley, ackley_space, load_datasheet,
                        make_synthetic_datasheet, sdm_objective, sdm_space)
 from .report import (ConvergenceTrace, TraceRow, read_trace_csv, render_svg,
@@ -100,14 +101,27 @@ def _build_problem(config: RunConfig):
 
 
 def run_experiment(config: RunConfig) -> ConvergenceTrace:
-    """Execute one optimizer to budget or space exhaustion."""
+    """Execute one optimizer to budget or space exhaustion.
+
+    An exception from the objective ends the run with ``ObjectiveError``,
+    whose ``trace`` holds the rows of the steps completed before it.
+    """
     config.validate()
     space, objective = _build_problem(config)
+
+    def guarded(point):
+        try:
+            return objective(point)
+        except Exception as exc:
+            failure = ObjectiveError(f"the objective raised {type(exc).__name__}: {exc}")
+            failure.trace = trace            # the steps completed so far
+            raise failure from exc
+
     if config.method == "score":
-        opt = ScoreOptimizer(space=space, objective=objective,
+        opt = ScoreOptimizer(space=space, objective=guarded,
                              batch_size=config.batch_size, seed=config.seed)
     else:
-        opt = BoOptimizer(space=space, objective=objective, seed=config.seed)
+        opt = BoOptimizer(space=space, objective=guarded, seed=config.seed)
     history = opt.history
 
     trace = ConvergenceTrace(method=config.method, seed=config.seed)
@@ -162,12 +176,23 @@ def _print_summary(config: RunConfig, trace: ConvergenceTrace) -> None:
           f"time={trace.total_time_ms / 1000.0:.2f}s")
 
 
+def _write_traces(config: RunConfig, traces: list[ConvergenceTrace]) -> Path:
+    """One trace CSV per seed in the config's output directory, returned."""
+    out = Path(config.out_dir)
+    for trace in traces:
+        write_trace_csv(trace, out / f"{_trace_stem(config)}_seed{trace.seed}.csv")
+    return out
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config, _overrides(args))
-    trace = run_experiment(config)
-    out = Path(config.out_dir)
+    try:
+        trace = run_experiment(config)
+    except ObjectiveError as exc:
+        _write_traces(config, [exc.trace])
+        raise
+    out = _write_traces(config, [trace])
     stem = _trace_stem(config)
-    write_trace_csv(trace, out / f"{stem}_seed{config.seed}.csv")
     render_svg([trace], "convergence", out / f"{stem}_seed{config.seed}_convergence.svg")
     render_svg([trace], "timing", out / f"{stem}_seed{config.seed}_timing.svg")
     _print_summary(config, trace)
@@ -189,13 +214,15 @@ def _cmd_sweep(args) -> int:
         overrides = _overrides(args)
         overrides["seed"] = seed
         config = load_config(args.config, overrides)
-        trace = run_experiment(config)
+        try:
+            trace = run_experiment(config)
+        except ObjectiveError as exc:
+            _write_traces(config, traces + [exc.trace])
+            raise
         traces.append(trace)
         _print_summary(config, trace)
-    out = Path(config.out_dir)
+    out = _write_traces(config, traces)
     stem = _trace_stem(config)
-    for trace in traces:
-        write_trace_csv(trace, out / f"{stem}_seed{trace.seed}.csv")
     write_trace_csv(aggregate_median(traces), out / f"{stem}_median.csv")
     render_svg(traces, "convergence", out / f"{stem}_convergence.svg")
     render_svg(traces, "timing", out / f"{stem}_timing.svg")
@@ -262,7 +289,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, SurrogateError, OSError) as exc:
+    except (ObjectiveError, SolverError, SurrogateError, OSError) as exc:
+        log.debug("runtime error", exc_info=exc)      # with the objective's traceback
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

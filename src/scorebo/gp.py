@@ -33,11 +33,17 @@ training and cross covariances are slices of one precomputed kernel over
 grid steps. ``stacked_posterior`` solves many of them at once;
 ``GridInverses`` keeps each projection GP's inverse training kernel in grid
 coordinates, inverted again only when its training indices change, so all
-of them are solved for new targets in one batched pass.
+of them are solved for new targets in one batched pass. Training indices only
+grow, so a new inverse is written over its block of the store, which covers
+the old block, and nothing is cleared first. Both solve their GPs in stacks
+bounded in cells, not in rows: a stack's (rows, n, G) working set holds at
+most ``STACK_CELLS`` cells, so GPs with few training indices share a large
+stack and 16 GPs on a whole 61-value grid fill one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +52,10 @@ from .errors import SurrogateError
 
 MAX_JITTER = 1e-2
 NOISE_VARIANCE = 1e-6      # observation noise of both optimizers' surrogates
-# GPs solved in one stack: bounds the (rows, n, G) cross-covariance working
-# set, which at 200 dimensions would otherwise hold several MB at once
-STACK_ROWS = 16
+# Cells of the (rows, n, G) cross-covariance working set of one stack of GPs,
+# which at 200 dimensions would otherwise hold several MB at once; the bound
+# is the projection refresh's largest stack, 16 GPs on all of a 61-point grid
+STACK_CELLS = 16 * 61 * 61
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig,
     n, m = len(a), len(b)
     out = prod = None
     if work is not None:
-        out, prod = (w[:n * m].reshape(n, m) for w in work)
+        out, prod = (_view(w, n, m) for w in work)
     out = np.add(a2[:, None], b2[None, :], out=out)
     out -= np.matmul(a, b.T, out=prod)
     np.maximum(out, 0.0, out=out)
@@ -283,27 +290,46 @@ class GridInverses:
         self.count = np.zeros(gps, dtype=int)
         self.inverse = np.zeros((gps, grid, grid))
         self.explained = np.zeros((gps, grid))
+        # one stack's working set, kept so that a stack maps no new pages:
+        # its flat indices, and its cross covariances, training kernels and
+        # the products of those with the inverses. A stack holds one GP at
+        # least, whose working set is at most grid^2 cells
+        cells = max(STACK_CELLS, grid * grid)
+        self._cells = np.empty(cells, dtype=np.intp)
+        self._work = np.empty((3, cells))
 
     def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float,
                 gps: slice) -> None:
         """Invert again those GPs of the slice ``gps`` whose count changed.
 
         ``observed`` holds their training masks, in order. GPs with equal
-        counts are inverted in stacks of ``STACK_ROWS``: the batched
-        multi-right-hand-side solve of BBMM (Gardner et al., 2018).
+        counts are inverted in stacks of at most ``STACK_CELLS`` working-set
+        cells: the batched multi-right-hand-side solve of BBMM (Gardner et
+        al., 2018). Each new inverse is written over its block of the store
+        and nothing else is cleared: a mask only grows, so the block of the
+        GP's previous inverse lies inside the new one.
         """
         counts = observed.sum(axis=1)
-        inverse, explained, count = self.inverse[gps], self.explained[gps], self.count[gps]
-        stale = np.flatnonzero(count != counts)
+        grid = self.inverse.shape[-1]
+        start, _, step = gps.indices(len(self.count))
+        stale = np.flatnonzero(self.count[gps] != counts)
+        store = self.inverse.reshape(-1)     # a view: the whole store is contiguous
         for n in np.unique(counts[stale]):
             rows = stale[counts[stale] == n]
             idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
-            for lo in range(0, len(rows), STACK_ROWS):
-                r, i = rows[lo:lo + STACK_ROWS], idx[lo:lo + STACK_ROWS]
-                k_inv, explained[r] = _inverse(kern, i, kern[i], noise)
-                inverse[r] = 0.0
-                inverse[r[:, None, None], i[:, :, None], i[:, None, :]] = k_inv
-            count[rows] = n
+            size = _stack_rows(n, grid)
+            for lo in range(0, len(rows), size):
+                r = start + step * rows[lo:lo + size]      # rows of the store
+                i = idx[lo:lo + size]
+                cells = np.add((i * grid)[:, :, None], i[:, None, :],
+                               out=_view(self._cells, len(r), n, n))
+                k_so = np.take(kern, i, axis=0, mode="clip",
+                               out=_view(self._work[0], len(r), n, grid))
+                k_inv, self.explained[r] = _inverse(kern, cells, k_so, noise,
+                                                    work=self._work[1:])
+                cells += (r * grid * grid)[:, None, None]    # now into the store
+                store[cells] = k_inv
+            self.count[start + step * rows] = n
 
 
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
@@ -312,34 +338,59 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
 
     Row r is a GP with training indices ``idx[r]``, targets ``targets[r]``
     and noise variances ``noise[r]``; its kernel is ``kern`` (over grid
-    steps) times ``scale[r]``. The rows are solved at most ``STACK_ROWS`` at
-    a time, each with one stacked inverse of its training kernels. Returns
-    ``(mean, explained)``, both ``(rows, G)``: the posterior mean on every
-    grid value and the prior variance the data explain there.
+    steps) times ``scale[r]``. The rows are solved in stacks of at most
+    ``STACK_CELLS`` working-set cells, each with one stacked inverse of its
+    training kernels. Returns ``(mean, explained)``, both ``(rows, G)``: the
+    posterior mean on every grid value and the prior variance the data
+    explain there.
     """
-    mean = np.empty((len(idx), kern.shape[1]))
+    grid = kern.shape[1]
+    mean = np.empty((len(idx), grid))
     explained = np.empty_like(mean)
-    for lo in range(0, len(idx), STACK_ROWS):
-        part = slice(lo, lo + STACK_ROWS)
+    size = _stack_rows(idx.shape[1], grid)
+    for lo in range(0, len(idx), size):
+        part = slice(lo, lo + size)
         i, a2 = idx[part], scale[part, None, None]
-        k_so = kern[i] * a2                               # (rows, n, G)
-        k_inv, explained[part] = _inverse(kern, i, k_so, noise[part] * a2[:, 0], a2)
+        k_so = kern[i]                                    # (rows, n, G)
+        k_so *= a2
+        k_inv, explained[part] = _inverse(kern, i[:, :, None] * grid + i[:, None, :],
+                                          k_so, noise[part] * a2[:, 0], a2)
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[part])
         mean[part] = np.einsum("dng,dn->dg", k_so, alpha)
     return mean, explained
 
 
-def _inverse(kern, i, k_so, noise, a2=1.0):
+def _stack_rows(n: int, grid: int) -> int:
+    """GPs of ``n`` training indices on ``grid`` values solved in one stack."""
+    return max(1, STACK_CELLS // (n * grid))
+
+
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first cells of a flat buffer, as a C-ordered array of ``shape``."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _inverse(kern, cells, k_so, noise, a2=None, work=None):
     """Inverse training kernels of a stack and the prior variance explained.
 
-    Row r's training kernel is ``a2[r]`` times ``kern`` on its indices
-    ``i[r]``, plus ``noise[r]`` on the diagonal.
+    Row r's training kernel is ``a2[r]`` (1 if None) times the entries of
+    ``kern`` at the flat indices ``cells[r]``, an (n, n) block, plus
+    ``noise[r]`` on the diagonal. ``work``, if given, is a pair of flat
+    buffers of at least ``k_so.size`` cells that the training kernels and
+    ``k_inv @ k_so`` are written into instead of new arrays.
     """
-    k_oo = kern[i[:, :, None], i[:, None, :]]
-    k_oo *= a2
-    diag = np.arange(i.shape[1])
-    k_oo[:, diag, diag] += noise
+    if work is None:
+        k_oo = kern.take(cells)
+    else:
+        # indices from a mask of the grid are in range: "clip" writes
+        # straight into the buffer, where "raise" would copy through another
+        k_oo = kern.take(cells, mode="clip", out=_view(work[0], *cells.shape))
+    if a2 is not None:
+        k_oo *= a2
+    n = cells.shape[1]
+    k_oo.reshape(len(k_oo), n * n)[:, ::n + 1] += noise     # the diagonals
     # an inverse per GP, not np.linalg.solve: on these stacks the solve
     # costs several times more
     k_inv = np.linalg.inv(k_oo)
-    return k_inv, np.einsum("dng,dng->dg", k_so, k_inv @ k_so)
+    prod = np.matmul(k_inv, k_so, out=None if work is None else _view(work[1], *k_so.shape))
+    return k_inv, np.einsum("dng,dng->dg", k_so, prod)

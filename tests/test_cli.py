@@ -269,6 +269,52 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("runtime error:")
 
+    @pytest.mark.parametrize("k", [3, 9, 17])
+    def test_raising_objective_exits_3_with_partial_trace(self, monkeypatch, tmp_path,
+                                                          capsys, k):
+        # k = 3 raises inside the 4-point initial design, 9 and 17 in steps
+        calls = []
+
+        def raises_on_kth_call(point):
+            calls.append(point)
+            if len(calls) == k:
+                raise ZeroDivisionError("boom")
+            return ackley(point)
+
+        monkeypatch.setattr(cli, "ackley", raises_on_kth_call)
+        with plain_logging():
+            code = main(self.RUN_ARGS + ["--out", str(tmp_path)])
+        assert code == 3 and len(calls) == k
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["runtime error: the objective raised ZeroDivisionError: boom"]
+        # the steps completed before the k-th call, as a complete run wrote them
+        main(self.RUN_ARGS + ["--out", str(tmp_path / "whole")])
+        whole = _strip_timing(tmp_path / "whole" / "score_ackley_seed3.csv")
+        partial = _strip_timing(tmp_path / "score_ackley_seed3.csv")
+        rows = max(0, k - 4)            # the design's row, then one per completed step
+        assert partial == whole[:1 + rows]
+        assert not (tmp_path / "score_ackley_seed3_convergence.svg").exists()
+
+    def test_raising_objective_in_sweep_keeps_earlier_seeds(self, monkeypatch, tmp_path,
+                                                            capsys):
+        calls = []
+
+        def raises_on_call_30(point):
+            calls.append(point)
+            if len(calls) == 30:
+                raise RuntimeError("lost")
+            return ackley(point)
+
+        monkeypatch.setattr(cli, "ackley", raises_on_call_30)
+        code = main(["sweep", "--dims", "2", "--n-init", "4", "--max-evals", "20",
+                     "--seeds", "0,1,2", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("runtime error: the objective raised")
+        assert len(read_trace_csv(tmp_path / "score_ackley_seed0.csv").rows) == 17
+        assert len(_strip_timing(tmp_path / "score_ackley_seed1.csv")) == 1 + 6
+        assert not (tmp_path / "score_ackley_seed2.csv").exists()
+        assert not (tmp_path / "score_ackley_median.csv").exists()
+
     @pytest.mark.parametrize("edit, key", [
         (lambda lines: [ln for ln in lines if not ln.startswith("vmp=")], "vmp"),
         (lambda lines: ["imp=lots" if ln.startswith("imp=") else ln

@@ -12,7 +12,7 @@ from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
                             LINE_NOISE, TAU_FRACTION, LineEvidence,
                             ProjectionTable, ScoreOptimizer, clip_targets)
 from scorebo.errors import SpaceExhausted
-from scorebo.gp import NOISE_VARIANCE, STACK_ROWS, GridInverses
+from scorebo.gp import NOISE_VARIANCE, STACK_CELLS, GridInverses
 from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.space import SearchSpace, make_grid
 
@@ -199,25 +199,29 @@ class TestScoreDimension:
 
     def test_stacked_scores_match_dense_oracle(self):
         # Ragged grids as in SDM; one stack of equal counts holds more rows
-        # than STACK_ROWS; every grid value is queried, training points too.
+        # than STACK_CELLS admits at that count; every grid value is
+        # queried, training points too.
         rng = np.random.default_rng(11)
         lengths = [31, 41, 61] * 14
+        shared = 31                                # the count of the big stack
+        stack = STACK_CELLS // (shared * max(lengths)) + 4
         space = grid_space(*lengths)
         opt = ScoreOptimizer(space=space, objective=lambda p: -0.7)
         opt.history.evaluate((0,) * len(lengths))
         minima = np.full(opt.projections.minima.shape, np.inf)
         for d, n_grid in enumerate(lengths):
-            if d < STACK_ROWS + 4:
-                count = 5
-            elif d == STACK_ROWS + 4:
+            if d < stack:
+                count = shared
+            elif d == stack:
                 count = 1                          # a single observation
-            elif d == STACK_ROWS + 5:
+            elif d == stack + 1:
                 count = n_grid                     # the whole grid observed
             else:
                 count = int(rng.integers(1, n_grid + 1))
             idx = rng.choice(n_grid, size=count, replace=False)
             minima[d, idx] = rng.normal(size=count) * 10.0 ** rng.uniform(-2, 2)
-        constant, outlier = STACK_ROWS + 6, STACK_ROWS + 7
+        constant, outlier = stack + 2, stack + 3
+        assert outlier < len(lengths)
         minima[constant, np.isfinite(minima[constant])] = 2.0
         minima[outlier] = np.inf
         cells = rng.choice(lengths[outlier], size=8, replace=False)
@@ -348,10 +352,10 @@ class TestInverseReuse:
         inverted = []
         original = gp._inverse
 
-        def spy(kern, i, *args):
+        def spy(kern, i, *args, **kwargs):
             if kern is opt._projection_kernel:
                 inverted.append(len(i))
-            return original(kern, i, *args)
+            return original(kern, i, *args, **kwargs)
 
         monkeypatch.setattr(gp, "_inverse", spy)
         # a tuple made only of grid values already observed in each dimension

@@ -468,6 +468,58 @@ class TestCholeskyFit:
         assert opt.gp_fit_count == 10 and len(opt.history) == 30
 
 
+class TestGridInverses:
+    """The projection store keeps, by growth alone, what a fresh one computes."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_growth_one_cell_at_a_time_keeps_fresh_bits(self, seed):
+        # Ragged masks on a 20-value grid grow one cell at a time until full;
+        # each growth is refreshed through the whole store or, as
+        # score_dimension does, through the one-row slice that grew.
+        rng = np.random.default_rng(seed)
+        gps, grid = 10, 20
+        steps = np.arange(grid, dtype=float)[:, None]
+        kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=3.0))
+        noise = 1e-6 + 1e-12
+        lengths = rng.integers(2, grid + 1, gps)
+        observed = np.zeros((gps, grid), dtype=bool)
+        observed[np.arange(gps), rng.integers(0, lengths)] = True
+        kept = gp_mod.GridInverses(gps, grid)
+        kept.refresh(kern, observed, noise, slice(None))
+        while (free := np.argwhere(~observed & (np.arange(grid) < lengths[:, None]))).size:
+            r, v = free[rng.integers(len(free))]
+            observed[r, v] = True
+            if rng.random() < 0.5:
+                kept.refresh(kern, observed, noise, slice(None))
+            else:
+                kept.refresh(kern, observed[r:r + 1], noise, slice(r, r + 1))
+            fresh = gp_mod.GridInverses(gps, grid)
+            fresh.refresh(kern, observed, noise, slice(None))
+            assert kept.inverse.tobytes() == fresh.inverse.tobytes()
+            assert kept.explained.tobytes() == fresh.explained.tobytes()
+            assert np.array_equal(kept.count, observed.sum(axis=1))
+            never = ~(observed[:, :, None] & observed[:, None, :])
+            assert np.all(kept.inverse[never] == 0.0)
+            assert not np.signbit(kept.inverse[never]).any()
+            # and the block of the grown GP is its training kernel's inverse
+            block = np.ix_(observed[r], observed[r])
+            k_oo = kern[block] + noise * np.eye(observed[r].sum())
+            assert kept.inverse[r][block].tobytes() == np.linalg.inv(k_oo).tobytes()
+
+
+    def test_grid_past_the_stack_bound_inverts_one_gp_per_stack(self):
+        # one GP on all 300 values has a working set of 90 000 cells, more
+        # than STACK_CELLS
+        grid = 300
+        assert grid * grid > gp_mod.STACK_CELLS
+        steps = np.arange(grid, dtype=float)[:, None]
+        kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=3.0))
+        store = gp_mod.GridInverses(2, grid)
+        store.refresh(kern, np.ones((2, grid), dtype=bool), 1e-6, slice(None))
+        k_oo = kern + 1e-6 * np.eye(grid)
+        assert store.inverse[1].tobytes() == np.linalg.inv(k_oo).tobytes()
+
+
 class TestFitMechanics:
     def test_constant_targets_use_unit_std(self):
         model = gp_fit([0.0, 1.0, 2.0], [3.0, 3.0, 3.0], KernelConfig())

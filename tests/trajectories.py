@@ -1,0 +1,73 @@
+"""Digests of every objective call and every trace row of fixed runs.
+
+A script, not a test: pytest does not collect it. It runs seeds 0-4 of the
+benchmark's configurations (read from ``perfbench/workloads.py``) through
+``scorebo.cli.run_experiment`` and prints one line per run:
+
+    <workload> seed=<s> calls=<n> rows=<m> <sha256 of the calls and rows>
+
+The digest covers each call's point and returned value, in call order, and
+each trace row's iteration, evals and best value; the timing columns are
+left out. Two trees that print the same lines made the same objective calls
+and the same traces, so a change that must keep every trajectory is checked
+by running this at both and diffing the output:
+
+    python tests/trajectories.py > after.txt
+
+About 12 s on one core.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import WORKLOADS  # noqa: E402
+
+from scorebo import cli  # noqa: E402
+
+RUNS = ("score-ackley10-b1", "score-ackley200-b10", "bo-ackley10", "score-sdm-b1")
+SEEDS = range(5)
+
+
+def digest_run(config: dict, seed: int) -> tuple[int, int, str]:
+    """Objective calls, trace rows and the digest of both for one run."""
+    h = hashlib.sha256()
+    calls = 0
+    build = cli._build_problem
+
+    def recording_build(cfg):
+        space, objective = build(cfg)
+
+        def recorded(point):
+            nonlocal calls
+            value = objective(point)
+            calls += 1
+            h.update(repr((list(map(float, point)), float(value))).encode())
+            return value
+
+        return space, recorded
+
+    cli._build_problem = recording_build
+    try:
+        trace = cli.run_experiment(cli.RunConfig(**config, seed=seed))
+    finally:
+        cli._build_problem = build
+    for row in trace.rows:
+        h.update(repr((row.iteration, row.evals, row.best_value)).encode())
+    return calls, len(trace.rows), h.hexdigest()
+
+
+def main() -> None:
+    for name in RUNS:
+        for seed in SEEDS:
+            calls, rows, digest = digest_run(WORKLOADS[name].config, seed)
+            print(f"{name} seed={seed} calls={calls} rows={rows} {digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
