@@ -28,8 +28,8 @@ A batch is, in order: one merged move (every coordinate moved to the value
 whose change is confidently negative, which merges the line moves that
 improved); single-coordinate line moves ranked by line EI; for dimensions
 with no line evidence, a move to the argmax of the dimension's projection
-score; then the per-dimension greedy argmax tuple, softmax-sampled tuples
-and uniform-random unevaluated tuples.
+score; then tuples drawn per dimension from a softmax of the projection
+scores; and last, uniform-random unevaluated tuples.
 
 The line posterior, the merged moves and the line-EI table depend on the
 line evidence alone. They are kept, read-only, with the evidence's version
@@ -301,11 +301,11 @@ class ScoreOptimizer:
     # -- one iteration ----------------------------------------------------
 
     def score_dimension(self, d: int) -> np.ndarray:
-        """EI score for every grid value of dimension d."""
-        return self._projection_scores(slice(d, d + 1))[0, :self._n_grid[d]]
+        """EI score for every grid value of dimension d: row d of a full pass."""
+        return self._projection_scores()[d, :self._n_grid[d]]
 
-    def _projection_scores(self, dims: slice = slice(None)) -> np.ndarray:
-        """EI scores of dimensions ``dims`` on the longest grid, (len(dims), G).
+    def _projection_scores(self) -> np.ndarray:
+        """EI scores of every dimension, (D, G), -inf past each grid's end.
 
         One GP per dimension on its min-projection, all scored in one pass
         over the inf-padded minima: clip, standardize the observed cells,
@@ -317,29 +317,29 @@ class ScoreOptimizer:
         conditioned). Every dimension is solved for its new targets, so each
         call counts one fit per dimension.
         """
-        minima = self.projections.minima[dims]
+        minima = self.projections.minima
         finite = np.isfinite(minima)
         counts = finite.sum(axis=1, keepdims=True)
         if not counts.all():
-            raise ValueError("no observations project onto dimension "
-                             f"{np.arange(self.space.dims)[dims][np.argmin(counts)]}")
+            raise ValueError(f"no observations project onto dimension {np.argmin(counts)}")
         j = self.kernel.noise_variance + self.kernel.jitter
         store = self._projection_inverses
-        store.refresh(self._projection_kernel, finite, j, dims)
+        store.refresh(self._projection_kernel, finite, j)
         y = clip_targets(minima)
         y_mean = np.sum(y, axis=1, keepdims=True, where=finite) / counts
         dev = np.where(finite, y - y_mean, 0.0)
         y_std = np.sqrt(np.sum(dev * dev, axis=1, keepdims=True) / counts)
         y_std[y_std == 0.0] = 1.0
-        alpha = np.matmul(store.inverse[dims], (dev / y_std)[:, :, None])[:, :, 0]
+        alpha = np.matmul(store.inverse, (dev / y_std)[:, :, None])[:, :, 0]
         mean = alpha @ self._projection_kernel
         # at training points signal - explained has no digits left; use the
         # cancellation-free j * (1 - j * (K^-1)_ii), as GpModel does
-        var = np.where(finite, j * (1.0 - j * np.diagonal(store.inverse[dims], 0, 1, 2)),
-                       self.kernel.signal_variance - store.explained[dims])
+        var = np.where(finite, j * (1.0 - j * np.diagonal(store.inverse, 0, 1, 2)),
+                       self.kernel.signal_variance - store.explained)
         self.gp_fit_count += len(minima)
-        return score_grid(mean, np.sqrt(np.maximum(var, 0.0)),
-                          (self.history.best.value - y_mean) / y_std, ZETA)
+        scores = score_grid(mean, np.sqrt(np.maximum(var, 0.0)),
+                            (self.history.best.value - y_mean) / y_std, ZETA)
+        return np.where(self._grid_cells, scores, -np.inf)
 
     def _follow_incumbent(self) -> None:
         """Re-anchor the line evidence to the current incumbent."""
@@ -571,15 +571,15 @@ class ScoreOptimizer:
                 self._refine_dim = d + 1
         return out
 
-    def select_batch(self, per_dim_scores: list[np.ndarray],
+    def select_batch(self, scores: np.ndarray,
                      max_batch: int | None = None) -> list[tuple[int, ...]]:
         """Assemble distinct, never-evaluated index-tuples.
 
-        Line-evidence proposals come first (see ``_refinement_candidates``);
-        then the per-dimension argmax tuple (ties to the lowest index); then
-        tuples drawn per dimension from softmax(score / tau), with
-        duplicates resampled up to 100*B times; finally uniform-random
-        unevaluated tuples.
+        ``scores`` is the (D, G) projection-score table, -inf past each
+        grid's end. Line-evidence proposals come first (see
+        ``_refinement_candidates``); then tuples drawn per dimension from
+        softmax(score / tau), with duplicates resampled up to 100*B times;
+        finally uniform-random unevaluated tuples.
         """
         remaining = self.space.combination_count - len(self.history.evaluated)
         if remaining <= 0:
@@ -588,20 +588,11 @@ class ScoreOptimizer:
         if max_batch is not None:
             b = min(b, max_batch)
 
-        # one (D, G) score table, -inf past each grid's end
-        scores = np.full(self._grid_cells.shape, -np.inf)
-        scores[self._grid_cells] = np.concatenate(per_dim_scores)
         taken: set[tuple[int, ...]] = set()   # chosen in this batch
         chosen: list[tuple[int, ...]] = []
         self._pending.clear()
         if len(self.history) > 0:
             chosen.extend(self._refinement_candidates(scores, taken, b))
-
-        greedy = tuple(np.argmax(scores, axis=1).tolist())
-        if len(chosen) < b and self._fresh(greedy, taken):
-            chosen.append(greedy)
-            taken.add(greedy)
-
         if len(chosen) >= b:
             return chosen
 
@@ -636,10 +627,9 @@ class ScoreOptimizer:
             raise ValueError("initialize() must run before step()")
         t0 = time.perf_counter()
         scores = self._projection_scores()
-        per_dim_scores = [s[:n] for s, n in zip(scores, self._n_grid)]
         gp_seconds = time.perf_counter() - t0
 
-        batch = self.select_batch(per_dim_scores, max_batch=max_batch)
+        batch = self.select_batch(scores, max_batch=max_batch)
         for indices in batch:
             self.history.evaluate(indices)
         return StepResult(batch=batch, gp_fit_seconds=gp_seconds)

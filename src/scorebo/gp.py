@@ -131,7 +131,7 @@ class GpModel:
     def predict(self, query_points, standardized: bool = False, *,
                 at_train_points: bool = True,
                 work: tuple[np.ndarray, np.ndarray] | None = None):
-        """Posterior mean and std at each query point.
+        """Posterior mean and std at each query point, a row of an (n, d) array.
 
         Returns ``(mean, std)`` arrays. With ``standardized=True`` the values
         stay in the model's internal target scale; otherwise they are mapped
@@ -158,12 +158,8 @@ class GpModel:
         a concurrent call.
         """
         query = np.asarray(query_points, dtype=float)
-        d_in = self.train_inputs.shape[1]
-        if query.ndim == 0:
-            query = query.reshape(1, 1)
-        elif query.ndim == 1:
-            # n scalar queries for a 1D model, one point for a D-dim model
-            query = query[:, None] if d_in == 1 else query[None, :]
+        if query.ndim != 2:
+            raise ValueError(f"query points must be (n, d), got shape {query.shape}")
         if query.shape[1] != self.train_inputs.shape[1]:
             raise ValueError(
                 f"query dimensionality {query.shape[1]} does not match "
@@ -230,14 +226,13 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
 
     One Cholesky factor and two triangular solves for ``alpha`` (Rasmussen
     & Williams 2006, Alg. 2.1); the whole factor is computed again on every
-    fit, so a fit costs O(N^3). Targets are standardized to zero mean and
-    unit variance, using std=1 when they are constant.
+    fit, so a fit costs O(N^3). ``inputs`` is (n, d), one row per point.
+    Targets are standardized to zero mean and unit variance, using std=1
+    when they are constant.
     """
     x = np.asarray(inputs, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1, 1)
-    elif x.ndim == 1:
-        x = x[:, None]  # n scalar inputs, not one n-dim point
+    if x.ndim != 2:
+        raise ValueError(f"inputs must be (n, d), got shape {x.shape}")
     y = np.asarray(targets, dtype=float).ravel()
     if len(y) != x.shape[0]:
         raise ValueError(f"{x.shape[0]} inputs but {len(y)} targets")
@@ -298,11 +293,10 @@ class GridInverses:
         self._cells = np.empty(cells, dtype=np.intp)
         self._work = np.empty((3, cells))
 
-    def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float,
-                gps: slice) -> None:
-        """Invert again those GPs of the slice ``gps`` whose count changed.
+    def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float) -> None:
+        """Invert again those GPs whose count changed.
 
-        ``observed`` holds their training masks, in order. GPs with equal
+        ``observed`` holds every GP's training mask, in order. GPs with equal
         counts are inverted in stacks of at most ``STACK_CELLS`` working-set
         cells: the batched multi-right-hand-side solve of BBMM (Gardner et
         al., 2018). Each new inverse is written over its block of the store
@@ -311,15 +305,14 @@ class GridInverses:
         """
         counts = observed.sum(axis=1)
         grid = self.inverse.shape[-1]
-        start, _, step = gps.indices(len(self.count))
-        stale = np.flatnonzero(self.count[gps] != counts)
+        stale = np.flatnonzero(self.count != counts)
         store = self.inverse.reshape(-1)     # a view: the whole store is contiguous
         for n in np.unique(counts[stale]):
             rows = stale[counts[stale] == n]
             idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
             size = _stack_rows(n, grid)
             for lo in range(0, len(rows), size):
-                r = start + step * rows[lo:lo + size]      # rows of the store
+                r = rows[lo:lo + size]
                 i = idx[lo:lo + size]
                 cells = np.add((i * grid)[:, :, None], i[:, None, :],
                                out=_view(self._cells, len(r), n, n))
@@ -329,7 +322,7 @@ class GridInverses:
                                                     work=self._work[1:])
                 cells += (r * grid * grid)[:, None, None]    # now into the store
                 store[cells] = k_inv
-            self.count[start + step * rows] = n
+            self.count[rows] = n
 
 
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,

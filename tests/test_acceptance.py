@@ -85,18 +85,18 @@ def test_criterion_2_gp_matches_dense_inversion_oracle(capsys):
         cfg = KernelConfig(lengthscale=float(rng.uniform(1.0, 10.0)),
                            noise_variance=float(rng.uniform(1e-4, 1e-1)))
         query = np.concatenate([x[: min(3, n)], rng.uniform(-5.0, 65.0, 20)])
-        mean, std = gp_fit(x, y, cfg).predict(query)
+        mean, std = gp_fit(x[:, None], y, cfg).predict(query[:, None])
         o_mean, o_std = dense_gp_predict(x, y, query, cfg.lengthscale,
                                          cfg.signal_variance,
                                          cfg.noise_variance, cfg.jitter)
         worst = max(worst, float(np.max(np.abs(mean - o_mean))),
                     float(np.max(np.abs(std - o_std))))
     # prior recovery and interpolation properties
-    model = gp_fit([0.0, 1.0, 2.0], [5.0, 7.0, 6.0], KernelConfig(lengthscale=2.0))
-    far_mean, far_std = model.predict([500.0])
+    model = gp_fit([[0.0], [1.0], [2.0]], [5.0, 7.0, 6.0], KernelConfig(lengthscale=2.0))
+    far_mean, far_std = model.predict([[500.0]])
     props_ok = (abs(far_mean[0] - 6.0) < 1e-3
                 and abs(far_std[0] - np.std([5.0, 7.0, 6.0])) < 1e-3)
-    interp = gp_fit([0.0], [1.0], KernelConfig(noise_variance=0.0)).predict([0.0])
+    interp = gp_fit([[0.0]], [1.0], KernelConfig(noise_variance=0.0)).predict([[0.0]])
     props_ok = props_ok and abs(interp[0][0] - 1.0) < 1e-6 and interp[1][0] <= 1e-6
     _report(capsys, 2, worst < 1e-8 and props_ok,
             f"max |GP - dense oracle| = {worst:.2e} over 100 datasets "

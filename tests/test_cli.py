@@ -269,10 +269,19 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("runtime error:")
 
-    @pytest.mark.parametrize("k", [3, 9, 17])
+    @pytest.mark.parametrize("method, batch, k", [
+        pytest.param("score", 1, 3, id="3"),
+        pytest.param("score", 1, 9, id="9"),
+        pytest.param("score", 1, 17, id="17"),
+        pytest.param("bo", 1, 9, id="bo-9"),
+        pytest.param("score", 3, 9, id="batch3-9"),
+        pytest.param("score", 3, 16, id="batch3-16"),
+    ])
     def test_raising_objective_exits_3_with_partial_trace(self, monkeypatch, tmp_path,
-                                                          capsys, k):
-        # k = 3 raises inside the 4-point initial design, 9 and 17 in steps
+                                                          capsys, method, batch, k):
+        # k = 3 raises inside the 4-point initial design, the others in steps;
+        # with B = 3, calls 9 and 16 are the middle and the last of a batch
+        args = self.RUN_ARGS + ["--method", method, "--batch", str(batch)]
         calls = []
 
         def raises_on_kth_call(point):
@@ -283,17 +292,19 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "ackley", raises_on_kth_call)
         with plain_logging():
-            code = main(self.RUN_ARGS + ["--out", str(tmp_path)])
+            code = main(args + ["--out", str(tmp_path)])
         assert code == 3 and len(calls) == k
         err = capsys.readouterr().err.splitlines()
         assert err == ["runtime error: the objective raised ZeroDivisionError: boom"]
         # the steps completed before the k-th call, as a complete run wrote them
-        main(self.RUN_ARGS + ["--out", str(tmp_path / "whole")])
-        whole = _strip_timing(tmp_path / "whole" / "score_ackley_seed3.csv")
-        partial = _strip_timing(tmp_path / "score_ackley_seed3.csv")
-        rows = max(0, k - 4)            # the design's row, then one per completed step
+        main(args + ["--out", str(tmp_path / "whole")])
+        stem = f"{method}_ackley_seed3"
+        whole = _strip_timing(tmp_path / "whole" / f"{stem}.csv")
+        partial = _strip_timing(tmp_path / f"{stem}.csv")
+        # the design's row, then one per step completed before the k-th call
+        rows = 0 if k <= 4 else 1 + (k - 1 - 4) // batch
         assert partial == whole[:1 + rows]
-        assert not (tmp_path / "score_ackley_seed3_convergence.svg").exists()
+        assert not (tmp_path / f"{stem}_convergence.svg").exists()
 
     def test_raising_objective_in_sweep_keeps_earlier_seeds(self, monkeypatch, tmp_path,
                                                             capsys):

@@ -237,7 +237,8 @@ class TestScoreDimension:
             oracle = self._oracle_scores(minima[d], n_grid, best)
             np.testing.assert_allclose(stacked[d, :n_grid], oracle, rtol=0, atol=1e-8)
             np.testing.assert_allclose(opt.score_dimension(d), oracle, rtol=0, atol=1e-8)
-        assert opt.gp_fit_count == 2 * len(lengths)
+        # score_dimension is row d of a full pass, which fits every dimension
+        assert opt.gp_fit_count == (1 + len(lengths)) * len(lengths)
 
     def test_random_tables_match_dense_oracle(self):
         # The fixed table above, drawn at random: every dimension's count
@@ -377,20 +378,10 @@ class TestInverseReuse:
 
 
 class TestSelectBatch:
-    def test_greedy_argmax_on_fresh_state(self):
-        opt = ScoreOptimizer(space=grid_space(2, 2), objective=lambda p: 0.0)
-        scores = [np.array([0.1, 0.9]), np.array([0.3, 0.2])]
-        assert opt.select_batch(scores) == [(1, 0)]
-
-    def test_argmax_ties_break_to_lowest_index(self):
-        opt = ScoreOptimizer(space=grid_space(3, 3), objective=lambda p: 0.0)
-        scores = [np.array([0.5, 0.5, 0.5]), np.array([0.1, 0.9, 0.9])]
-        assert opt.select_batch(scores) == [(0, 1)]
-
-    def test_evaluated_argmax_is_deduplicated(self):
+    def test_evaluated_top_tuple_is_not_returned(self):
         opt = ScoreOptimizer(space=grid_space(2, 2), objective=lambda p: 0.0)
         opt.history.evaluated.add((1, 0))
-        scores = [np.array([0.1, 0.9]), np.array([0.3, 0.2])]
+        scores = np.array([[0.1, 0.9], [0.3, 0.2]])
         batch = opt.select_batch(scores)
         assert len(batch) == 1
         assert batch[0] != (1, 0)
@@ -398,12 +389,12 @@ class TestSelectBatch:
     def test_large_batch_high_dims_distinct_and_deterministic(self):
         space = ackley_space(200)
         rng = np.random.default_rng(9)
-        scores = [rng.uniform(0, 1, 61) for _ in range(200)]
+        scores = rng.uniform(0, 1, (200, 61))
         batches = []
         for _ in range(2):
             opt = ScoreOptimizer(space=space, objective=ackley,
                                  batch_size=10, seed=5)
-            batches.append(opt.select_batch([s.copy() for s in scores]))
+            batches.append(opt.select_batch(scores.copy()))
         assert batches[0] == batches[1]
         assert len(batches[0]) == 10
         assert len(set(batches[0])) == 10
@@ -413,26 +404,29 @@ class TestSelectBatch:
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0)
         opt.history.evaluated = {(i, j) for i in range(2) for j in range(2)}
         with pytest.raises(SpaceExhausted):
-            opt.select_batch([np.ones(2), np.ones(2)])
+            opt.select_batch(np.ones((2, 2)))
 
     def test_batch_truncated_to_remaining_combinations(self):
         space = grid_space(2, 2)
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0,
                              batch_size=10)
         opt.history.evaluated = {(0, 0), (0, 1)}
-        batch = opt.select_batch([np.ones(2), np.ones(2)])
+        batch = opt.select_batch(np.ones((2, 2)))
         assert sorted(batch) == [(1, 0), (1, 1)]
 
     def test_softmax_tier_draws_like_rng_choice(self):
         space = grid_space(4, 5, 6)
         rng = np.random.default_rng(2)
         scores = [rng.uniform(0, 1, len(g)) for g in space.grids]
+        table = np.full((3, 6), -np.inf)
+        for d, s in enumerate(scores):
+            table[d, :len(s)] = s
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0,
                              batch_size=8, seed=3)
-        batch = opt.select_batch([s.copy() for s in scores])
+        batch = opt.select_batch(table)
 
         ref = np.random.default_rng(3)
-        expected = [tuple(int(np.argmax(s)) for s in scores)]
+        expected = []
         probs = []
         for s in scores:
             p = np.exp((s - s.max()) / (TAU_FRACTION * np.ptp(s)))
@@ -442,6 +436,21 @@ class TestSelectBatch:
             if t not in expected:
                 expected.append(t)
         assert batch == expected
+
+    def test_ragged_grids_score_and_select_only_grid_values(self):
+        space = grid_space(3, 7, 2, 5)
+        lengths = np.array(space.lengths)
+        opt = ScoreOptimizer(space=space, objective=lambda p: float(np.sum((p - 0.3) ** 2)),
+                             batch_size=8, seed=0)
+        opt.initialize(4)
+        for _ in range(10):
+            scores = opt._projection_scores()
+            assert np.array_equal(np.isneginf(scores), ~opt._grid_cells)
+            batch = opt.select_batch(scores)
+            assert len(batch) == 8
+            assert (np.array(batch) < lengths).all(), batch
+            for indices in batch:
+                opt.history.evaluate(indices)
 
 
 class TestLineEvidence:
@@ -453,8 +462,7 @@ class TestLineEvidence:
                              objective=table_objective(space, values))
         for indices in values:
             opt.history.evaluate(indices)
-        scores = [opt.score_dimension(d) for d in range(2)]
-        return opt.select_batch(scores)[0]
+        return opt.select_batch(opt._projection_scores())[0]
 
     def test_empty_line_follows_the_projection_evidence(self):
         # Dimension 0 has only the incumbent (30, 30) on its line; the other
@@ -677,7 +685,7 @@ class TestLineTableReuse:
         opt = ScoreOptimizer(space=grid_space(9, 9, 9),
                              objective=lambda p: float(np.sum(p)), seed=0)
         log = self._spy(opt)
-        scores = [np.zeros(9)] * 3
+        scores = np.zeros((3, 9))
 
         def posteriors_of_a_selection():
             log.clear()

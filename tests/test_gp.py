@@ -33,8 +33,8 @@ class TestDenseOracle:
         for _ in range(30):
             x, y, cfg = random_dataset(rng)
             query = np.concatenate([x[:3], rng.uniform(-5.0, 65.0, 20)])
-            model = gp_fit(x, y, cfg)
-            mean, std = model.predict(query)
+            model = gp_fit(x[:, None], y, cfg)
+            mean, std = model.predict(query[:, None])
             o_mean, o_std = dense_gp_predict(
                 x, y, query, cfg.lengthscale, cfg.signal_variance,
                 cfg.noise_variance, cfg.jitter)
@@ -45,9 +45,9 @@ class TestDenseOracle:
         x = np.array([0.0, 2.0, 5.0])
         y = np.array([1.0, -0.5, 0.25])
         cfg = KernelConfig(lengthscale=2.0, noise_variance=1e-3)
-        model = gp_fit(x, y, cfg)
+        model = gp_fit(x[:, None], y, cfg)
         query = np.linspace(-1.0, 6.0, 15)
-        mean, std = model.predict(query)
+        mean, std = model.predict(query[:, None])
         o_mean, o_std = dense_gp_predict(x, y, query, cfg.lengthscale,
                                          cfg.signal_variance,
                                          cfg.noise_variance, cfg.jitter)
@@ -107,8 +107,8 @@ class TestKernelMatrix:
 class TestInterpolation:
     def test_one_noiseless_pair_interpolates_exactly(self):
         cfg = KernelConfig(noise_variance=0.0)
-        model = gp_fit([0.0], [1.0], cfg)
-        mean, std = model.predict([0.0])
+        model = gp_fit([[0.0]], [1.0], cfg)
+        mean, std = model.predict([[0.0]])
         assert mean[0] == pytest.approx(1.0, abs=1e-9)
         assert std[0] <= 1e-6
 
@@ -116,8 +116,8 @@ class TestInterpolation:
         cfg = KernelConfig(lengthscale=2.0, noise_variance=0.0)
         x = np.array([0.0, 3.0, 7.0, 12.0])
         y = np.array([4.0, -1.0, 0.5, 2.0])
-        model = gp_fit(x, y, cfg)
-        mean, std = model.predict(x)
+        model = gp_fit(x[:, None], y, cfg)
+        mean, std = model.predict(x[:, None])
         np.testing.assert_allclose(mean, y, atol=1e-6, rtol=0)
         assert np.all(std <= 1e-5)
 
@@ -125,8 +125,8 @@ class TestInterpolation:
         cfg = KernelConfig(lengthscale=2.0)
         x = np.array([0.0, 1.0, 2.0])
         y = np.array([5.0, 7.0, 6.0])
-        model = gp_fit(x, y, cfg)
-        mean, std = model.predict([500.0])
+        model = gp_fit(x[:, None], y, cfg)
+        mean, std = model.predict([[500.0]])
         target_std = np.std(y)
         assert mean[0] == pytest.approx(np.mean(y), abs=1e-3)
         assert std[0] == pytest.approx(target_std, abs=1e-3)
@@ -136,11 +136,11 @@ class TestProperties:
     def test_batch_query_equals_single_queries(self):
         rng = np.random.default_rng(3)
         x, y, cfg = random_dataset(rng)
-        model = gp_fit(x, y, cfg)
+        model = gp_fit(x[:, None], y, cfg)
         query = np.linspace(0.0, 60.0, 61)
-        mean_b, std_b = model.predict(query)
+        mean_b, std_b = model.predict(query[:, None])
         for i, q in enumerate(query):
-            mean_1, std_1 = model.predict([q])
+            mean_1, std_1 = model.predict([[q]])
             assert abs(mean_b[i] - mean_1[0]) <= 1e-12
             assert abs(std_b[i] - std_1[0]) <= 1e-12
 
@@ -148,8 +148,8 @@ class TestProperties:
         rng = np.random.default_rng(4)
         for _ in range(20):
             x, y, cfg = random_dataset(rng)
-            model = gp_fit(x, y, cfg)
-            _, std = model.predict(rng.uniform(-10.0, 70.0, 50),
+            model = gp_fit(x[:, None], y, cfg)
+            _, std = model.predict(rng.uniform(-10.0, 70.0, 50)[:, None],
                                    standardized=True)
             bound = cfg.signal_variance + cfg.noise_variance + 10 * cfg.jitter
             assert np.all(std**2 <= bound + 1e-12)
@@ -161,12 +161,12 @@ class TestProperties:
             i = int(rng.integers(len(x)))
             x2 = np.append(x, x[i])
             y2 = np.append(y, y[i])
-            query = rng.uniform(-5.0, 65.0, 30)
+            query = rng.uniform(-5.0, 65.0, 30)[:, None]
             # in standardized units the posterior std depends on the inputs
             # only, so the duplicate's shift of the standardization constants
             # does not enter
-            _, std_before = gp_fit(x, y, cfg).predict(query, standardized=True)
-            _, std_after = gp_fit(x2, y2, cfg).predict(query, standardized=True)
+            _, std_before = gp_fit(x[:, None], y, cfg).predict(query, standardized=True)
+            _, std_after = gp_fit(x2[:, None], y2, cfg).predict(query, standardized=True)
             assert np.all(std_after <= std_before + 1e-8)
 
     @settings(max_examples=40, deadline=None)
@@ -178,10 +178,10 @@ class TestProperties:
         y = np.array([p[1] for p in pairs])
         cfg = KernelConfig(lengthscale=ls, noise_variance=1e-4)
         try:
-            model = gp_fit(x, y, cfg)
+            model = gp_fit(x[:, None], y, cfg)
         except SurrogateError:
             return  # pathological conditioning is an allowed, signaled outcome
-        mean, std = model.predict(np.linspace(-60, 60, 25))
+        mean, std = model.predict(np.linspace(-60, 60, 25)[:, None])
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
         assert np.all(std >= 0.0)
 
@@ -354,7 +354,7 @@ class TestFarColumns:
         # columns a few octaves above the floor already move the variance
         rng = np.random.default_rng(9)
         x = np.array([0.0, 2.0, 4.0, 7.0])
-        model = gp_fit(x, rng.normal(size=4),
+        model = gp_fit(x[:, None], rng.normal(size=4),
                        KernelConfig(lengthscale=3.0, signal_variance=signal,
                                     noise_variance=noise))
         query = near_floor(model)
@@ -371,7 +371,7 @@ class TestFarColumns:
 
         with monkeypatch.context() as m:
             m.setattr(gp_mod.np.linalg, "cholesky", picky_cholesky)
-            model = gp_fit([0.0, 2.0, 4.0, 7.0], [0.5, -1.0, 0.25, 2.0],
+            model = gp_fit([[0.0], [2.0], [4.0], [7.0]], [0.5, -1.0, 0.25, 2.0],
                            KernelConfig(lengthscale=3.0, noise_variance=0.0))
         assert model._jitter > 1e-4
         query = near_floor(model)
@@ -413,7 +413,8 @@ def fit_cases():
     """(x, y, cfg): the random 1D datasets and BO's [0, 1]-scaled 300 x 10 rows."""
     rng = np.random.default_rng(1)
     for _ in range(30):
-        yield random_dataset(rng)
+        x, y, cfg = random_dataset(rng)
+        yield x[:, None], y, cfg
     joint = KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE)
     for _ in range(3):
         yield rng.integers(0, 61, size=(300, 10)) / 60.0, rng.normal(size=300), joint
@@ -450,7 +451,7 @@ class TestCholeskyFit:
             return real_cholesky(k)
 
         monkeypatch.setattr(gp_mod.np.linalg, "cholesky", picky_cholesky)
-        model = gp_fit(x, y, KernelConfig(noise_variance=0.0))
+        model = gp_fit(x[:, None], y, KernelConfig(noise_variance=0.0))
         monkeypatch.undo()
         assert model._jitter >= 1e-6
         assert model.chol.tobytes() == np.linalg.cholesky(dense_system(model)).tobytes()
@@ -473,9 +474,8 @@ class TestGridInverses:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_growth_one_cell_at_a_time_keeps_fresh_bits(self, seed):
-        # Ragged masks on a 20-value grid grow one cell at a time until full;
-        # each growth is refreshed through the whole store or, as
-        # score_dimension does, through the one-row slice that grew.
+        # Ragged masks on a 20-value grid grow one cell at a time until full,
+        # each growth refreshed through the whole store.
         rng = np.random.default_rng(seed)
         gps, grid = 10, 20
         steps = np.arange(grid, dtype=float)[:, None]
@@ -485,16 +485,13 @@ class TestGridInverses:
         observed = np.zeros((gps, grid), dtype=bool)
         observed[np.arange(gps), rng.integers(0, lengths)] = True
         kept = gp_mod.GridInverses(gps, grid)
-        kept.refresh(kern, observed, noise, slice(None))
+        kept.refresh(kern, observed, noise)
         while (free := np.argwhere(~observed & (np.arange(grid) < lengths[:, None]))).size:
             r, v = free[rng.integers(len(free))]
             observed[r, v] = True
-            if rng.random() < 0.5:
-                kept.refresh(kern, observed, noise, slice(None))
-            else:
-                kept.refresh(kern, observed[r:r + 1], noise, slice(r, r + 1))
+            kept.refresh(kern, observed, noise)
             fresh = gp_mod.GridInverses(gps, grid)
-            fresh.refresh(kern, observed, noise, slice(None))
+            fresh.refresh(kern, observed, noise)
             assert kept.inverse.tobytes() == fresh.inverse.tobytes()
             assert kept.explained.tobytes() == fresh.explained.tobytes()
             assert np.array_equal(kept.count, observed.sum(axis=1))
@@ -515,22 +512,22 @@ class TestGridInverses:
         steps = np.arange(grid, dtype=float)[:, None]
         kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=3.0))
         store = gp_mod.GridInverses(2, grid)
-        store.refresh(kern, np.ones((2, grid), dtype=bool), 1e-6, slice(None))
+        store.refresh(kern, np.ones((2, grid), dtype=bool), 1e-6)
         k_oo = kern + 1e-6 * np.eye(grid)
         assert store.inverse[1].tobytes() == np.linalg.inv(k_oo).tobytes()
 
 
 class TestFitMechanics:
     def test_constant_targets_use_unit_std(self):
-        model = gp_fit([0.0, 1.0, 2.0], [3.0, 3.0, 3.0], KernelConfig())
+        model = gp_fit([[0.0], [1.0], [2.0]], [3.0, 3.0, 3.0], KernelConfig())
         assert model.target_std == 1.0
-        mean, _ = model.predict([1.0])
+        mean, _ = model.predict([[1.0]])
         assert mean[0] == pytest.approx(3.0, abs=1e-6)
 
     def test_duplicate_noiseless_inputs_still_fit(self):
         cfg = KernelConfig(noise_variance=0.0)
-        model = gp_fit([1.0, 1.0], [0.0, 1.0], cfg)
-        mean, std = model.predict([1.0])
+        model = gp_fit([[1.0], [1.0]], [0.0, 1.0], cfg)
+        mean, std = model.predict([[1.0]])
         assert np.isfinite(mean[0]) and std[0] >= 0.0
 
     def test_jitter_escalates_until_cholesky_succeeds(self, monkeypatch):
@@ -543,7 +540,7 @@ class TestFitMechanics:
             return real_cholesky(k)
 
         monkeypatch.setattr(gp_mod.np.linalg, "cholesky", picky_cholesky)
-        model = gp_fit([0.0, 5.0], [0.0, 1.0], KernelConfig(noise_variance=0.0))
+        model = gp_fit([[0.0], [5.0]], [0.0, 1.0], KernelConfig(noise_variance=0.0))
         assert 1e-8 <= model._jitter <= 1e-6  # escalated from the 1e-12 default
 
     def test_surrogate_error_when_jitter_cap_exhausted(self, monkeypatch):
@@ -554,11 +551,11 @@ class TestFitMechanics:
 
         monkeypatch.setattr(gp_mod.np.linalg, "cholesky", failing_cholesky)
         with pytest.raises(SurrogateError):
-            gp_fit([0.0, 5.0], [0.0, 1.0], KernelConfig())
+            gp_fit([[0.0], [5.0]], [0.0, 1.0], KernelConfig())
 
     def test_fit_of_61_points_under_10ms(self):
         rng = np.random.default_rng(6)
-        x = np.arange(61, dtype=float)
+        x = np.arange(61, dtype=float)[:, None]
         y = rng.normal(size=61)
         cfg = KernelConfig()
         gp_fit(x, y, cfg)  # warm-up
@@ -567,13 +564,25 @@ class TestFitMechanics:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            gp_fit([0.0, 1.0], [1.0], KernelConfig())
+            gp_fit([[0.0], [1.0]], [1.0], KernelConfig())
         with pytest.raises(ValueError):
-            gp_fit([], [], KernelConfig())
+            gp_fit(np.empty((0, 1)), [], KernelConfig())
         with pytest.raises(ValueError):
-            gp_fit([0.0, np.nan], [1.0, 2.0], KernelConfig())
+            gp_fit([[0.0], [np.nan]], [1.0, 2.0], KernelConfig())
         with pytest.raises(ValueError):
-            gp_fit([0.0, 1.0], [1.0, np.inf], KernelConfig())
+            gp_fit([[0.0], [1.0]], [1.0, np.inf], KernelConfig())
+
+    def test_inputs_other_than_rows_raise(self):
+        # gp_fit and predict take (n, d) only: a 1-D input is ambiguous
+        # between n scalar points and one d-dim point
+        with pytest.raises(ValueError, match="got shape"):
+            gp_fit([0.0, 1.0], [1.0, 2.0], KernelConfig())
+        with pytest.raises(ValueError, match="got shape"):
+            gp_fit(0.0, [1.0], KernelConfig())
+        model = gp_fit([[0.0], [1.0]], [1.0, 2.0], KernelConfig())
+        for query in ([0.5], 0.5, np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError, match="got shape"):
+                model.predict(query)
 
     def test_query_dimensionality_mismatch_raises(self):
         model = gp_fit(np.zeros((3, 2)), [1.0, 2.0, 3.0], KernelConfig())
