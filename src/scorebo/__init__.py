@@ -3,8 +3,8 @@
 from .acquisition import expected_improvement, score_grid
 from .baseline import BoOptimizer
 from .engine import ProjectionTable, ScoreOptimizer
-from .errors import (ConfigurationError, SolverError, SpaceExhausted,
-                     SurrogateError)
+from .errors import (ConfigurationError, ObjectiveError, SolverError,
+                     SpaceExhausted, SurrogateError)
 from .gp import GpModel, KernelConfig, gp_fit
 from .space import (EvaluationRecord, History, ParameterGrid, SearchSpace,
                     StepResult, make_grid)
@@ -12,7 +12,7 @@ from .space import (EvaluationRecord, History, ParameterGrid, SearchSpace,
 __all__ = [
     "expected_improvement", "score_grid",
     "BoOptimizer", "ProjectionTable", "ScoreOptimizer",
-    "ConfigurationError", "SolverError", "SpaceExhausted", "SurrogateError",
+    "ConfigurationError", "ObjectiveError", "SolverError", "SpaceExhausted", "SurrogateError",
     "GpModel", "KernelConfig", "gp_fit",
     "EvaluationRecord", "History", "ParameterGrid", "SearchSpace", "StepResult",
     "make_grid",

@@ -146,10 +146,10 @@ class BoOptimizer:
 
         row = 0
         if model is not None:
-            # the pool holds only unevaluated tuples and the training rows
-            # only evaluated ones, so no query is a training input
+            # the pool holds only unevaluated tuples, so predict finds no
+            # query equal to a training input and solves none for one
             mu, sigma = model.predict(pool / self._scale, standardized=True,
-                                      at_train_points=False, work=self._kernel_work)
+                                      work=self._kernel_work)
             z_best = (self.history.best.value - model.target_mean) / model.target_std
             scores = score_grid(mu, sigma, z_best, ZETA)
             row = int(np.argmax(scores))

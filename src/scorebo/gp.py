@@ -5,13 +5,12 @@ the classical baseline (and the tests). Targets are standardized inside the
 model, so kernel variances are expressed in standardized target units
 (signal_variance=1.0 means "the sample variance of the targets").
 
-Only ``gp_fit``, ``GpModel.predict`` and ``GpModel._stabilize_at_train_points``
-need ``scipy.linalg`` (its triangular solve against the Cholesky factor).
-Each imports it inside the function: the decomposed optimizer never calls
-them, and importing ``scipy.linalg`` at module scope would cost every
-decomposed run about 6 MiB resident and 40-75 ms of start-up.
-``BoOptimizer`` imports it when constructed, so that its first step does
-not pay for it.
+``gp_fit`` and ``GpModel.predict`` need ``scipy.linalg`` (its triangular
+solve against the Cholesky factor) and import it inside the function: the
+decomposed optimizer never calls them, and importing ``scipy.linalg`` at
+module scope would cost every decomposed run about 6 MiB resident and
+40-75 ms of start-up. ``BoOptimizer`` imports it when constructed, so that
+its first step does not pay for it.
 
 ``GpModel.predict`` solves only the queries near some training input. A
 query's variance is signal - k^T K^-1 k, and k^T K^-1 k <= |k|^2 /
@@ -20,7 +19,9 @@ Where |k|^2 < signal * 2^-56 * (noise + jitter), that is under a quarter of
 half an ulp of signal, so the full solve would return signal to the bit;
 the variance is set to signal without it. At the baseline's lengthscale
 0.08 on [0, 1]^10 that leaves 5-6 % of the pool in the solve at 20
-evaluations and 25 % at 300.
+evaluations and 25 % at 300. The same column norms pick out the queries
+that may equal a training input: only a column with an entry near signal
+can hold one, and the baseline's pool has none.
 
 A fitted ``GpModel`` is never modified, so concurrent predicts are safe
 unless two of them share one work area: ``predict`` can write its
@@ -35,10 +36,10 @@ grid steps. ``stacked_posterior`` solves many of them at once;
 coordinates, inverted again only when its training indices change, so all
 of them are solved for new targets in one batched pass. Training indices only
 grow, so a new inverse is written over its block of the store, which covers
-the old block, and nothing is cleared first. Both solve their GPs in stacks
-bounded in cells, not in rows: a stack's (rows, n, G) working set holds at
-most ``STACK_CELLS`` cells, so GPs with few training indices share a large
-stack and 16 GPs on a whole 61-value grid fill one.
+the old block, and nothing is cleared first. Both solve their GPs through
+one routine, in stacks whose (rows, n, G) working set, written into a work
+area, holds at most ``STACK_CELLS`` cells: GPs with few training indices
+share a large stack, and 16 GPs on a whole 61-value grid fill one.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ class GpModel:
     _jitter: float = 1e-12       # jitter actually used (after any escalation)
 
     def predict(self, query_points, standardized: bool = False, *,
-                at_train_points: bool = True,
                 work: tuple[np.ndarray, np.ndarray] | None = None):
         """Posterior mean and std at each query point, a row of an (n, d) array.
 
@@ -137,19 +137,20 @@ class GpModel:
         stay in the model's internal target scale; otherwise they are mapped
         back to objective units. Variances are clamped at 0 before sqrt.
 
-        At a query equal to a training input the variance is computed in a
-        cancellation-free form, which needs a lookup of the queries among
-        the training inputs. A caller that knows no query equals a training
-        input, as the baseline does (its pool holds only unevaluated tuples),
-        may pass ``at_train_points=False`` to skip the lookup; the result is
-        then the same. At a query that does equal one, the variance would
-        keep the direct expression's rounding error.
-
         The triangular solve for the variance takes only the queries whose
         |k|^2 reaches signal * 2^-56 * (noise + jitter), with the jitter the
         fit used. The others get the variance signal, which is what the
         full solve gives them bit for bit: their k^T K^-1 k is at most
         |k|^2 / (noise + jitter), under a quarter of half an ulp of signal.
+
+        At a query equal to a training input the variance is computed in a
+        cancellation-free form. Such a query's column holds that input's
+        entry, signal up to the rounding of their squared distance, so only
+        columns with an entry of at least (1 - 2^-10) * signal are compared
+        with the inputs. This finds every equal pair while each input's
+        squared distance to itself rounds below 2^-11 * lengthscale^2: for
+        every x with |x|^2 <= 2^41 * lengthscale^2 / d in d dimensions, and
+        for integer-valued x with |x|^2 < 2^53, where nothing rounds.
 
         ``work`` is a caller-owned work area for the (training, query)
         kernel, as ``kernel_matrix`` takes it. It saves two such arrays per
@@ -172,7 +173,8 @@ class GpModel:
         # the factor 4 under half an ulp covers the solve's rounding, and a
         # NaN column stays in the solve
         floor = signal * 2.0**-56 * (self.kernel.noise_variance + self._jitter)
-        near = ~(np.einsum("ij,ij->j", k_star, k_star) < floor)
+        norms = np.einsum("ij,ij->j", k_star, k_star)
+        near = ~(norms < floor)
         if np.count_nonzero(near) == 1:
             # one column takes BLAS's single-vector solve, whose bits differ
             # from the block solve's: solve a second one along
@@ -184,36 +186,35 @@ class GpModel:
                              check_finite=False)
         v *= v
         var[near] = signal - np.sum(v, axis=0)
-        if at_train_points:
-            self._stabilize_at_train_points(query, var)
+        self._stabilize_at_training_inputs(query, var, k_star, norms)
         std = np.sqrt(np.maximum(var, 0.0))
         if standardized:
             return mean, std
         return self.target_mean + self.target_std * mean, self.target_std * std
 
-    def _stabilize_at_train_points(self, query: np.ndarray, var: np.ndarray) -> None:
-        """Replace the variance at queries equal to training inputs in place.
+    def _stabilize_at_training_inputs(self, query: np.ndarray, var: np.ndarray,
+                                      k_star: np.ndarray, norms: np.ndarray) -> None:
+        """Set the variance at queries equal to training inputs, in place.
 
-        The direct expression signal - sum(v^2) loses all significant digits
-        when the posterior variance is ~(noise+jitter): both operands round
-        at ~1e-16 of the signal. For a query x equal to training input i the
-        algebraically equivalent form var = j * (1 - j * (K^-1)_ii) with
-        j = noise + jitter involves no cancellation, so it is used verbatim.
+        There signal - sum(v^2) has no significant digits left, as the
+        variance is ~(noise + jitter); j * (1 - j * (K^-1)_ii), with
+        j = noise + jitter and i the equal input, is the same without the
+        cancellation. ``norms`` are the squared column norms of ``k_star``.
         """
-        j = self.kernel.noise_variance + self._jitter
-        # (training row, query) pairs of equal inputs, found by lookup and
-        # sorted as np.nonzero orders an equality matrix: the solve below
-        # sees the same right-hand sides, and a query equal to several
-        # training rows takes the last row's value
-        where: dict[tuple, list[int]] = {}
-        for i, x in enumerate(map(tuple, self.train_inputs.tolist())):
-            where.setdefault(x, []).append(i)
-        pairs = sorted((i, q) for q, x in enumerate(map(tuple, query.tolist()))
-                       for i in where.get(x, ()))
-        if not pairs:
+        # an equal input's entry is near signal (see predict), and a column
+        # holding an entry e has a squared norm of at least e^2
+        top = (1.0 - 2.0**-10) * self.kernel.signal_variance
+        cand = np.flatnonzero(norms >= top * top)
+        # (training row, query) pairs sorted by row, then query: a query
+        # equal to several training rows takes the last row's value
+        rows, cols = np.nonzero(k_star[:, cand] >= top)
+        cols = cand[cols]
+        equal = np.all(self.train_inputs[rows] == query[cols], axis=1)
+        rows, cols = rows[equal], cols[equal]
+        if not len(rows):
             return
         from scipy.linalg import solve_triangular   # only the joint GP needs it
-        rows, cols = np.array(pairs).T
+        j = self.kernel.noise_variance + self._jitter
         unit = np.zeros((len(self.train_inputs), len(rows)))
         unit[rows, np.arange(len(rows))] = 1.0
         z = solve_triangular(self.chol, unit, lower=True, check_finite=False)
@@ -285,13 +286,9 @@ class GridInverses:
         self.count = np.zeros(gps, dtype=int)
         self.inverse = np.zeros((gps, grid, grid))
         self.explained = np.zeros((gps, grid))
-        # one stack's working set, kept so that a stack maps no new pages:
-        # its flat indices, and its cross covariances, training kernels and
-        # the products of those with the inverses. A stack holds one GP at
-        # least, whose working set is at most grid^2 cells
-        cells = max(STACK_CELLS, grid * grid)
-        self._cells = np.empty(cells, dtype=np.intp)
-        self._work = np.empty((3, cells))
+        # one stack's work area, kept so that a stack maps no new pages; a
+        # stack holds one GP at least, of at most grid^2 working-set cells
+        self._work = _work_area(max(STACK_CELLS, grid * grid))
 
     def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float) -> None:
         """Invert again those GPs whose count changed.
@@ -313,13 +310,8 @@ class GridInverses:
             size = _stack_rows(n, grid)
             for lo in range(0, len(rows), size):
                 r = rows[lo:lo + size]
-                i = idx[lo:lo + size]
-                cells = np.add((i * grid)[:, :, None], i[:, None, :],
-                               out=_view(self._cells, len(r), n, n))
-                k_so = np.take(kern, i, axis=0, mode="clip",
-                               out=_view(self._work[0], len(r), n, grid))
-                k_inv, self.explained[r] = _inverse(kern, cells, k_so, noise,
-                                                    work=self._work[1:])
+                cells, _, k_inv, self.explained[r] = _inverse(
+                    kern, idx[lo:lo + size], noise, 1.0, self._work)
                 cells += (r * grid * grid)[:, None, None]    # now into the store
                 store[cells] = k_inv
             self.count[rows] = n
@@ -338,16 +330,16 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
     explain there.
     """
     grid = kern.shape[1]
-    mean = np.empty((len(idx), grid))
-    explained = np.empty_like(mean)
-    size = _stack_rows(idx.shape[1], grid)
-    for lo in range(0, len(idx), size):
+    rows, n = idx.shape
+    mean, explained = np.empty((2, rows, grid))
+    size = _stack_rows(n, grid)
+    # a padded row may hold more indices than its kernel has grid values
+    work = _work_area(min(rows, size) * n * max(n, grid))
+    for lo in range(0, rows, size):
         part = slice(lo, lo + size)
-        i, a2 = idx[part], scale[part, None, None]
-        k_so = kern[i]                                    # (rows, n, G)
-        k_so *= a2
-        k_inv, explained[part] = _inverse(kern, i[:, :, None] * grid + i[:, None, :],
-                                          k_so, noise[part] * a2[:, 0], a2)
+        a2 = scale[part, None, None]
+        noise_a2 = noise[part] * a2[:, 0]
+        _, k_so, k_inv, explained[part] = _inverse(kern, idx[part], noise_a2, a2, work)
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[part])
         mean[part] = np.einsum("dng,dn->dg", k_so, alpha)
     return mean, explained
@@ -363,27 +355,34 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _inverse(kern, cells, k_so, noise, a2=None, work=None):
-    """Inverse training kernels of a stack and the prior variance explained.
+def _work_area(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and three float buffers, each of ``cells`` cells."""
+    return np.empty(cells, dtype=np.intp), np.empty((3, cells))
 
-    Row r's training kernel is ``a2[r]`` (1 if None) times the entries of
-    ``kern`` at the flat indices ``cells[r]``, an (n, n) block, plus
-    ``noise[r]`` on the diagonal. ``work``, if given, is a pair of flat
-    buffers of at least ``k_so.size`` cells that the training kernels and
-    ``k_inv @ k_so`` are written into instead of new arrays.
+
+def _inverse(kern, idx, noise, scale, work):
+    """Inverse training kernels of a stack of 1D GPs and the variance explained.
+
+    Row r is a GP trained at the grid indices ``idx[r]``, with kernel ``kern``
+    (over grid steps) times ``scale`` (broadcast over (rows, n, n); 1.0 is
+    exact) and ``noise`` added to its diagonal. ``work``, from ``_work_area``,
+    holds rows * n * max(n, G) cells. Returns the flat indices of the training
+    kernels in ``kern``, the cross covariances (rows, n, G), both views of
+    ``work``, the inverses and the prior variance explained (rows, G).
     """
-    if work is None:
-        k_oo = kern.take(cells)
-    else:
-        # indices from a mask of the grid are in range: "clip" writes
-        # straight into the buffer, where "raise" would copy through another
-        k_oo = kern.take(cells, mode="clip", out=_view(work[0], *cells.shape))
-    if a2 is not None:
-        k_oo *= a2
-    n = cells.shape[1]
-    k_oo.reshape(len(k_oo), n * n)[:, ::n + 1] += noise     # the diagonals
+    rows, n = idx.shape
+    grid = kern.shape[1]
+    flat, buf = work
+    cells = np.add((idx * grid)[:, :, None], idx[:, None, :], out=_view(flat, rows, n, n))
+    # indices from the grid are in range: "clip" writes straight into the
+    # buffer, where "raise" would copy through another
+    k_so = np.take(kern, idx, axis=0, mode="clip", out=_view(buf[0], rows, n, grid))
+    k_so *= scale
+    k_oo = kern.take(cells, mode="clip", out=_view(buf[1], rows, n, n))
+    k_oo *= scale
+    k_oo.reshape(rows, n * n)[:, ::n + 1] += noise     # the diagonals
     # an inverse per GP, not np.linalg.solve: on these stacks the solve
     # costs several times more
     k_inv = np.linalg.inv(k_oo)
-    prod = np.matmul(k_inv, k_so, out=None if work is None else _view(work[1], *k_so.shape))
-    return k_inv, np.einsum("dng,dng->dg", k_so, prod)
+    prod = np.matmul(k_inv, k_so, out=_view(buf[2], rows, n, grid))
+    return cells, k_so, k_inv, np.einsum("dng,dng->dg", k_so, prod)

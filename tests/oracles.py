@@ -10,8 +10,10 @@ updates. The exceptions are bit-level references: ``se_kernel_expression``,
 the kernel as one array expression, kept verbatim for ``gp.kernel_matrix``,
 which performs the same operations halved on one buffer; and
 ``full_solve_predict``, the joint GP's predict with the triangular solve
-over every query, for ``GpModel.predict``, which leaves out the queries too
-far from the training inputs for the solve to change their variance.
+over every query and an equality scan of every (training row, query) pair,
+for ``GpModel.predict``, which leaves out the queries too far from the
+training inputs for the solve to change their variance and compares with the
+training inputs only the queries whose kernel column could hold an equal one.
 """
 
 from __future__ import annotations
@@ -41,11 +43,14 @@ def se_kernel_expression(a: np.ndarray, b: np.ndarray, cfg) -> np.ndarray:
     return cfg.signal_variance * np.exp(-0.5 * sq / cfg.lengthscale**2)
 
 
-def full_solve_predict(model, query_points, standardized=False, *,
-                       at_train_points=True, work=None):
+def full_solve_predict(model, query_points, standardized=False, *, work=None):
     """``GpModel.predict`` with the solve over all queries, rows of a 2-D array.
 
-    ``work`` is accepted and not used: a work area changes no value.
+    At each query equal to a training input, found by an N x queries x d
+    equality scan, the variance takes the cancellation-free form
+    j * (1 - j * (K^-1)_ii), j = noise + jitter; a query equal to several
+    training rows takes the last row's value. ``work`` is accepted and not
+    used: a work area changes no value.
     """
     query = np.asarray(query_points, dtype=float)
     k_star = se_kernel_expression(model.train_inputs, query, model.kernel)
@@ -53,8 +58,14 @@ def full_solve_predict(model, query_points, standardized=False, *,
     v = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
     v *= v
     var = model.kernel.signal_variance - np.sum(v, axis=0)
-    if at_train_points:
-        model._stabilize_at_train_points(query, var)
+    matches = np.all(model.train_inputs[:, None, :] == query[None, :, :], axis=2)
+    rows, cols = np.nonzero(matches)
+    if len(rows):
+        j = model.kernel.noise_variance + model._jitter
+        unit = np.zeros((len(model.train_inputs), len(rows)))
+        unit[rows, np.arange(len(rows))] = 1.0
+        z = solve_triangular(model.chol, unit, lower=True, check_finite=False)
+        var[cols] = j * (1.0 - j * np.sum(z * z, axis=0))
     std = np.sqrt(np.maximum(var, 0.0))
     if standardized:
         return mean, std

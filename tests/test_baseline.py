@@ -113,17 +113,16 @@ class TestStepInputs:
         predict, pools = GpModel.predict, []
 
         def checked(model, query, standardized=False, **kwargs):
-            assert kwargs.keys() == {"at_train_points", "work"}
-            assert kwargs["at_train_points"] is False
+            assert kwargs.keys() == {"work"}
             pool = set(map(tuple, np.rint(query * opt._scale).astype(int).tolist()))
             assert len(pool) == len(query)
             assert not pool & opt.history.evaluated
-            lookup = predict(model, query, standardized)
-            skipped = predict(model, query, standardized, **kwargs)
-            for a, b in zip(lookup, skipped):
+            allocating = predict(model, query, standardized)
+            in_work_area = predict(model, query, standardized, **kwargs)
+            for a, b in zip(allocating, in_work_area):
                 assert a.tobytes() == b.tobytes()
             pools.append(len(query))
-            return skipped
+            return in_work_area
 
         monkeypatch.setattr(GpModel, "predict", checked)
         opt.initialize(2 * dims)

@@ -7,7 +7,8 @@ kept in grid coordinates (``GridInverses``), and the line tables kept while
 same drawn case: once as is, and once with a fresh ``GridInverses`` and the
 kept line tables marked stale before every step, so that every inverse and
 every line table is computed again. Both runs must score the grids to the
-same bits, evaluate the same batches and record the same values.
+same bits, evaluate the same batches and record the same values; when the
+objective raises on a drawn call, both must stop on that call.
 
 The kept tables are marked stale rather than dropped: their line posterior
 is also what re-anchoring reads when the incumbent moves (a level the new
@@ -30,7 +31,8 @@ from scorebo.space import SearchSpace, make_grid
 
 @st.composite
 def cases(draw):
-    """A ragged search space, a batch size, a step count and an objective seed.
+    """A ragged search space, a batch size, a step count, an objective seed and
+    the call, if any, on which the objective raises.
 
     Each dimension takes one of a few grid specs, so dimensions that draw
     the same spec have identical grids and pool their line evidence.
@@ -44,18 +46,27 @@ def cases(draw):
     return dict(space=SearchSpace(grids), batch=draw(st.integers(1, 4)),
                 n_init=draw(st.integers(1, 6)), steps=draw(st.integers(1, 25)),
                 seed=draw(st.integers(0, 2**16)),
-                bad=draw(st.sampled_from([0.0, 0.1, 0.3])))
+                bad=draw(st.sampled_from([0.0, 0.1, 0.3])),
+                raise_at=draw(st.none() | st.integers(1, 40)))
 
 
-def make_objective(space, seed, bad):
+class Raised(Exception):
+    """What the objective raises on its ``raise_at``-th call."""
+
+
+def make_objective(space, seed, bad, raise_at, calls):
     """A smooth objective with one coupling term, NaN or inf at a share ``bad``
     of the points; a pure function of the point, so both runs see the same
-    values."""
+    values, except that call ``raise_at`` (counted in the list ``calls``)
+    raises ``Raised``."""
     rng = np.random.default_rng(seed)
     centre = rng.uniform(0.0, 2.0, space.dims)
     weight = rng.uniform(0.5, 2.0, space.dims)
 
     def objective(point):
+        calls.append(point)
+        if len(calls) == raise_at:
+            raise Raised(f"call {raise_at}")
         x = np.asarray(point)
         value = float(np.sum(weight * (x - centre) ** 2) + 0.3 * math.sin(5.0 * x.sum()))
         key = int(abs(value) * 1e9) % 1000
@@ -67,9 +78,11 @@ def make_objective(space, seed, bad):
 
 
 def run(case, cache_free):
-    """Batches, projection score tables, records and rejections of one run."""
-    space = case["space"]
-    opt = ScoreOptimizer(space=space, objective=make_objective(space, case["seed"], case["bad"]),
+    """Batches, projection score tables, records, rejections and objective
+    calls of one run."""
+    space, calls = case["space"], []
+    objective = make_objective(space, case["seed"], case["bad"], case["raise_at"], calls)
+    opt = ScoreOptimizer(space=space, objective=objective,
                          batch_size=case["batch"], seed=case["seed"])
     batches, scores = [], []
     projection_scores = opt._projection_scores
@@ -89,10 +102,10 @@ def run(case, cache_free):
                 if kept is not None:
                     opt._line_tables_kept = dataclasses.replace(kept, version=-1)
             batches.append(opt.step().batch)
-    except (SpaceExhausted, SurrogateError) as exc:
+    except (SpaceExhausted, SurrogateError, Raised) as exc:
         batches.append(type(exc).__name__)
     records = [(r.indices, r.value) for r in opt.history.records]
-    return batches, scores, records, opt.history.n_rejected
+    return batches, scores, records, opt.history.n_rejected, len(calls)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import scorebo
 from scorebo import cli
 from scorebo.cli import (RunConfig, aggregate_median, build_parser, load_config,
                          main, run_experiment)
@@ -325,6 +326,9 @@ class TestCommands:
         assert len(_strip_timing(tmp_path / "score_ackley_seed1.csv")) == 1 + 6
         assert not (tmp_path / "score_ackley_seed2.csv").exists()
         assert not (tmp_path / "score_ackley_median.csv").exists()
+
+    def test_objective_error_is_exported(self):
+        assert scorebo.ObjectiveError is scorebo.errors.ObjectiveError
 
     @pytest.mark.parametrize("edit, key", [
         (lambda lines: [ln for ln in lines if not ln.startswith("vmp=")], "vmp"),

@@ -186,58 +186,54 @@ class TestProperties:
         assert np.all(std >= 0.0)
 
 
-def scan_stabilize(model, query, var):
-    """The former training-point match: an N × queries × D equality scan."""
-    j = model.kernel.noise_variance + model._jitter
-    matches = np.all(model.train_inputs[:, None, :] == query[None, :, :], axis=2)
-    rows, cols = np.nonzero(matches)
-    if len(rows) == 0:
-        return
-    unit = np.zeros((len(model.train_inputs), len(rows)))
-    unit[rows, np.arange(len(rows))] = 1.0
-    z = solve_triangular(model.chol, unit, lower=True, check_finite=False)
-    var[cols] = j * (1.0 - j * np.sum(z * z, axis=0))
-
-
 class TestTrainingPointVariance:
-    """The lookup of training points gives the equality scan's digits."""
+    """Predict finds the queries equal to training inputs as the equality
+    scan of ``full_solve_predict`` does, and gives its digits."""
 
     @staticmethod
-    def both(model, query, monkeypatch):
-        lookup = model.predict(query, standardized=True)
-        with monkeypatch.context() as m:
-            m.setattr(gp_mod.GpModel, "_stabilize_at_train_points", scan_stabilize)
-            scan = model.predict(query, standardized=True)
-        return lookup, scan
+    def assert_scan_bits(model, query, name=""):
+        got = model.predict(query, standardized=True)
+        want = full_solve_predict(model, query, standardized=True)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("dims", [1, 2, 10])
-    def test_variance_matches_equality_scan_bit_for_bit(self, dims, monkeypatch):
+    def test_variance_matches_equality_scan_bit_for_bit(self, dims):
         rng = np.random.default_rng(dims)
         for _ in range(10):
             n = int(rng.integers(3, 40))
             x = rng.integers(0, 5, size=(n, dims)) / 4.0   # coarse grid: repeats
             x = np.vstack([x, x[rng.integers(n, size=3)]])  # duplicated inputs
             y = rng.normal(size=len(x))
-            model = gp_fit(x, y, KernelConfig(lengthscale=0.3))
             at_train = x[rng.integers(len(x), size=25)]     # repeated queries
             pools = {
                 "mixed": np.vstack([at_train, rng.integers(0, 5, size=(25, dims)) / 4.0,
-                                    -x[:2] * 0.0]),         # -0.0 equals 0.0
+                                    -x[:2] * 0.0,           # -0.0 equals 0.0
+                                    x[:2] + 2.0**-30]),     # near, not equal
                 "all training": at_train,
                 "no match": rng.integers(0, 5, size=(30, dims)) / 4.0 + 0.125,
             }
-            for name, query in pools.items():
-                (m1, s1), (m2, s2) = self.both(model, query, monkeypatch)
-                assert m1.tobytes() == m2.tobytes(), name
-                assert s1.tobytes() == s2.tobytes(), name
+            # and the same pools on a grid up to 1e6, at lengthscale 1
+            for scale, ls in [(1.0, 0.3), (1e6, 1.0)]:
+                model = gp_fit(x * scale, y, KernelConfig(lengthscale=ls))
+                for name, query in pools.items():
+                    self.assert_scan_bits(model, query * scale, f"{name} x{scale:g}")
+        if dims == 10:
+            # as a BO step sees it: grid indices / 60 at the baseline's
+            # lengthscale, a pool with the incumbent's grid neighbours (one
+            # step off a training input) and some training rows themselves
+            for n in (20, 150):
+                x, y, pool = bo_like_data(rng, n)
+                query = np.vstack([pool, x[rng.integers(n, size=5)]])
+                cfg = KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE)
+                self.assert_scan_bits(gp_fit(x, y, cfg), query[rng.permutation(len(query))])
 
-    def test_duplicate_training_rows_keep_the_last_match(self, monkeypatch):
+    def test_duplicate_training_rows_keep_the_last_match(self):
         x = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         model = gp_fit(x, [1.0, 2.0, 3.0, 4.0, 5.0],
                        KernelConfig(lengthscale=0.4))
         query = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
-        (_, s1), (_, s2) = self.both(model, query, monkeypatch)
-        assert s1.tobytes() == s2.tobytes()
+        self.assert_scan_bits(model, query)
 
 
 def bo_like_data(rng, n, dims=10):
@@ -298,16 +294,16 @@ class TestFarColumns:
             widths.append(b.shape[1])
             return solve(a, b, *args, **kwargs)
 
-        for at_train_points in (True, False):
-            with monkeypatch.context() as m:
-                m.setattr(scipy.linalg, "solve_triangular", spy)
-                got = model.predict(query, at_train_points=at_train_points)
-            want = full_solve_predict(model, query, at_train_points=at_train_points)
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "solve_triangular", spy)
+            got = model.predict(query)
+        want = full_solve_predict(model, query)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
         near = np.count_nonzero(squared_norms(model, query) >= floor(model))
-        # one near column is solved with a second, as a block
-        assert widths[0] == widths[-1] == (2 if near == 1 < len(query) else near)
+        # one near column is solved with a second, as a block; a later solve
+        # is the one for queries equal to training inputs
+        assert widths[0] == (2 if near == 1 < len(query) else near)
         return widths[0]
 
     @pytest.mark.parametrize("signal", SIGNALS)

@@ -6,13 +6,17 @@ benchmark's configurations (read from ``perfbench/workloads.py``) through
 
     <workload> seed=<s> calls=<n> rows=<m> <sha256 of the calls and rows>
 
-The digest covers each call's point and returned value, in call order, and
-each trace row's iteration, evals and best value; the timing columns are
-left out. Two trees that print the same lines made the same objective calls
-and the same traces, so a change that must keep every trajectory is checked
-by running this at both and diffing the output:
+The digest covers each call's point and returned value, in call order, the
+bytes of the mean and std of every ``GpModel.predict`` (only the joint-GP
+baseline calls it: a change that keeps its argmax but alters last bits shows
+too), and each trace row's iteration, evals and best value; the timing
+columns are left out. Two trees that print the same lines made the same
+objective calls, predictions and traces, so a change that must keep every
+trajectory is checked by running this at both and diffing the output:
 
     python tests/trajectories.py > after.txt
+
+Run both under the same BLAS thread count: the predict bytes depend on it.
 
 About 12 s on one core.
 """
@@ -28,7 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS  # noqa: E402
 
-from scorebo import cli  # noqa: E402
+from scorebo import cli, gp  # noqa: E402
 
 RUNS = ("score-ackley10-b1", "score-ackley200-b10", "bo-ackley10", "score-sdm-b1")
 SEEDS = range(5)
@@ -52,11 +56,19 @@ def digest_run(config: dict, seed: int) -> tuple[int, int, str]:
 
         return space, recorded
 
-    cli._build_problem = recording_build
+    predict = gp.GpModel.predict
+
+    def recorded_predict(model, *args, **kwargs):
+        mean, std = predict(model, *args, **kwargs)
+        h.update(mean.tobytes())
+        h.update(std.tobytes())
+        return mean, std
+
+    cli._build_problem, gp.GpModel.predict = recording_build, recorded_predict
     try:
         trace = cli.run_experiment(cli.RunConfig(**config, seed=seed))
     finally:
-        cli._build_problem = build
+        cli._build_problem, gp.GpModel.predict = build, predict
     for row in trace.rows:
         h.update(repr((row.iteration, row.evals, row.best_value)).encode())
     return calls, len(trace.rows), h.hexdigest()
