@@ -48,6 +48,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -119,14 +120,25 @@ def clip_targets(values: np.ndarray) -> np.ndarray:
 
 
 def _upper_quartile(values: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """``np.percentile(row[finite], 75)`` of each row, keeping dims."""
-    n = finite.sum(axis=-1, keepdims=True)
-    pos = 0.75 * (n - 1)
-    below = pos.astype(int)
-    flat = np.sort(values, axis=-1).ravel()      # infs sort past each row's values
-    first = np.arange(0, flat.size, values.shape[-1]).reshape(n.shape)
-    a = flat[first + below]
-    b = flat[first + np.minimum(below + 1, n - 1)]
+    """``np.percentile(row[finite], 75)`` of each row, keeping dims.
+
+    A 1-D array is one row, whose order statistics are read as scalars:
+    the same operations without the row-offset indexing of a table.
+    """
+    if values.ndim == 1:
+        n = int(np.count_nonzero(finite))
+        pos = 0.75 * (n - 1)
+        below = int(pos)
+        ordered = np.sort(values)               # infs sort past the row's values
+        a, b = float(ordered[below]), float(ordered[min(below + 1, n - 1)])
+    else:
+        n = finite.sum(axis=-1, keepdims=True)
+        pos = 0.75 * (n - 1)
+        below = pos.astype(int)
+        flat = np.sort(values, axis=-1).ravel()      # infs sort past each row's values
+        first = np.arange(0, flat.size, values.shape[-1]).reshape(n.shape)
+        a = flat[first + below]
+        b = flat[first + np.minimum(below + 1, n - 1)]
     gamma = pos - below
     return np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)
 
@@ -349,24 +361,23 @@ class ScoreOptimizer:
             self.lines.reanchor(best.indices, best.value,
                                 kept.posterior[0] if kept is not None else None)
 
-    def _shared_profile(self, group: _GridGroup, levels: np.ndarray,
-                        moved: np.ndarray, noise: np.ndarray, scale2: float):
+    def _shared_profile(self, group: _GridGroup, a: np.ndarray, b: np.ndarray,
+                        y: np.ndarray, wt: np.ndarray, scale2: float):
         """Posterior mean and covariance of the group's shared 1D profile.
 
-        Every kept level of a dimension in the group is read as the profile
-        difference s(v) - s(anchor index). The fit is done in precision form
-        on the G grid values, so it costs O(G^3) however many levels are
-        kept.
+        Level i of a dimension in the group, ``y[i]`` with weight ``wt[i]``
+        (its inverse noise), is read as the profile difference
+        s(b[i]) - s(a[i]), where a[i] is that dimension's anchor index. The
+        fit is done in precision form on the G grid values, so it costs
+        O(G^3) however many levels are kept.
         """
         n = group.n_grid
-        anchor = self.lines.anchor_array[group.dims]
-        rows, b = np.nonzero(moved)
-        a, y = anchor[rows], levels[rows, b]
-        wt = 1.0 / noise[rows, b]
+        an, bn, neg = a * n, b * n, -wt
         # A^T W A and A^T W y for the difference rows e_b - e_a of A
-        gram = np.bincount(np.concatenate([a * n + a, b * n + b, a * n + b, b * n + a]),
-                           np.concatenate([wt, wt, -wt, -wt]), n * n).reshape(n, n)
-        rhs = np.bincount(np.concatenate([b, a]), np.concatenate([wt * y, -wt * y]), n)
+        gram = np.bincount(np.concatenate([an + a, bn + b, an + b, bn + a]),
+                           np.concatenate([wt, wt, neg, neg]), n * n).reshape(n, n)
+        wy = wt * y
+        rhs = np.bincount(np.concatenate([b, a]), np.concatenate([wy, -wy]), n)
         cov = np.linalg.inv(group.prior_precision + gram)
         return cov @ rhs, scale2 * cov
 
@@ -374,7 +385,10 @@ class ScoreOptimizer:
         """Slope and explained variance of observed changes on predicted ones."""
         if len(group.outcomes) < MIN_TRUST_OUTCOMES:
             return 0.0, 0.0
-        pred, obs = np.array(group.outcomes).T
+        # the C-ordered (k, 2) block np.array(outcomes) would give, read by
+        # column: a dot product's bits depend on the stride it reads
+        pred, obs = np.fromiter(chain.from_iterable(group.outcomes), float,
+                                2 * len(group.outcomes)).reshape(-1, 2).T
         obs = clip_targets(obs)
         spp = float(pred @ pred)
         soo = float(obs @ obs)
@@ -397,34 +411,35 @@ class ScoreOptimizer:
         """
         dims, max_grid = self.lines.levels.shape
         anchor = self.lines.anchor_array
+        line_rows = np.arange(dims)[:, None]
         levels = self.lines.levels.copy()
         known = ~np.isnan(levels)
         moved = known.copy()                  # kept levels other than the anchors
-        moved[np.arange(dims), anchor] = False
+        moved[line_rows[:, 0], anchor] = False
         noise = LINE_NOISE * np.exp(STALENESS_RATE * self.lines.staleness())
-        prior_mean = np.zeros_like(levels)
-        prior_var = np.zeros_like(levels)
-        amp2 = np.ones(dims)
-        scale2 = np.ones(dims)
+        prior_mean, prior_var = np.zeros((2, dims, max_grid))
+        amp2, scale2 = np.ones((2, dims))
         supported = np.zeros(dims, dtype=bool)
         share = np.zeros(dims)
         for group in self._groups:
             g = group.dims
             group.profile = None
-            if not moved[g].any():
+            rows, b = np.nonzero(moved[g])     # the moved levels, row by row
+            if not len(rows):
                 continue
             block, mask = levels[g], known[g]
             block[mask] = clip_targets(block[mask])
             levels[g] = block
-            wt = 1.0 / noise[g][moved[g]]
-            s2 = float(np.sum(wt * block[moved[g]] ** 2) / np.sum(wt))
+            y, d = block[rows, b], g[rows]
+            wt = 1.0 / noise[d, b]
+            s2 = float(np.sum(wt * y ** 2) / np.sum(wt))
             if s2 == 0.0:
                 continue                      # no move has changed the value yet
             scale2[g] = amp2[g] = s2
-            supported[g] = moved[g].any(axis=1)
+            supported[d] = True
             if group.prior_precision is None:
                 continue
-            mean, cov = self._shared_profile(group, block, moved[g], noise[g], s2)
+            mean, cov = self._shared_profile(group, anchor[d], b, y, wt, s2)
             group.profile = mean
             slope, explained = self._trust(group)
             if explained <= 0.0:
@@ -445,20 +460,16 @@ class ScoreOptimizer:
         counts = np.minimum(known.sum(axis=1), LINE_WINDOW)
         widths = 1 << np.ceil(np.log2(counts)).astype(int)
         order = np.argsort(np.where(known, noise, np.inf), axis=1, kind="stable")
+        slots = np.arange(LINE_WINDOW)
+        pad = slots >= counts[:, None]
+        idx = order[line_rows, np.where(pad, 0, slots)]
         resid = levels - prior_mean
-        mean, var = prior_mean, prior_var + amp2[:, None]
-        for width in np.unique(widths):
-            rows = np.nonzero(widths == width)[0]
-            pad = np.arange(width)[None, :] >= counts[rows, None]
-            idx = np.take_along_axis(order[rows], np.where(pad, 0, np.arange(width)), 1)
-            line_mean, explained = stacked_posterior(
-                self._line_kernel, idx, np.where(pad, 1e12, noise[rows[:, None], idx]),
-                np.where(pad, 0.0, resid[rows[:, None], idx]), scale=amp2[rows])
-            mean[rows] += line_mean
-            var[rows] -= explained
-        std = np.sqrt(np.maximum(var, 0.0))
+        line_mean, explained = stacked_posterior(
+            self._line_kernel, idx, np.where(pad, 1e12, noise[line_rows, idx]),
+            np.where(pad, 0.0, resid[line_rows, idx]), amp2, widths)
+        std = np.sqrt(np.maximum(prior_var + amp2[:, None] - explained, 0.0))
         self.refinement_fit_count += dims
-        return mean, std, np.sqrt(scale2), supported, share
+        return prior_mean + line_mean, std, np.sqrt(scale2), supported, share
 
     def _line_tables(self) -> _LineTables:
         """The line tables of the current line evidence.
@@ -476,10 +487,10 @@ class ScoreOptimizer:
         """Line posterior, move mask, merged moves and line EI, all read-only."""
         posterior = self._line_posterior()
         mean, std, scale, supported, _ = posterior
-        dims = len(mean)
+        line_rows = np.arange(len(mean))
         anchor = self.lines.anchor_array
         valid = self._grid_cells.copy()
-        valid[np.arange(dims), anchor] = False
+        valid[line_rows, anchor] = False
         open_lines = valid & supported[:, None]
 
         # merged moves: each coordinate to its confidently best value, then
@@ -489,11 +500,12 @@ class ScoreOptimizer:
         for kappa in (MERGE_CONFIDENCE, 0.0):
             bound = np.where(open_lines, mean + kappa * std, np.inf)
             best_v = np.argmin(bound, axis=1)
-            move = bound[np.arange(dims), best_v] < -LINE_EI_MIN * scale
-            if np.any(move):
+            move = bound[line_rows, best_v] < -LINE_EI_MIN * scale
+            if move.any():
                 merged.append(tuple(np.where(move, best_v, anchor).tolist()))
 
-        best_level = np.minimum(np.nanmin(self.lines.levels, axis=1), 0.0)
+        # np.nanmin's own reduction: every line holds its anchor's level
+        best_level = np.minimum(np.fmin.reduce(self.lines.levels, axis=1), 0.0)
         ei = score_grid(mean / scale[:, None], std / scale[:, None],
                         (best_level / scale)[:, None], 0.0)
         ei = np.where(open_lines, ei, 0.0)

@@ -36,10 +36,18 @@ grid steps. ``stacked_posterior`` solves many of them at once;
 coordinates, inverted again only when its training indices change, so all
 of them are solved for new targets in one batched pass. Training indices only
 grow, so a new inverse is written over its block of the store, which covers
-the old block, and nothing is cleared first. Both solve their GPs through
-one routine, in stacks whose (rows, n, G) working set, written into a work
-area, holds at most ``STACK_CELLS`` cells: GPs with few training indices
-share a large stack, and 16 GPs on a whole 61-value grid fill one.
+the old block, and nothing is cleared first. Both solve their GPs in stacks
+of equal training-index count whose (rows, n, G) working set, written into a
+work area, holds at most ``STACK_CELLS`` cells: GPs with few training
+indices share a large stack, and 16 GPs on a whole 61-value grid fill one.
+``_stacks`` groups the rows without sorting them, so a refresh of a single
+stale GP is one stack; ``_kernels`` gathers a stack's covariances and
+``_inverse`` inverts them. ``stacked_posterior`` takes every row at once,
+each with its own width, and scales its kernels between the two; the
+projection GPs have unit scale and skip that multiply. A work area holds
+rows * n * n cells for the flat indices and for the training kernels, and
+rows * n * G for the cross covariances and for their products with the
+inverses.
 """
 
 from __future__ import annotations
@@ -288,7 +296,8 @@ class GridInverses:
         self.explained = np.zeros((gps, grid))
         # one stack's work area, kept so that a stack maps no new pages; a
         # stack holds one GP at least, of at most grid^2 working-set cells
-        self._work = _work_area(max(STACK_CELLS, grid * grid))
+        cells = max(STACK_CELLS, grid * grid)
+        self._work = _work_area(cells, cells)
 
     def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float) -> None:
         """Invert again those GPs whose count changed.
@@ -304,45 +313,53 @@ class GridInverses:
         grid = self.inverse.shape[-1]
         stale = np.flatnonzero(self.count != counts)
         store = self.inverse.reshape(-1)     # a view: the whole store is contiguous
-        for n in np.unique(counts[stale]):
-            rows = stale[counts[stale] == n]
+        for n, part in _stacks(counts[stale], grid):
+            rows = stale[part]
             idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
-            size = _stack_rows(n, grid)
-            for lo in range(0, len(rows), size):
-                r = rows[lo:lo + size]
-                cells, _, k_inv, self.explained[r] = _inverse(
-                    kern, idx[lo:lo + size], noise, 1.0, self._work)
-                cells += (r * grid * grid)[:, None, None]    # now into the store
-                store[cells] = k_inv
-            self.count[rows] = n
+            cells, k_so, k_oo = _kernels(kern, idx, self._work)
+            k_inv, self.explained[rows] = _inverse(k_so, k_oo, noise, self._work)
+            cells += (rows * grid * grid)[:, None, None]    # now into the store
+            store[cells] = k_inv
+        self.count[stale] = counts[stale]
 
 
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
-                      targets: np.ndarray, scale: np.ndarray):
+                      targets: np.ndarray, scale: np.ndarray, widths: np.ndarray):
     """Posterior of a stack of 1D GPs whose inputs are grid indices.
 
-    Row r is a GP with training indices ``idx[r]``, targets ``targets[r]``
-    and noise variances ``noise[r]``; its kernel is ``kern`` (over grid
-    steps) times ``scale[r]``. The rows are solved in stacks of at most
-    ``STACK_CELLS`` working-set cells, each with one stacked inverse of its
-    training kernels. Returns ``(mean, explained)``, both ``(rows, G)``: the
-    posterior mean on every grid value and the prior variance the data
-    explain there.
+    Row r is a GP with training indices ``idx[r, :widths[r]]``, targets and
+    noise variances in the same columns of ``targets`` and ``noise``; its
+    kernel is ``kern`` (over grid steps) times ``scale[r]``. Rows of one
+    width are solved in stacks of at most ``STACK_CELLS`` working-set cells,
+    each with one stacked inverse of its training kernels. Returns ``(mean,
+    explained)``, both ``(rows, G)``: the posterior mean on every grid value
+    and the prior variance the data explain there.
     """
     grid = kern.shape[1]
-    rows, n = idx.shape
-    mean, explained = np.empty((2, rows, grid))
-    size = _stack_rows(n, grid)
-    # a padded row may hold more indices than its kernel has grid values
-    work = _work_area(min(rows, size) * n * max(n, grid))
-    for lo in range(0, rows, size):
-        part = slice(lo, lo + size)
-        a2 = scale[part, None, None]
-        noise_a2 = noise[part] * a2[:, 0]
-        _, k_so, k_inv, explained[part] = _inverse(kern, idx[part], noise_a2, a2, work)
-        alpha = np.einsum("dnm,dm->dn", k_inv, targets[part])
-        mean[part] = np.einsum("dng,dn->dg", k_so, alpha)
+    mean, explained = np.empty((2, len(idx), grid))
+    stacks = _stacks(widths, grid)
+    work = _work_area(max(len(rows) * n * n for n, rows in stacks),
+                      max(len(rows) * n for n, rows in stacks) * grid)
+    for n, rows in stacks:
+        a2 = scale[rows, None, None]
+        _, k_so, k_oo = _kernels(kern, idx[rows, :n], work)
+        k_so *= a2
+        k_oo *= a2
+        k_inv, explained[rows] = _inverse(k_so, k_oo, noise[rows, :n] * a2[:, 0], work)
+        alpha = np.einsum("dnm,dm->dn", k_inv, targets[rows, :n])
+        mean[rows] = np.einsum("dng,dn->dg", k_so, alpha)
     return mean, explained
+
+
+def _stacks(widths: np.ndarray, grid: int) -> list[tuple[int, np.ndarray]]:
+    """``(n, rows)`` of each stack: the rows of width ``n``, ascending, split
+    so that no stack's working set exceeds ``STACK_CELLS`` cells."""
+    stacks = []
+    for n in set(widths.tolist()):
+        rows = np.flatnonzero(widths == n)
+        size = _stack_rows(n, grid)
+        stacks += [(n, rows[lo:lo + size]) for lo in range(0, len(rows), size)]
+    return stacks
 
 
 def _stack_rows(n: int, grid: int) -> int:
@@ -355,34 +372,43 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _work_area(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and three float buffers, each of ``cells`` cells."""
-    return np.empty(cells, dtype=np.intp), np.empty((3, cells))
+def _work_area(square: int, cross: int):
+    """Flat indices and training kernels, ``square`` cells each, and two
+    buffers of ``cross`` cells, for the cross covariances and products."""
+    return np.empty(square, dtype=np.intp), np.empty(square), np.empty((2, cross))
 
 
-def _inverse(kern, idx, noise, scale, work):
-    """Inverse training kernels of a stack of 1D GPs and the variance explained.
+def _kernels(kern, idx, work):
+    """Training and cross covariances of a stack of 1D GPs, in ``work``.
 
-    Row r is a GP trained at the grid indices ``idx[r]``, with kernel ``kern``
-    (over grid steps) times ``scale`` (broadcast over (rows, n, n); 1.0 is
-    exact) and ``noise`` added to its diagonal. ``work``, from ``_work_area``,
-    holds rows * n * max(n, G) cells. Returns the flat indices of the training
-    kernels in ``kern``, the cross covariances (rows, n, G), both views of
-    ``work``, the inverses and the prior variance explained (rows, G).
+    Row r is a GP trained at the grid indices ``idx[r]``, with kernel
+    ``kern`` (over grid steps). ``work``, from ``_work_area``, holds rows * n
+    * n square and rows * n * G cross cells. Returns the flat indices of the
+    training kernels in ``kern``, the cross covariances (rows, n, G) and the
+    training kernels (rows, n, n), all views of ``work``.
     """
     rows, n = idx.shape
     grid = kern.shape[1]
-    flat, buf = work
+    flat, square, cross = work
     cells = np.add((idx * grid)[:, :, None], idx[:, None, :], out=_view(flat, rows, n, n))
     # indices from the grid are in range: "clip" writes straight into the
     # buffer, where "raise" would copy through another
-    k_so = np.take(kern, idx, axis=0, mode="clip", out=_view(buf[0], rows, n, grid))
-    k_so *= scale
-    k_oo = kern.take(cells, mode="clip", out=_view(buf[1], rows, n, n))
-    k_oo *= scale
+    k_so = np.take(kern, idx, axis=0, mode="clip", out=_view(cross[0], rows, n, grid))
+    k_oo = kern.take(cells, mode="clip", out=_view(square, rows, n, n))
+    return cells, k_so, k_oo
+
+
+def _inverse(k_so, k_oo, noise, work):
+    """Inverse training kernels of a stack and the prior variance explained.
+
+    ``k_so`` and ``k_oo`` are the stack's cross and training covariances
+    from ``_kernels``; ``noise`` is added to the diagonals of ``k_oo``, in
+    place. Returns the inverses and the variance explained (rows, G).
+    """
+    rows, n, grid = k_so.shape
     k_oo.reshape(rows, n * n)[:, ::n + 1] += noise     # the diagonals
     # an inverse per GP, not np.linalg.solve: on these stacks the solve
     # costs several times more
     k_inv = np.linalg.inv(k_oo)
-    prod = np.matmul(k_inv, k_so, out=_view(buf[2], rows, n, grid))
-    return cells, k_so, k_inv, np.einsum("dng,dng->dg", k_so, prod)
+    prod = np.matmul(k_inv, k_so, out=_view(work[2][1], rows, n, grid))
+    return k_inv, np.einsum("dng,dng->dg", k_so, prod)

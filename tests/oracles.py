@@ -3,10 +3,11 @@
 Everything here is deliberately coded differently from the production path:
 the GP oracle inverts one kernel per dataset, built from the inputs'
 differences, where production uses Cholesky solves (the joint GP) or stacked
-inverses of slices of one precomputed grid kernel (the 1D GPs); the
-EI oracle is a Monte Carlo expectation instead of the closed form, and the
-projection oracle is a from-scratch recomputation instead of incremental
-updates. The exceptions are bit-level references: ``se_kernel_expression``,
+inverses of slices of one precomputed grid kernel (the 1D GPs); the shared
+line profile is solved in covariance form over its observations, where
+production inverts its precision over the grid; the EI oracle is a Monte
+Carlo expectation instead of the closed form, and the projection oracle is
+a from-scratch recomputation instead of incremental updates. The exceptions are bit-level references: ``se_kernel_expression``,
 the kernel as one array expression, kept verbatim for ``gp.kernel_matrix``,
 which performs the same operations halved on one buffer; and
 ``full_solve_predict``, the joint GP's predict with the triangular solve
@@ -109,6 +110,27 @@ def dense_gp_predict(train_x, train_y, query, lengthscale, signal_variance,
     if standardized_out:
         return mu, std
     return mean_y + std_y * mu, std_y * std
+
+
+def difference_profile_posterior(a, b, y, noise, grid, lengthscale, prior_jitter):
+    """Posterior of a 1D profile s from noisy differences, in covariance form.
+
+    s on the grid indices 0..grid-1 has the prior N(0, K + prior_jitter * I),
+    K the unit squared-exponential kernel over index steps. Observation i is
+    y[i] = s(b[i]) - s(a[i]) plus noise of variance noise[i]. Returns the
+    posterior mean and covariance from one dense solve of the (m, m) system
+    of the observations, S = A P A^T + N: mean P A^T S^-1 y and covariance
+    P - P A^T S^-1 A P, with A the difference rows and P the prior.
+    """
+    steps = np.arange(grid, dtype=float)
+    prior = _se_kernel(steps, steps, lengthscale, 1.0) + prior_jitter * np.eye(grid)
+    rows = np.arange(len(y))
+    diff = np.zeros((len(y), grid))
+    diff[rows, np.asarray(b)] += 1.0
+    diff[rows, np.asarray(a)] -= 1.0
+    system = diff @ prior @ diff.T + np.diag(np.asarray(noise, dtype=float))
+    gain = prior @ diff.T @ np.linalg.inv(system)
+    return gain @ np.asarray(y, dtype=float), prior - gain @ diff @ prior
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,22 @@ terminal (bypassing capture) and then asserts, so a full `pytest -v` run
 doubles as the acceptance report.
 """
 
+import json
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scorebo.acquisition import expected_improvement
-from scorebo.baseline import BoOptimizer
+from scorebo.baseline import JOINT_LENGTHSCALE, BoOptimizer
 from scorebo.cli import RunConfig, run_experiment
 from scorebo.engine import ProjectionTable, ScoreOptimizer
-from scorebo.gp import KernelConfig, gp_fit
+from scorebo.gp import NOISE_VARIANCE, KernelConfig, gp_fit
 from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.report import CSV_COLUMNS, write_trace_csv
 from scorebo.space import History, SearchSpace, make_grid
@@ -24,6 +29,9 @@ from oracles import (antithetic_normals, brute_force_projection,
                      dense_gp_predict, dense_layout, mc_expected_improvement)
 
 SEEDS = range(10)
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
 
 
 def _report(capsys, n, ok, detail):
@@ -180,6 +188,60 @@ def test_criterion_5_time_scaling(capsys):
     _report(capsys, 5, ok,
             f"SCORE iter-300/median(20-40) time ratio {score_ratio:.2f} "
             f"(<=3); BO log-log fit-time slope {slope:.2f} (>1.5)")
+
+
+def bo_fit_time_slopes(bound: float) -> list[float]:
+    """Log-log slopes of the median BO fit time over N = 300, 600, 1 200.
+
+    Each reading times 11 fits at each N on BO-like 5-D rows, the sizes
+    interleaved in alternating order, so that every N is timed on the same
+    inputs under the same load; its slope is fitted through the three
+    medians. A reading at or below ``bound`` is taken again, twice at most:
+    load slows some fits, but does not make the factor cheaper.
+    """
+    rng = np.random.default_rng(501)
+    sizes = (300, 600, 1200)
+    indices = rng.integers(0, 61, (sizes[-1], 5))
+    inputs = indices / 60.0
+    targets = np.array([ackley(-5.0 + 0.25 * row) for row in indices])
+    cfg = KernelConfig(lengthscale=JOINT_LENGTHSCALE, noise_variance=NOISE_VARIANCE)
+    for _ in range(3):                # warm-up: the first large arrays map pages
+        for n in sizes:
+            gp_fit(inputs[:n], targets[:n], cfg)
+    slopes = []
+    while len(slopes) < 3 and not any(s > bound for s in slopes):
+        times = {n: [] for n in sizes}
+        for k in range(11):
+            for n in sizes[::1 - 2 * (k % 2)]:
+                t0 = time.perf_counter()
+                gp_fit(inputs[:n], targets[:n], cfg)
+                times[n].append(time.perf_counter() - t0)
+        medians = [statistics.median(times[n]) for n in sizes]
+        slopes.append(float(np.polyfit(np.log(sizes), np.log(medians), 1)[0]))
+    return slopes
+
+
+def test_bo_fit_time_grows_faster_than_n_squared_at_equal_work():
+    # The BO half of criterion 5 without its in-loop timing, in a child
+    # process on one BLAS thread: at these N the O(N^2) kernel and solves
+    # are a large share of a fit, and a second thread shortens only the
+    # factor, so in-process readings measured the thread pool as much as
+    # the fit (2.16-2.29 on two threads, 2.36-2.51 on one). In the child the
+    # slope read 2.41-2.57 over 24 readings, 12 each with one and with the
+    # default BLAS threads outside, and 2.00-2.14 over 24 with the Cholesky
+    # factor replaced by an O(N^2) stand-in (np.tril of the kernel). The
+    # kernel alone, O(N^2) but past the caches at N = 1 200, reads above 2.5
+    # from 600 to 1 200, so "above 2" would not tell the two apart.
+    bound = 2.28
+    code = ("import sys; sys.path[:0] = {!r}; import test_acceptance; "
+            "print(test_acceptance.bo_fit_time_slopes({!r}))").format(
+                [str(ROOT / "src"), str(ROOT / "tests")], bound)
+    proc = subprocess.run([sys.executable, "-c", code], text=True, timeout=300,
+                          env={**os.environ, **BLAS_ONE_THREAD},
+                          capture_output=True, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    slopes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert max(slopes) > bound, f"BO fit-time slopes {slopes} (bound {bound})"
 
 
 def test_criterion_6_batch_accounting(capsys):

@@ -9,14 +9,20 @@ import pytest
 from scorebo import gp
 from scorebo.acquisition import ZETA, expected_improvement
 from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
-                            LINE_NOISE, TAU_FRACTION, LineEvidence,
-                            ProjectionTable, ScoreOptimizer, clip_targets)
+                            LINE_NOISE, STALENESS_RATE, TAU_FRACTION,
+                            LineEvidence, ProjectionTable, ScoreOptimizer,
+                            clip_targets)
 from scorebo.errors import SpaceExhausted
 from scorebo.gp import NOISE_VARIANCE, STACK_CELLS, GridInverses
 from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.space import SearchSpace, make_grid
 
-from oracles import brute_force_projection, dense_gp_predict, dense_layout
+from oracles import (brute_force_projection, dense_gp_predict, dense_layout,
+                     difference_profile_posterior)
+
+# The shared profile against its covariance-form oracle: 7e-14 (mean) and
+# 7e-15 (covariance) on the test's case, at most 1.4e-12 over 200 random ones
+PROFILE_ATOL = 1e-10
 
 
 def grid_space(*lengths):
@@ -351,14 +357,14 @@ class TestInverseReuse:
         opt.initialize(12)
         opt._projection_scores()
         inverted = []
-        original = gp._inverse
+        original = gp._kernels
 
         def spy(kern, i, *args, **kwargs):
             if kern is opt._projection_kernel:
                 inverted.append(len(i))
             return original(kern, i, *args, **kwargs)
 
-        monkeypatch.setattr(gp, "_inverse", spy)
+        monkeypatch.setattr(gp, "_kernels", spy)
         # a tuple made only of grid values already observed in each dimension
         first, second = opt.history.records[:2]
         mixed = first.indices[:3] + second.indices[3:]
@@ -542,6 +548,43 @@ class TestLineEvidence:
             np.testing.assert_allclose(mean[d, :n], mu, rtol=0, atol=1e-9)
             np.testing.assert_allclose(std[d, :n], sigma, rtol=0, atol=1e-7)
             assert scale[d] == pytest.approx(np.sqrt(amp2))
+
+    def test_shared_profile_matches_dense_oracle(self, monkeypatch):
+        # Three dimensions on one 9-value grid pool their levels into one
+        # profile. After the incumbent moves on dimension 2 the older levels
+        # are a third stale, so the levels weigh unequally.
+        space = grid_space(9, 9, 9)
+        values = {(4, 4, 4): 0.0, (1, 4, 4): 0.9, (7, 4, 4): 0.4, (4, 2, 4): 0.5,
+                  (4, 8, 4): 1.1, (4, 4, 6): -0.3}
+        later = {(2, 4, 6): 0.2, (4, 5, 6): -0.1, (4, 4, 8): 0.6, (8, 4, 6): 0.3}
+        opt = ScoreOptimizer(space=space,
+                             objective=table_objective(space, {**values, **later}))
+        for indices in values:
+            opt.history.evaluate(indices)
+        opt._follow_incumbent()
+        for indices in later:
+            opt.history.evaluate(indices)
+        fits = []
+        shared_profile = opt._shared_profile
+        monkeypatch.setattr(opt, "_shared_profile",
+                            lambda *args: fits.append(shared_profile(*args)) or fits[-1])
+        opt._line_posterior()
+        (mean, cov), = fits
+
+        lines = opt.lines
+        noise = LINE_NOISE * np.exp(STALENESS_RATE * lines.staleness())
+        moved = ~np.isnan(lines.levels)
+        moved[np.arange(3), lines.anchor_array] = False
+        d, b = np.nonzero(moved)
+        y = lines.levels[d, b]
+        assert np.array_equal(clip_targets(y), y)       # no level is clipped
+        assert len(set(noise[d, b].round(12))) == 2     # fresh and stale levels
+        o_mean, o_cov = difference_profile_posterior(
+            lines.anchor_array[d], b, y, noise[d, b], 9, LINE_LENGTHSCALE, 1e-8)
+        weight = 1.0 / noise[d, b]
+        scale2 = np.sum(weight * y**2) / np.sum(weight)
+        np.testing.assert_allclose(mean, o_mean, rtol=0, atol=PROFILE_ATOL)
+        np.testing.assert_allclose(cov, scale2 * o_cov, rtol=0, atol=PROFILE_ATOL)
 
     @staticmethod
     def _trust_after(profiles, steps=12):

@@ -8,9 +8,12 @@ benchmark's configurations (read from ``perfbench/workloads.py``) through
 
 The digest covers each call's point and returned value, in call order, the
 bytes of the mean and std of every ``GpModel.predict`` (only the joint-GP
-baseline calls it: a change that keeps its argmax but alters last bits shows
-too), and each trace row's iteration, evals and best value; the timing
-columns are left out. Two trees that print the same lines made the same
+baseline calls it), of every projection score table
+(``ScoreOptimizer._projection_scores``), of every array of every derived
+line posterior (``ScoreOptimizer._line_posterior``) and shared profile
+(``ScoreOptimizer._shared_profile``), and each trace row's
+iteration, evals and best value; the timing columns are left out. A change
+that keeps every decision but alters last bits of a surrogate shows too. Two trees that print the same lines made the same
 objective calls, predictions and traces, so a change that must keep every
 trajectory is checked by running this at both and diffing the output:
 
@@ -32,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS  # noqa: E402
 
-from scorebo import cli, gp  # noqa: E402
+from scorebo import cli, engine, gp  # noqa: E402
 
 RUNS = ("score-ackley10-b1", "score-ackley200-b10", "bo-ackley10", "score-sdm-b1")
 SEEDS = range(5)
@@ -56,19 +59,27 @@ def digest_run(config: dict, seed: int) -> tuple[int, int, str]:
 
         return space, recorded
 
-    predict = gp.GpModel.predict
+    def hashed(method):
+        def wrapper(*args, **kwargs):
+            result = method(*args, **kwargs)
+            for array in (result if isinstance(result, tuple) else (result,)):
+                h.update(array.tobytes())
+            return result
+        return wrapper
 
-    def recorded_predict(model, *args, **kwargs):
-        mean, std = predict(model, *args, **kwargs)
-        h.update(mean.tobytes())
-        h.update(std.tobytes())
-        return mean, std
-
-    cli._build_problem, gp.GpModel.predict = recording_build, recorded_predict
+    wrapped = ((gp.GpModel, "predict"), (engine.ScoreOptimizer, "_projection_scores"),
+               (engine.ScoreOptimizer, "_line_posterior"),
+               (engine.ScoreOptimizer, "_shared_profile"))
+    originals = [getattr(owner, name) for owner, name in wrapped]
+    cli._build_problem = recording_build
+    for (owner, name), method in zip(wrapped, originals):
+        setattr(owner, name, hashed(method))
     try:
         trace = cli.run_experiment(cli.RunConfig(**config, seed=seed))
     finally:
-        cli._build_problem, gp.GpModel.predict = build, predict
+        cli._build_problem = build
+        for (owner, name), method in zip(wrapped, originals):
+            setattr(owner, name, method)
     for row in trace.rows:
         h.update(repr((row.iteration, row.evals, row.best_value)).encode())
     return calls, len(trace.rows), h.hexdigest()
