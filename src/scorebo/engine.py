@@ -454,9 +454,10 @@ class ScoreOptimizer:
             supported[g] = True
             share[g] = explained
 
-        # Residual GP per dimension on its freshest own levels. Lines are
-        # solved together in buckets of power-of-two width; a line with fewer
-        # levels repeats its freshest one with a noise that voids it.
+        # Residual GP per dimension on its freshest own levels, all in one
+        # call: each line is solved at a power-of-two width, lines of one
+        # width together, from tables of LINE_WINDOW columns in which a line
+        # with fewer levels repeats its freshest one with a noise that voids it.
         counts = np.minimum(known.sum(axis=1), LINE_WINDOW)
         widths = 1 << np.ceil(np.log2(counts)).astype(int)
         order = np.argsort(np.where(known, noise, np.inf), axis=1, kind="stable")
