@@ -465,10 +465,11 @@ class ScoreOptimizer:
         pad = slots >= counts[:, None]
         idx = order[line_rows, np.where(pad, 0, slots)]
         resid = levels - prior_mean
+        # solved in unit scale: the amplitude amp2 scales only the variance
         line_mean, explained = stacked_posterior(
             self._line_kernel, idx, np.where(pad, 1e12, noise[line_rows, idx]),
-            np.where(pad, 0.0, resid[line_rows, idx]), amp2, widths)
-        std = np.sqrt(np.maximum(prior_var + amp2[:, None] - explained, 0.0))
+            np.where(pad, 0.0, resid[line_rows, idx]), widths)
+        std = np.sqrt(np.maximum(prior_var + amp2[:, None] * (1.0 - explained), 0.0))
         self.refinement_fit_count += dims
         return prior_mean + line_mean, std, np.sqrt(scale2), supported, share
 

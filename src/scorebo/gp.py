@@ -41,13 +41,13 @@ of equal training-index count whose (rows, n, G) working set, written into a
 work area, holds at most ``STACK_CELLS`` cells: GPs with few training
 indices share a large stack, and 16 GPs on a whole 61-value grid fill one.
 ``_stacks`` groups the rows without sorting them, so a refresh of a single
-stale GP is one stack; ``_kernels`` gathers a stack's covariances and
-``_inverse`` inverts them. ``stacked_posterior`` takes every row at once,
-each with its own width, and scales its kernels between the two; the
-projection GPs have unit scale and skip that multiply. A work area holds
-rows * n * n cells for the flat indices and for the training kernels, and
-rows * n * G for the cross covariances and for their products with the
-inverses.
+stale GP is one stack, which ``_inverse`` gathers, adds the noise to and
+inverts. The GPs are solved in unit scale: scaling a GP's kernel and noise
+by one factor keeps its posterior mean and scales its explained variance by
+it (Rasmussen & Williams 2006, eq. 2.25-2.26), so a caller applies an
+amplitude to the variance alone. A work area holds rows * n * n cells for
+the flat indices and for the training kernels, and rows * n * G for the
+cross covariances and for their products with the inverses.
 """
 
 from __future__ import annotations
@@ -316,24 +316,25 @@ class GridInverses:
         for n, part in _stacks(counts[stale], grid):
             rows = stale[part]
             idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
-            cells, k_so, k_oo = _kernels(kern, idx, self._work)
-            k_inv, self.explained[rows] = _inverse(k_so, k_oo, noise, self._work)
+            cells, _, k_inv, self.explained[rows] = _inverse(kern, idx, noise, self._work)
             cells += (rows * grid * grid)[:, None, None]    # now into the store
             store[cells] = k_inv
         self.count[stale] = counts[stale]
 
 
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
-                      targets: np.ndarray, scale: np.ndarray, widths: np.ndarray):
+                      targets: np.ndarray, widths: np.ndarray):
     """Posterior of a stack of 1D GPs whose inputs are grid indices.
 
-    Row r is a GP with training indices ``idx[r, :widths[r]]``, targets and
-    noise variances in the same columns of ``targets`` and ``noise``; its
-    kernel is ``kern`` (over grid steps) times ``scale[r]``. Rows of one
-    width are solved in stacks of at most ``STACK_CELLS`` working-set cells,
-    each with one stacked inverse of its training kernels. Returns ``(mean,
-    explained)``, both ``(rows, G)``: the posterior mean on every grid value
-    and the prior variance the data explain there.
+    Row r is a GP with kernel ``kern`` (over grid steps), training indices
+    ``idx[r, :widths[r]]`` and targets and noise variances in the same
+    columns of ``targets`` and ``noise``. Rows of one width are solved in
+    stacks of at most ``STACK_CELLS`` working-set cells, each with one
+    stacked inverse of its training kernels. Returns ``(mean, explained)``,
+    both ``(rows, G)``: the posterior mean on every grid value and the
+    prior variance the data explain there. For a GP whose kernel and noise
+    are both scaled by a, the mean is the same and the explained variance a
+    times this one.
     """
     grid = kern.shape[1]
     mean, explained = np.empty((2, len(idx), grid))
@@ -341,11 +342,7 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
     work = _work_area(max(len(rows) * n * n for n, rows in stacks),
                       max(len(rows) * n for n, rows in stacks) * grid)
     for n, rows in stacks:
-        a2 = scale[rows, None, None]
-        _, k_so, k_oo = _kernels(kern, idx[rows, :n], work)
-        k_so *= a2
-        k_oo *= a2
-        k_inv, explained[rows] = _inverse(k_so, k_oo, noise[rows, :n] * a2[:, 0], work)
+        _, k_so, k_inv, explained[rows] = _inverse(kern, idx[rows, :n], noise[rows, :n], work)
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[rows, :n])
         mean[rows] = np.einsum("dng,dn->dg", k_so, alpha)
     return mean, explained
@@ -357,14 +354,9 @@ def _stacks(widths: np.ndarray, grid: int) -> list[tuple[int, np.ndarray]]:
     stacks = []
     for n in set(widths.tolist()):
         rows = np.flatnonzero(widths == n)
-        size = _stack_rows(n, grid)
+        size = max(1, STACK_CELLS // (n * grid))
         stacks += [(n, rows[lo:lo + size]) for lo in range(0, len(rows), size)]
     return stacks
-
-
-def _stack_rows(n: int, grid: int) -> int:
-    """GPs of ``n`` training indices on ``grid`` values solved in one stack."""
-    return max(1, STACK_CELLS // (n * grid))
 
 
 def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -378,14 +370,16 @@ def _work_area(square: int, cross: int):
     return np.empty(square, dtype=np.intp), np.empty(square), np.empty((2, cross))
 
 
-def _kernels(kern, idx, work):
-    """Training and cross covariances of a stack of 1D GPs, in ``work``.
+def _inverse(kern, idx, noise, work):
+    """Gather, add the noise to and invert the training kernels of a stack.
 
-    Row r is a GP trained at the grid indices ``idx[r]``, with kernel
-    ``kern`` (over grid steps). ``work``, from ``_work_area``, holds rows * n
-    * n square and rows * n * G cross cells. Returns the flat indices of the
-    training kernels in ``kern``, the cross covariances (rows, n, G) and the
-    training kernels (rows, n, n), all views of ``work``.
+    Row r is a 1D GP trained at the grid indices ``idx[r]`` with kernel
+    ``kern`` (over grid steps) and noise variance ``noise`` (a scalar, or
+    one per training index). ``work``, from ``_work_area``, holds rows * n
+    * n square and rows * n * G cross cells. Returns the flat indices of
+    the training kernels in ``kern`` (rows, n, n) and the cross covariances
+    (rows, n, G), both views of ``work``, then the inverses of the training
+    kernels plus noise and the prior variance explained (rows, G).
     """
     rows, n = idx.shape
     grid = kern.shape[1]
@@ -395,20 +389,9 @@ def _kernels(kern, idx, work):
     # buffer, where "raise" would copy through another
     k_so = np.take(kern, idx, axis=0, mode="clip", out=_view(cross[0], rows, n, grid))
     k_oo = kern.take(cells, mode="clip", out=_view(square, rows, n, n))
-    return cells, k_so, k_oo
-
-
-def _inverse(k_so, k_oo, noise, work):
-    """Inverse training kernels of a stack and the prior variance explained.
-
-    ``k_so`` and ``k_oo`` are the stack's cross and training covariances
-    from ``_kernels``; ``noise`` is added to the diagonals of ``k_oo``, in
-    place. Returns the inverses and the variance explained (rows, G).
-    """
-    rows, n, grid = k_so.shape
     k_oo.reshape(rows, n * n)[:, ::n + 1] += noise     # the diagonals
     # an inverse per GP, not np.linalg.solve: on these stacks the solve
     # costs several times more
     k_inv = np.linalg.inv(k_oo)
-    prod = np.matmul(k_inv, k_so, out=_view(work[2][1], rows, n, grid))
-    return k_inv, np.einsum("dng,dng->dg", k_so, prod)
+    prod = np.matmul(k_inv, k_so, out=_view(cross[1], rows, n, grid))
+    return cells, k_so, k_inv, np.einsum("dng,dng->dg", k_so, prod)

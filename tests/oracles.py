@@ -112,6 +112,21 @@ def dense_gp_predict(train_x, train_y, query, lengthscale, signal_variance,
     return mean_y + std_y * mu, std_y * std
 
 
+def dense_noisy_posterior(train_x, train_y, noise, query, lengthscale):
+    """Posterior mean and explained variance of a unit 1D SE GP, via explicit K^-1.
+
+    Each training point has its own noise variance ``noise[i]``. Returns
+    k_q^T (K + diag(noise))^-1 y and k_q^T (K + diag(noise))^-1 k_q at each
+    query q, with K the unit squared-exponential kernel over the inputs.
+    """
+    x = np.asarray(train_x, dtype=float)
+    q = np.asarray(query, dtype=float)
+    k_inv = np.linalg.inv(_se_kernel(x, x, lengthscale, 1.0)
+                          + np.diag(np.asarray(noise, dtype=float)))
+    ks = _se_kernel(x, q, lengthscale, 1.0)
+    return ks.T @ k_inv @ np.asarray(train_y, dtype=float), np.sum(ks * (k_inv @ ks), axis=0)
+
+
 def difference_profile_posterior(a, b, y, noise, grid, lengthscale, prior_jitter):
     """Posterior of a 1D profile s from noisy differences, in covariance form.
 

@@ -357,14 +357,14 @@ class TestInverseReuse:
         opt.initialize(12)
         opt._projection_scores()
         inverted = []
-        original = gp._kernels
+        original = gp._inverse
 
         def spy(kern, i, *args, **kwargs):
             if kern is opt._projection_kernel:
                 inverted.append(len(i))
             return original(kern, i, *args, **kwargs)
 
-        monkeypatch.setattr(gp, "_kernels", spy)
+        monkeypatch.setattr(gp, "_inverse", spy)
         # a tuple made only of grid values already observed in each dimension
         first, second = opt.history.records[:2]
         mixed = first.indices[:3] + second.indices[3:]
