@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import ZETA, score_grid
-from .errors import SpaceExhausted, SurrogateError
+from .errors import SurrogateError
 from .gp import NOISE_VARIANCE, KernelConfig, gp_fit
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
@@ -119,13 +119,9 @@ class BoOptimizer:
         """
         if not self.history.records:
             raise ValueError("initialize() must run before step()")
-        evaluated = self.history.evaluated
-        remaining = self.space.combination_count - len(evaluated)
-        if remaining <= 0:
-            raise SpaceExhausted("search space exhausted")
-
-        pool = draw_unevaluated(self.space, self.rng, evaluated,
-                                min(CANDIDATE_POOL_SIZE, remaining))
+        # capped at the unevaluated count; SpaceExhausted when there is none
+        pool = draw_unevaluated(self.space, self.rng, self.history.evaluated,
+                                CANDIDATE_POOL_SIZE)
         # a neighbor differs from the incumbent in one coordinate, so only
         # the drawn rows that do can equal one
         near = pool[np.count_nonzero(pool != self.history.best.indices, axis=1) == 1]

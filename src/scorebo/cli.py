@@ -184,18 +184,32 @@ def _write_traces(config: RunConfig, traces: list[ConvergenceTrace]) -> Path:
     return out
 
 
+def _run_seeds(args, seeds: list) -> tuple[RunConfig, list[ConvergenceTrace]]:
+    """One run per seed of the flags' config, each summary printed as it ends.
+
+    A seed of None keeps the config's own. If the objective raises, the
+    traces of the seeds completed so far and the failed seed's partial
+    trace are written before the error propagates.
+    """
+    traces = []
+    for seed in seeds:
+        config = load_config(args.config, {**_overrides(args), "seed": seed})
+        try:
+            trace = run_experiment(config)
+        except ObjectiveError as exc:
+            _write_traces(config, traces + [exc.trace])
+            raise
+        traces.append(trace)
+        _print_summary(config, trace)
+    return config, traces
+
+
 def _cmd_run(args) -> int:
-    config = load_config(args.config, _overrides(args))
-    try:
-        trace = run_experiment(config)
-    except ObjectiveError as exc:
-        _write_traces(config, [exc.trace])
-        raise
-    out = _write_traces(config, [trace])
-    stem = _trace_stem(config)
-    render_svg([trace], "convergence", out / f"{stem}_seed{config.seed}_convergence.svg")
-    render_svg([trace], "timing", out / f"{stem}_seed{config.seed}_timing.svg")
-    _print_summary(config, trace)
+    config, traces = _run_seeds(args, [args.seed])
+    out = _write_traces(config, traces)
+    stem = f"{_trace_stem(config)}_seed{config.seed}"
+    render_svg(traces, "convergence", out / f"{stem}_convergence.svg")
+    render_svg(traces, "timing", out / f"{stem}_timing.svg")
     return 0
 
 
@@ -208,19 +222,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigurationError(f"--seeds: {entry!r} is not an integer") from None
     if not seeds:
         raise ConfigurationError("--seeds must list at least one seed")
-    traces = []
-    config = None
-    for seed in seeds:
-        overrides = _overrides(args)
-        overrides["seed"] = seed
-        config = load_config(args.config, overrides)
-        try:
-            trace = run_experiment(config)
-        except ObjectiveError as exc:
-            _write_traces(config, traces + [exc.trace])
-            raise
-        traces.append(trace)
-        _print_summary(config, trace)
+    config, traces = _run_seeds(args, seeds)
     out = _write_traces(config, traces)
     stem = _trace_stem(config)
     write_trace_csv(aggregate_median(traces), out / f"{stem}_median.csv")

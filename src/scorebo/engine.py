@@ -24,18 +24,21 @@ line model only as far as those predictions have explained the outcomes
 (regression slope and explained variance). When they explain nothing, every
 dimension keeps its own independent line.
 
-A batch is, in order: one merged move (every coordinate moved to the value
-whose change is confidently negative, which merges the line moves that
-improved); single-coordinate line moves ranked by line EI; for dimensions
-with no line evidence, a move to the argmax of the dimension's projection
-score; then tuples drawn per dimension from a softmax of the projection
-scores; and last, uniform-random unevaluated tuples.
+One routine, ``select_batch``, assembles a batch, tier by tier: one merged
+move (every coordinate moved to the value whose change is confidently
+negative, which merges the line moves that improved); single-coordinate
+line moves ranked by line EI; for dimensions with no line evidence, a move
+to the argmax of the dimension's projection score; then tuples drawn per
+dimension from a softmax of the projection scores; and last,
+uniform-random unevaluated tuples.
 
-The line posterior, the merged moves and the line-EI table depend on the
-line evidence alone. They are kept, read-only, with the evidence's version
-and derived again only at a selection where the evidence has changed (a
-line move recorded or the incumbent moved); a selection that follows only
-non-line, non-improving evaluations reuses them bit for bit.
+The line posterior (with each shared profile's predicted change of every
+move), the merged moves and the line-EI table depend on the line evidence
+alone. They are kept, read-only, with the evidence's version and derived
+again only at a selection where the evidence has changed (a line move
+recorded or the incumbent moved); a selection that follows only non-line,
+non-improving evaluations reuses them bit for bit. Deriving them writes no
+optimizer state other than the fit count.
 
 Per-dimension GP training sets never exceed the grid length, and the line
 evidence holds at most one entry per (dimension, grid value), so the cost of
@@ -120,25 +123,14 @@ def clip_targets(values: np.ndarray) -> np.ndarray:
 
 
 def _upper_quartile(values: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """``np.percentile(row[finite], 75)`` of each row, keeping dims.
-
-    A 1-D array is one row, whose order statistics are read as scalars:
-    the same operations without the row-offset indexing of a table.
-    """
-    if values.ndim == 1:
-        n = int(np.count_nonzero(finite))
-        pos = 0.75 * (n - 1)
-        below = int(pos)
-        ordered = np.sort(values)               # infs sort past the row's values
-        a, b = float(ordered[below]), float(ordered[min(below + 1, n - 1)])
-    else:
-        n = finite.sum(axis=-1, keepdims=True)
-        pos = 0.75 * (n - 1)
-        below = pos.astype(int)
-        flat = np.sort(values, axis=-1).ravel()      # infs sort past each row's values
-        first = np.arange(0, flat.size, values.shape[-1]).reshape(n.shape)
-        a = flat[first + below]
-        b = flat[first + np.minimum(below + 1, n - 1)]
+    """``np.percentile(row[finite], 75)`` of each row, keeping dims."""
+    n = finite.sum(axis=-1, keepdims=True)
+    pos = 0.75 * (n - 1)
+    below = pos.astype(int)
+    flat = np.sort(values, axis=-1).ravel()      # infs sort past each row's values
+    first = np.arange(0, flat.size, values.shape[-1]).reshape(n.shape)
+    a = flat[first + below]
+    b = flat[first + np.minimum(below + 1, n - 1)]
     gamma = pos - below
     return np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)
 
@@ -226,7 +218,6 @@ class _GridGroup:
     prior_precision: np.ndarray | None = None   # inverse kernel of the shared profile
     # (shared prediction, observed change) of recent line moves, in order
     outcomes: deque = field(default_factory=lambda: deque(maxlen=TRUST_WINDOW))
-    profile: np.ndarray | None = None   # shared profile mean of the last fit
 
 
 @dataclass(frozen=True)
@@ -234,7 +225,8 @@ class _LineTables:
     """What a selection derives from the line evidence alone; arrays read-only."""
 
     version: int                  # ``LineEvidence.version`` they were derived at
-    posterior: tuple              # ``_line_posterior()``: mean, std, scale, supported, share
+    posterior: tuple              # ``_line_posterior()``: mean, std, scale, supported,
+                                  # share, predicted
     valid: np.ndarray             # (D, G) grid values a line move may go to
     merged: tuple                 # merged moves that move some coordinate, in order
     ei: np.ndarray                # (D, G) line EI before any move is taken
@@ -353,14 +345,6 @@ class ScoreOptimizer:
                             (self.history.best.value - y_mean) / y_std, ZETA)
         return np.where(self._grid_cells, scores, -np.inf)
 
-    def _follow_incumbent(self) -> None:
-        """Re-anchor the line evidence to the current incumbent."""
-        best = self.history.best
-        if best.indices != self.lines.anchor:
-            kept = self._line_tables_kept
-            self.lines.reanchor(best.indices, best.value,
-                                kept.posterior[0] if kept is not None else None)
-
     def _shared_profile(self, group: _GridGroup, a: np.ndarray, b: np.ndarray,
                         y: np.ndarray, wt: np.ndarray, scale2: float):
         """Posterior mean and covariance of the group's shared 1D profile.
@@ -403,11 +387,13 @@ class ScoreOptimizer:
     def _line_posterior(self):
         """Predicted change of every single-coordinate move from the incumbent.
 
-        Returns ``(mean, std, scale, supported, share)``: (D, G) arrays of
-        the predicted change and its standard deviation, the line scale of
-        each dimension, which dimensions have any evidence behind their
-        line, and the weight each dimension's group gives its shared
-        profile (0 for dimensions that share with no other).
+        Returns ``(mean, std, scale, supported, share, predicted)``: (D, G)
+        arrays of the predicted change and its standard deviation, the line
+        scale of each dimension, which dimensions have any evidence behind
+        their line, the weight each dimension's group gives its shared
+        profile (0 for dimensions that share with no other), and the (D, G)
+        change each move's group profile predicts, trusted or not (NaN
+        where the group has no profile).
         """
         dims, max_grid = self.lines.levels.shape
         anchor = self.lines.anchor_array
@@ -418,12 +404,12 @@ class ScoreOptimizer:
         moved[line_rows[:, 0], anchor] = False
         noise = LINE_NOISE * np.exp(STALENESS_RATE * self.lines.staleness())
         prior_mean, prior_var = np.zeros((2, dims, max_grid))
+        predicted = np.full((dims, max_grid), np.nan)
         amp2, scale2 = np.ones((2, dims))
         supported = np.zeros(dims, dtype=bool)
         share = np.zeros(dims)
         for group in self._groups:
             g = group.dims
-            group.profile = None
             rows, b = np.nonzero(moved[g])     # the moved levels, row by row
             if not len(rows):
                 continue
@@ -440,14 +426,14 @@ class ScoreOptimizer:
             if group.prior_precision is None:
                 continue
             mean, cov = self._shared_profile(group, anchor[d], b, y, wt, s2)
-            group.profile = mean
+            n = group.n_grid
+            c = anchor[g]
+            predicted[g, :n] = mean[None, :] - mean[c][:, None]
             slope, explained = self._trust(group)
             if explained <= 0.0:
                 continue
-            n = group.n_grid
-            c = anchor[g]
             var = np.diag(cov)
-            prior_mean[g, :n] = slope * (mean[None, :] - mean[c][:, None])
+            prior_mean[g, :n] = slope * predicted[g, :n]
             prior_var[g, :n] = slope**2 * np.maximum(
                 var[None, :] + var[c][:, None] - 2.0 * cov[c], 0.0)
             amp2[g] = s2 * max(1.0 - explained, MIN_OWN_SHARE)
@@ -471,16 +457,21 @@ class ScoreOptimizer:
             np.where(pad, 0.0, resid[line_rows, idx]), widths)
         std = np.sqrt(np.maximum(prior_var + amp2[:, None] * (1.0 - explained), 0.0))
         self.refinement_fit_count += dims
-        return prior_mean + line_mean, std, np.sqrt(scale2), supported, share
+        return prior_mean + line_mean, std, np.sqrt(scale2), supported, share, predicted
 
     def _line_tables(self) -> _LineTables:
-        """The line tables of the current line evidence.
+        """Re-anchor the line evidence to the incumbent, then its line tables.
 
-        They depend on nothing else, so they are derived again only when
+        A dimension whose coordinate changed is shifted by the kept line
+        mean when it has no level at the new index. The tables depend on
+        the line evidence alone, so they are derived again only when
         ``lines.version`` has moved since the last selection; otherwise the
         kept ones are returned.
         """
-        kept = self._line_tables_kept
+        best, kept = self.history.best, self._line_tables_kept
+        if best.indices != self.lines.anchor:
+            self.lines.reanchor(best.indices, best.value,
+                                kept.posterior[0] if kept is not None else None)
         if kept is None or kept.version != self.lines.version:
             kept = self._line_tables_kept = self._derive_line_tables()
         return kept
@@ -488,7 +479,7 @@ class ScoreOptimizer:
     def _derive_line_tables(self) -> _LineTables:
         """Line posterior, move mask, merged moves and line EI, all read-only."""
         posterior = self._line_posterior()
-        mean, std, scale, supported, _ = posterior
+        mean, std, scale, supported, _, _ = posterior
         line_rows = np.arange(len(mean))
         anchor = self.lines.anchor_array
         valid = self._grid_cells.copy()
@@ -511,89 +502,28 @@ class ScoreOptimizer:
         ei = score_grid(mean / scale[:, None], std / scale[:, None],
                         (best_level / scale)[:, None], 0.0)
         ei = np.where(open_lines, ei, 0.0)
-        profiles = [g.profile for g in self._groups if g.profile is not None]
-        for array in (*posterior, valid, ei, *profiles):
+        for array in (*posterior, valid, ei):
             array.flags.writeable = False
         return _LineTables(self.lines.version, posterior, valid, tuple(merged), ei)
 
     def _fresh(self, t: tuple[int, ...], taken: set) -> bool:
         return t not in taken and t not in self.history.evaluated
 
-    def _refinement_candidates(self, scores: np.ndarray, taken: set,
-                               count: int) -> list[tuple[int, ...]]:
-        """Moves from the incumbent proposed by the line evidence.
-
-        First the merged moves, then single-coordinate moves by line EI
-        (standardized by each line's scale; a move must clear
-        ``LINE_EI_MIN``), then, for dimensions that have no line
-        evidence, a move to the argmax of their projection score (``scores``
-        is the (D, G) table, -inf past each grid's end). The line tables
-        come from ``_line_tables``, kept while the line evidence is
-        unchanged; only what the batch has taken is tracked per selection.
-        Returns fewer than ``count`` tuples when nothing else is supported.
-        """
-        self._follow_incumbent()
-        tables = self._line_tables()
-        _, _, _, supported, share = tables.posterior
-        inc = self.lines.anchor
-        dims, max_grid = tables.ei.shape
-        out: list[tuple[int, ...]] = []
-
-        def take(t):
-            out.append(t)
-            taken.add(t)
-            d = self.lines.moved_dim(t)
-            group = self._groups[self._group_of[d]] if d is not None else None
-            if group is not None and group.profile is not None:
-                profile = group.profile
-                self._pending[(d, t[d])] = float(profile[t[d]] - profile[inc[d]])
-
-        for merged in tables.merged:
-            if len(out) < count and self._fresh(merged, taken):
-                take(merged)
-
-        # single-coordinate moves by line EI
-        ei = tables.ei.copy()
-        while len(out) < count:
-            d, v = divmod(int(np.argmax(ei)), max_grid)
-            if ei[d, v] <= LINE_EI_MIN:
-                break
-            ei[d, v] = 0.0
-            t = inc[:d] + (v,) + inc[d + 1:]
-            if not self._fresh(t, taken):
-                continue
-            take(t)
-            ei[d] = 0.0                       # one move per line and batch
-            if share[d] > 0.0:
-                # under a trusted shared profile, values near v on the other
-                # lines of the group are now less informative
-                g = self._groups[self._group_of[d]]
-                ei[g.dims] *= 1.0 - share[d] * self._line_kernel[v]
-
-        # dimensions without line evidence: follow the projection score
-        for k in range(dims):
-            if len(out) >= count:
-                break
-            d = (self._refine_dim + k) % dims
-            if supported[d]:
-                continue
-            row = np.where(tables.valid[d], scores[d], -np.inf)
-            v = int(np.argmax(row))
-            t = inc[:d] + (v,) + inc[d + 1:]
-            if row[v] > -np.inf and self._fresh(t, taken):
-                take(t)
-                self._refine_dim = d + 1
-        return out
-
     def select_batch(self, scores: np.ndarray,
                      max_batch: int | None = None) -> list[tuple[int, ...]]:
-        """Assemble distinct, never-evaluated index-tuples.
+        """Assemble distinct, never-evaluated index-tuples, tier by tier.
 
         ``scores`` is the (D, G) projection-score table, -inf past each
-        grid's end. Line-evidence proposals come first (see
-        ``_refinement_candidates``); then tuples drawn per dimension from
-        softmax(score / tau), with duplicates resampled up to 100*B times;
-        finally uniform-random unevaluated tuples.
+        grid's end. Once the history holds a record, the line tiers come
+        first, from the line tables of ``_line_tables``: the merged moves;
+        single-coordinate moves by line EI (standardized by each line's
+        scale; a move must clear ``LINE_EI_MIN``); for dimensions with no
+        line evidence, a move to the argmax of their projection score. Then
+        tuples drawn per dimension from softmax(score / tau), with
+        duplicates resampled up to 100*B times; finally uniform-random
+        unevaluated tuples. Each line move of a dimension whose group has a
+        shared profile records the profile's prediction of it, which
+        ``_absorb`` pairs with the move's outcome.
         """
         remaining = self.space.combination_count - len(self.history.evaluated)
         if remaining <= 0:
@@ -602,11 +532,58 @@ class ScoreOptimizer:
         if max_batch is not None:
             b = min(b, max_batch)
 
-        taken: set[tuple[int, ...]] = set()   # chosen in this batch
         chosen: list[tuple[int, ...]] = []
+        taken: set[tuple[int, ...]] = set()   # chosen in this batch
         self._pending.clear()
+
+        def take(t: tuple[int, ...], d: int | None) -> None:
+            """Add t, a line move of dimension d or (d None) no line move."""
+            chosen.append(t)
+            taken.add(t)
+            if d is not None and not np.isnan(predicted[d, t[d]]):
+                self._pending[(d, t[d])] = float(predicted[d, t[d]])
+
         if len(self.history) > 0:
-            chosen.extend(self._refinement_candidates(scores, taken, b))
+            tables = self._line_tables()
+            _, _, _, supported, share, predicted = tables.posterior
+            inc = self.lines.anchor
+            dims, max_grid = tables.ei.shape
+
+            for merged in tables.merged:
+                if len(chosen) < b and self._fresh(merged, taken):
+                    take(merged, self.lines.moved_dim(merged))
+
+            # single-coordinate moves by line EI
+            ei = tables.ei.copy()
+            while len(chosen) < b:
+                d, v = divmod(int(np.argmax(ei)), max_grid)
+                if ei[d, v] <= LINE_EI_MIN:
+                    break
+                ei[d, v] = 0.0
+                t = inc[:d] + (v,) + inc[d + 1:]
+                if not self._fresh(t, taken):
+                    continue
+                take(t, d)
+                ei[d] = 0.0                       # one move per line and batch
+                if share[d] > 0.0:
+                    # under a trusted shared profile, values near v on the
+                    # other lines of the group are now less informative
+                    g = self._groups[self._group_of[d]]
+                    ei[g.dims] *= 1.0 - share[d] * self._line_kernel[v]
+
+            # dimensions without line evidence: follow the projection score
+            for k in range(dims):
+                if len(chosen) >= b:
+                    break
+                d = (self._refine_dim + k) % dims
+                if supported[d]:
+                    continue
+                row = np.where(tables.valid[d], scores[d], -np.inf)
+                v = int(np.argmax(row))
+                t = inc[:d] + (v,) + inc[d + 1:]
+                if row[v] > -np.inf and self._fresh(t, taken):
+                    take(t, d)
+                    self._refine_dim = d + 1
         if len(chosen) >= b:
             return chosen
 
@@ -626,13 +603,13 @@ class ScoreOptimizer:
             u = self.rng.random(len(cdf))
             t = tuple((cdf <= u[:, None]).sum(axis=1).tolist())
             if self._fresh(t, taken):
-                chosen.append(t)
-                taken.add(t)
+                take(t, None)
 
         if len(chosen) < b:
             fill = draw_unevaluated(self.space, self.rng, self.history.evaluated | taken,
                                     b - len(chosen))
-            chosen.extend(map(tuple, fill.tolist()))
+            for t in fill.tolist():
+                take(tuple(t), None)
         return chosen
 
     def step(self, max_batch: int | None = None) -> StepResult:

@@ -6,10 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from scorebo import gp
+from scorebo import engine, gp
 from scorebo.acquisition import ZETA, expected_improvement
 from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
-                            LINE_NOISE, STALENESS_RATE, TAU_FRACTION,
+                            LINE_NOISE, STALENESS_RATE, TAU_FRACTION, TRUST_WINDOW,
                             LineEvidence, ProjectionTable, ScoreOptimizer,
                             clip_targets)
 from scorebo.errors import SpaceExhausted
@@ -532,9 +532,10 @@ class TestLineEvidence:
                              objective=table_objective(space, values))
         for indices in values:
             opt.history.evaluate(indices)
-        mean, std, scale, supported, share = opt._line_posterior()
+        mean, std, scale, supported, share, predicted = opt._line_posterior()
         assert list(supported) == [False, True, True, True]
         assert not share.any()
+        assert np.isnan(predicted).all()                # no group has a profile
         for d, targets in moves.items():
             if not targets:
                 continue
@@ -561,14 +562,14 @@ class TestLineEvidence:
                              objective=table_objective(space, {**values, **later}))
         for indices in values:
             opt.history.evaluate(indices)
-        opt._follow_incumbent()
+        opt._line_tables()                              # re-anchors to (4, 4, 6)
         for indices in later:
             opt.history.evaluate(indices)
         fits = []
         shared_profile = opt._shared_profile
         monkeypatch.setattr(opt, "_shared_profile",
                             lambda *args: fits.append(shared_profile(*args)) or fits[-1])
-        opt._line_posterior()
+        predicted = opt._line_posterior()[5]
         (mean, cov), = fits
 
         lines = opt.lines
@@ -585,6 +586,8 @@ class TestLineEvidence:
         scale2 = np.sum(weight * y**2) / np.sum(weight)
         np.testing.assert_allclose(mean, o_mean, rtol=0, atol=PROFILE_ATOL)
         np.testing.assert_allclose(cov, scale2 * o_cov, rtol=0, atol=PROFILE_ATOL)
+        o_change = o_mean[None, :] - o_mean[lines.anchor_array][:, None]
+        np.testing.assert_allclose(predicted, o_change, rtol=0, atol=2 * PROFILE_ATOL)
 
     @staticmethod
     def _trust_after(profiles, steps=12):
@@ -629,6 +632,71 @@ class TestLineEvidence:
         groups = sorted(g.dims.tolist() for g in opt._groups)
         assert groups == [[0, 1], [2]]
 
+    def test_outcomes_pair_line_move_predictions_with_recorded_levels(self, monkeypatch):
+        # Three dimensions on one 7-value grid share a profile. The score
+        # table is flat on dimension 0 and peaked at the incumbent
+        # elsewhere, so the softmax tier draws single-coordinate moves of
+        # dimension 0; the random fill is made to return the incumbent's
+        # unevaluated line moves. Both tiers then give moves the profile
+        # predicts, and neither may record an outcome.
+        space = grid_space(7, 7, 7)
+        opt = ScoreOptimizer(space=space,
+                             objective=lambda p: float(np.sum((p - 0.3) ** 2)),
+                             batch_size=8, seed=0)
+        opt.initialize(6)
+        group = opt._groups[0]
+        profile, asked, start = {}, [], {}
+        line_posterior, shared_profile, fresh = (opt._line_posterior, opt._shared_profile,
+                                                 opt._fresh)
+
+        def posterior():
+            profile.clear()                 # a derivation without a profile keeps none
+            return line_posterior()
+
+        def fit(*args):
+            profile["mean"], cov = shared_profile(*args)
+            return profile["mean"], cov
+
+        def spy(t, taken):
+            # the line tiers draw no random numbers, so a tuple asked about
+            # before the generator moved is a line-tier candidate
+            asked.append((t, opt.rng.bit_generator.state == start["state"]))
+            return fresh(t, taken)
+
+        def line_fill(space, rng, excluded, count):
+            a = opt.lines.anchor
+            moves = [a[:d] + (v,) + a[d + 1:] for d in range(3) for v in range(7)]
+            return np.array([t for t in moves if t not in excluded][:count], dtype=int)
+
+        opt._line_posterior, opt._shared_profile, opt._fresh = posterior, fit, spy
+        monkeypatch.setattr(engine, "draw_unevaluated", line_fill)
+        line_moves = fill_moves = 0
+        for _ in range(6):
+            anchor = opt.history.best.indices
+            scores = np.where(np.arange(7) == np.array(anchor)[:, None], 0.0, -50.0)
+            scores[0] = 0.0
+            asked.clear()
+            start["state"] = opt.rng.bit_generator.state
+            batch = opt.select_batch(scores)
+            line_tier = {t for t, first in asked if first}
+            for t in batch:
+                d = opt.lines.moved_dim(t)
+                before = list(group.outcomes)
+                opt.history.evaluate(t)
+                if d is None or "mean" not in profile:
+                    assert list(group.outcomes) == before
+                elif t in line_tier:
+                    mean = profile["mean"]
+                    prediction = mean[t[d]] - mean[anchor[d]]
+                    assert list(group.outcomes) == before + [(prediction,
+                                                              opt.lines.levels[d, t[d]])]
+                    line_moves += 1
+                else:
+                    assert list(group.outcomes) == before
+                    fill_moves += 1
+        assert line_moves > 0 and fill_moves > 0
+        assert len(group.outcomes) < TRUST_WINDOW     # none has been pushed out
+
 
 class TestLineTableReuse:
     @staticmethod
@@ -645,17 +713,12 @@ class TestLineTableReuse:
             before = opt._line_tables_kept
             kept = line_tables()
             counts["reused" if kept is before else "derived"] += 1
-            profiles = [g.profile for g in opt._groups]
             fresh = opt._derive_line_tables()
-            for a, b in zip(kept.posterior, fresh.posterior):
-                assert np.array_equal(a, b)
+            for a, b in zip(kept.posterior, fresh.posterior, strict=True):
+                assert np.array_equal(a, b, equal_nan=True)
             assert kept.merged == fresh.merged
             assert np.array_equal(kept.valid, fresh.valid)
             assert np.array_equal(kept.ei, fresh.ei)
-            for g, profile in zip(opt._groups, profiles):
-                assert (profile is None) == (g.profile is None)
-                assert profile is None or np.array_equal(profile, g.profile)
-                g.profile = profile
             return kept
 
         opt._line_tables = checked
@@ -699,12 +762,12 @@ class TestLineTableReuse:
     def test_posterior_is_recomputed_once_per_write_and_never_without(self):
         opt = ScoreOptimizer(space=ackley_space(10), objective=ackley, seed=0)
         log = self._spy(opt)
-        refinement_candidates = opt._refinement_candidates
+        line_tables = opt._line_tables
         per_selection = []
 
-        def selection(*args):
+        def selection():
             mark = len(log)
-            out = refinement_candidates(*args)
+            out = line_tables()
             writes = [e for e in log[:mark] if e != "posterior"]
             computed = log[mark:].count("posterior")
             # this selection's own re-anchoring comes before its posterior
@@ -713,7 +776,7 @@ class TestLineTableReuse:
             log.clear()
             return out
 
-        opt._refinement_candidates = selection
+        opt._line_tables = selection
         opt.initialize(20)
         while opt.history.n_evaluations < 300:
             opt.step()
@@ -755,9 +818,8 @@ class TestLineTableReuse:
         for _ in range(6):
             opt.step()
         kept = opt._line_tables()
-        profiles = [g.profile for g in opt._groups if g.profile is not None]
-        assert profiles
-        for array in (*kept.posterior, kept.valid, kept.ei, *profiles):
+        assert not np.isnan(kept.posterior[5]).all()    # a shared profile's changes
+        for array in (*kept.posterior, kept.valid, kept.ei):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
 
