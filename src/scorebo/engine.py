@@ -29,8 +29,12 @@ move (every coordinate moved to the value whose change is confidently
 negative, which merges the line moves that improved); single-coordinate
 line moves ranked by line EI; for dimensions with no line evidence, a move
 to the argmax of the dimension's projection score; then tuples drawn per
-dimension from a softmax of the projection scores; and last,
-uniform-random unevaluated tuples.
+dimension from a softmax of the projection scores over the grid values
+that dimension has already seen; and last, uniform-random unevaluated
+tuples. The softmax tier so recombines observed values and never gives a
+dimension a new one: new grid values come from the line tiers, the
+projection-score move and the random fill, and a step whose batch came
+from the softmax tier alone inverts no projection GP at the next step.
 
 The line posterior (with each shared profile's predicted change of every
 move), the merged moves and the line-EI table depend on the line evidence
@@ -63,7 +67,7 @@ from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
 
 LENGTHSCALE_STEPS = 3.0    # projection-GP lengthscale, in grid steps
-TAU_FRACTION = 0.1         # softmax temperature, as a fraction of the score range
+TAU_FRACTION = 0.1         # softmax temperature, a fraction of the observed score range
 LINE_LENGTHSCALE = 1.5     # line-model lengthscale, in grid steps
 LINE_EI_MIN = 0.01         # line EI (in line scales) a line move must clear
 LINE_NOISE = 0.01          # line-model noise, as a fraction of the line variance
@@ -519,11 +523,15 @@ class ScoreOptimizer:
         single-coordinate moves by line EI (standardized by each line's
         scale; a move must clear ``LINE_EI_MIN``); for dimensions with no
         line evidence, a move to the argmax of their projection score. Then
-        tuples drawn per dimension from softmax(score / tau), with
-        duplicates resampled up to 100*B times; finally uniform-random
-        unevaluated tuples. Each line move of a dimension whose group has a
-        shared profile records the profile's prediction of it, which
-        ``_absorb`` pairs with the move's outcome.
+        tuples drawn per dimension from softmax(score / tau) over its
+        observed cells (finite ``projections.minima``; a dimension with
+        none keeps its whole grid), tau being ``TAU_FRACTION`` of their
+        score range, with duplicates resampled up to 100*B times; finally
+        uniform-random unevaluated tuples. So new grid values come only
+        from the line tiers, the projection-score move and the random fill.
+        Each line move of a dimension whose group has a shared profile
+        records the profile's prediction of it, which ``_absorb`` pairs
+        with the move's outcome.
         """
         remaining = self.space.combination_count - len(self.history.evaluated)
         if remaining <= 0:
@@ -587,7 +595,10 @@ class ScoreOptimizer:
         if len(chosen) >= b:
             return chosen
 
-        # per-dimension softmax CDFs
+        # per-dimension softmax CDFs over the observed cells; a row with none
+        # keeps its whole grid, since an all -inf row has no distribution
+        observed = np.isfinite(self.projections.minima)
+        scores = np.where(observed | ~observed.any(axis=1, keepdims=True), scores, -np.inf)
         top = scores.max(axis=1, keepdims=True)
         low = np.where(np.isfinite(scores), scores, np.inf).min(axis=1, keepdims=True)
         tau = np.maximum(TAU_FRACTION * (top - low), 1e-9)

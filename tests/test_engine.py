@@ -43,6 +43,38 @@ class FakeRecord:
         self.value = value
 
 
+def record_softmax_draws(opt):
+    """Spy on the softmax tier of ``opt``'s selections.
+
+    The tier draws one uniform per dimension with ``opt.rng.random`` and
+    then asks ``_fresh`` about the tuple it inverts them to; nothing else in
+    a selection calls ``rng.random``. Returns a list that gains one
+    ``(tuple, taken, on_observed_cells)`` per draw, the last read from the
+    projections at that selection.
+    """
+    draws, armed = [], []
+    rng, fresh = opt.rng, opt._fresh
+
+    class Rng:
+        def random(self, size):
+            armed.append(True)
+            return rng.random(size)
+
+        def __getattr__(self, name):
+            return getattr(rng, name)
+
+    def spy(t, taken):
+        is_fresh = fresh(t, taken)
+        if armed:
+            armed.clear()
+            minima = opt.projections.minima[np.arange(len(t)), list(t)]
+            draws.append((t, is_fresh, bool(np.isfinite(minima).all())))
+        return is_fresh
+
+    opt.rng, opt._fresh = Rng(), spy
+    return draws
+
+
 def observed_matches(table, brute):
     """``observed(d)`` is each dimension's sorted brute-force keys and minima."""
     for d, cells in enumerate(brute):
@@ -382,6 +414,30 @@ class TestInverseReuse:
         opt._projection_scores()
         assert inverted == [1]
 
+    def test_step_filled_by_the_softmax_tier_inverts_no_projection(self, monkeypatch):
+        opt = ScoreOptimizer(space=ackley_space(6), objective=ackley,
+                             batch_size=2, seed=0)
+        opt.initialize(12)
+        draws = record_softmax_draws(opt)
+        for _ in range(100):
+            before = len(draws)
+            batch = opt.step().batch
+            if sum(taken for _, taken, _ in draws[before:]) == len(batch):
+                break
+        else:
+            pytest.fail("no step's batch came wholly from the softmax tier")
+        inverted = []
+        original = gp._inverse
+
+        def spy(kern, i, *args, **kwargs):
+            if kern is opt._projection_kernel:
+                inverted.append(len(i))
+            return original(kern, i, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_inverse", spy)
+        opt._projection_scores()
+        assert inverted == []
+
 
 class TestSelectBatch:
     def test_evaluated_top_tuple_is_not_returned(self):
@@ -442,6 +498,17 @@ class TestSelectBatch:
             if t not in expected:
                 expected.append(t)
         assert batch == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_softmax_tier_draws_only_observed_cells(self):
+        opt = ScoreOptimizer(space=ackley_space(200), objective=ackley,
+                             batch_size=10, seed=0)
+        opt.initialize(50)
+        draws = record_softmax_draws(opt)
+        for _ in range(20):
+            opt.step()
+        assert sum(taken for _, taken, _ in draws) >= 10
+        assert all(observed for _, _, observed in draws)
 
     def test_ragged_grids_score_and_select_only_grid_values(self):
         space = grid_space(3, 7, 2, 5)

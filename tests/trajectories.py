@@ -4,11 +4,17 @@ A script, not a test: pytest does not collect it. It runs seeds 0-9 of the
 benchmark's configurations (read from ``perfbench/workloads.py``) through
 ``scorebo.cli.run_experiment`` and prints one line per run:
 
-    <workload> seed=<s> calls=<n> rows=<m> decisions=<sha256> surrogates=<sha256>
+    <workload> seed=<s> calls=<n> rows=<m> target=<k> pre_target=<sha256> \
+        decisions=<sha256> surrogates=<sha256>
 
-``decisions`` covers each objective call's point and returned value, in call
-order, and each trace row's iteration, evals and best value; the timing
-columns are left out. ``surrogates`` covers the bytes of the mean and std
+``target`` is the objective call (1-based, as perfbench's
+``evals_to_target`` counts it) whose value first reached the workload's
+target (``WORKLOADS[name].target``), or ``none``; ``pre_target`` covers
+each objective call's point and returned value up to and including that
+call (every call when the target is never reached). ``decisions`` covers
+each objective call's point and returned value, in call order, and each
+trace row's iteration, evals and best value; the timing columns are left
+out. ``surrogates`` covers the bytes of the mean and std
 of every ``GpModel.predict`` (only the joint-GP baseline calls it), of
 every projection score table (``ScoreOptimizer._projection_scores``), of
 the first five arrays (mean, std, scale, supported, share) of every derived
@@ -27,6 +33,9 @@ and comparing the other tree's runs against it:
 
 ``--compare FILE`` prints each run as usual and then names every run whose
 line differs from FILE's (or that FILE lacks), and exits 1 if any does.
+Each differing run is marked ``same up to target`` when its ``target`` and
+``pre_target`` equal FILE's, so no call up to the one that reached the
+target differs, and ``differs up to target`` otherwise.
 
 Run both under the same BLAS thread count: the predict bytes depend on it.
 
@@ -51,20 +60,27 @@ RUNS = ("score-ackley10-b1", "score-ackley200-b10", "bo-ackley10", "score-sdm-b1
 SEEDS = range(10)
 
 
-def digest_run(config: dict, seed: int) -> tuple[int, int, str, str]:
-    """Objective calls, trace rows and the decision and surrogate digests."""
+def digest_run(config: dict, target: float, seed: int) -> dict:
+    """Objective calls, trace rows, the target call and the three digests."""
     decisions, surrogates = hashlib.sha256(), hashlib.sha256()
+    pre_target = hashlib.sha256()
     calls = 0
+    target_call = None
     build = cli._build_problem
 
     def recording_build(cfg):
         space, objective = build(cfg)
 
         def recorded(point):
-            nonlocal calls
+            nonlocal calls, target_call
             value = objective(point)
             calls += 1
-            decisions.update(repr((list(map(float, point)), float(value))).encode())
+            call = repr((list(map(float, point)), float(value))).encode()
+            decisions.update(call)
+            if target_call is None:
+                pre_target.update(call)
+                if value <= target:
+                    target_call = calls
             return value
 
         return space, recorded
@@ -92,7 +108,10 @@ def digest_run(config: dict, seed: int) -> tuple[int, int, str, str]:
             setattr(owner, name, method)
     for row in trace.rows:
         decisions.update(repr((row.iteration, row.evals, row.best_value)).encode())
-    return calls, len(trace.rows), decisions.hexdigest(), surrogates.hexdigest()
+    return {"calls": calls, "rows": len(trace.rows),
+            "target": "none" if target_call is None else target_call,
+            "pre_target": pre_target.hexdigest(), "decisions": decisions.hexdigest(),
+            "surrogates": surrogates.hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -106,18 +125,20 @@ def main(argv=None) -> int:
             saved[" ".join(line.split()[:2])] = line
     differing = []
     for name in RUNS:
+        workload = WORKLOADS[name]
         for seed in SEEDS:
-            calls, rows, decisions, surrogates = digest_run(WORKLOADS[name].config, seed)
+            fields = digest_run(workload.config, workload.target, seed)
             run = f"{name} seed={seed}"
-            line = (f"{run} calls={calls} rows={rows} "
-                    f"decisions={decisions} surrogates={surrogates}")
+            line = " ".join([run, *(f"{key}={value}" for key, value in fields.items())])
             print(line, flush=True)
             if args.compare and saved.get(run) != line:
-                differing.append(run)
+                differing.append((run, f"target={fields['target']} "
+                                       f"pre_target={fields['pre_target']} "))
     if not args.compare:
         return 0
-    for run in differing:
-        print(f"differs: {run}")
+    for run, up_to_target in differing:
+        same = up_to_target in saved.get(run, "")
+        print(f"differs: {run} ({'same' if same else 'differs'} up to target)")
     print(f"compare: {len(differing)} of {len(RUNS) * len(SEEDS)} runs differ "
           f"from {args.compare}")
     return 1 if differing else 0
