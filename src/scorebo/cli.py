@@ -58,6 +58,8 @@ class RunConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.n_init is not None and self.n_init < 1:
             raise ConfigurationError(f"n_init must be >= 1, got {self.n_init}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         dims = self.dims if self.problem == "ackley" else 5   # sdm's parameters
         n_init = self.n_init if self.n_init is not None else 2 * dims
         if self.max_evals < n_init:
@@ -220,6 +222,8 @@ def _cmd_sweep(args) -> int:
             seeds.append(int(entry))
         except ValueError:
             raise ConfigurationError(f"--seeds: {entry!r} is not an integer") from None
+        if seeds[-1] < 0:
+            raise ConfigurationError(f"--seeds: {entry!r} is negative")
     if not seeds:
         raise ConfigurationError("--seeds must list at least one seed")
     config, traces = _run_seeds(args, seeds)

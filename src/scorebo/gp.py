@@ -37,17 +37,15 @@ coordinates, inverted again only when its training indices change, so all
 of them are solved for new targets in one batched pass. Training indices only
 grow, so a new inverse is written over its block of the store, which covers
 the old block, and nothing is cleared first. Both solve their GPs in stacks
-of equal training-index count whose (rows, n, G) working set, written into a
-work area, holds at most ``STACK_CELLS`` cells: GPs with few training
-indices share a large stack, and 16 GPs on a whole 61-value grid fill one.
-``_stacks`` groups the rows without sorting them, so a refresh of a single
-stale GP is one stack, which ``_inverse`` gathers, adds the noise to and
-inverts. The GPs are solved in unit scale: scaling a GP's kernel and noise
-by one factor keeps its posterior mean and scales its explained variance by
-it (Rasmussen & Williams 2006, eq. 2.25-2.26), so a caller applies an
-amplitude to the variance alone. A work area holds rows * n * n cells for
-the flat indices and for the training kernels, and rows * n * G for the
-cross covariances and for their products with the inverses.
+of equal training-index count whose (rows, n, G) working set holds at most
+``STACK_CELLS`` cells: GPs with few training indices share a large stack,
+and 16 GPs on a whole 61-value grid fill one. ``_stacks`` groups the rows
+without sorting them, so a refresh of a single stale GP is one stack, whose
+kernels ``_inverse`` gathers by indexing, adds the noise to and inverts.
+The GPs are solved in unit scale: scaling a GP's kernel and noise by one
+factor keeps its posterior mean and scales its explained variance by it
+(Rasmussen & Williams 2006, eq. 2.25-2.26), so a caller applies an
+amplitude to the variance alone.
 """
 
 from __future__ import annotations
@@ -294,10 +292,6 @@ class GridInverses:
         self.count = np.zeros(gps, dtype=int)
         self.inverse = np.zeros((gps, grid, grid))
         self.explained = np.zeros((gps, grid))
-        # one stack's work area, kept so that a stack maps no new pages; a
-        # stack holds one GP at least, of at most grid^2 working-set cells
-        cells = max(STACK_CELLS, grid * grid)
-        self._work = _work_area(cells, cells)
 
     def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float) -> None:
         """Invert again those GPs whose count changed.
@@ -305,20 +299,19 @@ class GridInverses:
         ``observed`` holds every GP's training mask, in order. GPs with equal
         counts are inverted in stacks of at most ``STACK_CELLS`` working-set
         cells: the batched multi-right-hand-side solve of BBMM (Gardner et
-        al., 2018). Each new inverse is written over its block of the store
-        and nothing else is cleared: a mask only grows, so the block of the
-        GP's previous inverse lies inside the new one.
+        al., 2018). Each new inverse is written over its block of the store,
+        indexed by the GP's row and its training indices, and nothing else
+        is cleared: a mask only grows, so the block of the GP's previous
+        inverse lies inside the new one.
         """
         counts = observed.sum(axis=1)
         grid = self.inverse.shape[-1]
         stale = np.flatnonzero(self.count != counts)
-        store = self.inverse.reshape(-1)     # a view: the whole store is contiguous
         for n, part in _stacks(counts[stale], grid):
             rows = stale[part]
             idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
-            cells, _, k_inv, self.explained[rows] = _inverse(kern, idx, noise, self._work)
-            cells += (rows * grid * grid)[:, None, None]    # now into the store
-            store[cells] = k_inv
+            _, k_inv, self.explained[rows] = _inverse(kern, idx, noise)
+            self.inverse[rows[:, None, None], idx[:, :, None], idx[:, None, :]] = k_inv
         self.count[stale] = counts[stale]
 
 
@@ -338,11 +331,8 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
     """
     grid = kern.shape[1]
     mean, explained = np.empty((2, len(idx), grid))
-    stacks = _stacks(widths, grid)
-    work = _work_area(max(len(rows) * n * n for n, rows in stacks),
-                      max(len(rows) * n for n, rows in stacks) * grid)
-    for n, rows in stacks:
-        _, k_so, k_inv, explained[rows] = _inverse(kern, idx[rows, :n], noise[rows, :n], work)
+    for n, rows in _stacks(widths, grid):
+        k_so, k_inv, explained[rows] = _inverse(kern, idx[rows, :n], noise[rows, :n])
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[rows, :n])
         mean[rows] = np.einsum("dng,dn->dg", k_so, alpha)
     return mean, explained
@@ -364,34 +354,20 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _work_area(square: int, cross: int):
-    """Flat indices and training kernels, ``square`` cells each, and two
-    buffers of ``cross`` cells, for the cross covariances and products."""
-    return np.empty(square, dtype=np.intp), np.empty(square), np.empty((2, cross))
-
-
-def _inverse(kern, idx, noise, work):
+def _inverse(kern, idx, noise):
     """Gather, add the noise to and invert the training kernels of a stack.
 
     Row r is a 1D GP trained at the grid indices ``idx[r]`` with kernel
     ``kern`` (over grid steps) and noise variance ``noise`` (a scalar, or
-    one per training index). ``work``, from ``_work_area``, holds rows * n
-    * n square and rows * n * G cross cells. Returns the flat indices of
-    the training kernels in ``kern`` (rows, n, n) and the cross covariances
-    (rows, n, G), both views of ``work``, then the inverses of the training
-    kernels plus noise and the prior variance explained (rows, G).
+    one per training index). Returns the cross covariances (rows, n, G),
+    the inverses of the training kernels plus noise (rows, n, n) and the
+    prior variance explained (rows, G).
     """
     rows, n = idx.shape
-    grid = kern.shape[1]
-    flat, square, cross = work
-    cells = np.add((idx * grid)[:, :, None], idx[:, None, :], out=_view(flat, rows, n, n))
-    # indices from the grid are in range: "clip" writes straight into the
-    # buffer, where "raise" would copy through another
-    k_so = np.take(kern, idx, axis=0, mode="clip", out=_view(cross[0], rows, n, grid))
-    k_oo = kern.take(cells, mode="clip", out=_view(square, rows, n, n))
+    k_so = kern[idx]
+    k_oo = kern[idx[:, :, None], idx[:, None, :]]
     k_oo.reshape(rows, n * n)[:, ::n + 1] += noise     # the diagonals
     # an inverse per GP, not np.linalg.solve: on these stacks the solve
     # costs several times more
     k_inv = np.linalg.inv(k_oo)
-    prod = np.matmul(k_inv, k_so, out=_view(cross[1], rows, n, grid))
-    return cells, k_so, k_inv, np.einsum("dng,dng->dg", k_so, prod)
+    return k_so, k_inv, np.einsum("dng,dng->dg", k_so, k_inv @ k_so)

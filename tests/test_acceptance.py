@@ -244,6 +244,66 @@ def test_bo_fit_time_grows_faster_than_n_squared_at_equal_work():
     assert max(slopes) > bound, f"BO fit-time slopes {slopes} (bound {bound})"
 
 
+def _saturated_score(records: int = 0) -> ScoreOptimizer:
+    """10-D Ackley at B=10 with every projection cell observed.
+
+    A 61-tuple Latin design observes every grid value of every dimension,
+    and steps to N = 300 give the lines their evidence. Records past that,
+    up to ``records``, are random tuples that move no line, so the line
+    evidence is untouched, and that lie above the projection minimum at
+    each of their cells, so no projection changes: the states built here
+    hold the same surrogates and differ only in N.
+    """
+    space = ackley_space(10)
+    opt = ScoreOptimizer(space=space, objective=ackley, batch_size=10, seed=0)
+    opt.initialize(20)
+    for v in range(61):
+        t = tuple((v + 7 * d) % 61 for d in range(space.dims))
+        if t not in opt.history.evaluated:
+            opt.history.evaluate(t)
+    while opt.history.n_evaluations < 300:
+        opt.step()
+    rng = np.random.default_rng(1)
+    rows = np.arange(space.dims)
+    while len(opt.history) < records:
+        t = tuple(rng.integers(0, 61, space.dims).tolist())
+        if (t not in opt.history.evaluated and opt.lines.moved_dim(t) is None
+                and np.all(ackley(space.point(t)) > opt.projections.minima[rows, t])):
+            opt.history.evaluate(t)
+    return opt
+
+
+def test_score_step_time_is_flat_in_n_at_equal_work():
+    # Criterion 5's SCORE half times late steps, most of which reuse their
+    # line tables. Here every timed step does a step's whole work: all
+    # projections are saturated, so none is inverted again, and the line
+    # evidence's version is bumped before each step, so the line tables are
+    # derived again (from the same evidence, to the same bits). The states
+    # at N = 301 and N = 3 010 hold the same surrogates and take the same
+    # batches, and their steps are interleaved in alternating order, so
+    # host drift hits both alike. So SCORE's step costs at most what it
+    # costs at saturation, whatever N.
+    small = _saturated_score()
+    large = _saturated_score(10 * len(small.history))
+    assert np.isfinite(small.projections.minima).all()
+    moved = ~np.isnan(small.lines.levels)
+    moved[np.arange(small.space.dims), small.lines.anchor_array] = False
+    assert moved.any(axis=1).all(), "a line without evidence"
+    assert small.projections.minima.tobytes() == large.projections.minima.tobytes()
+    assert small.lines.levels.tobytes() == large.lines.levels.tobytes()
+    sizes = len(small.history), len(large.history)
+    times, batches = ([], []), [None, None]
+    for k in range(30):
+        for i, opt in list(enumerate((small, large)))[::1 - 2 * (k % 2)]:
+            opt.lines.version += 1
+            t0 = time.perf_counter()
+            batches[i] = opt.step().batch
+            times[i].append(time.perf_counter() - t0)
+        assert batches[0] == batches[1]
+    ratio = statistics.median(times[1]) / statistics.median(times[0])
+    assert ratio <= 1.5, f"step time N={sizes[1]} / N={sizes[0]} = {ratio:.2f}"
+
+
 def test_criterion_6_batch_accounting(capsys):
     t0 = time.perf_counter()
     opt_b1 = _run_score(ackley_space(10), ackley, seed=0,

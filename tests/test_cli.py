@@ -95,6 +95,7 @@ class TestConfig:
         {"batch_size": 0},
         {"n_init": 0},
         {"n_init": 50, "max_evals": 10},
+        {"seed": -1},
     ])
     def test_validation(self, kwargs):
         config = RunConfig(**kwargs)
@@ -235,6 +236,21 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert "'x'" in err[0]
+
+    @pytest.mark.parametrize("argv, value", [
+        (["run", "--seed", "-1"], "-1"), (["sweep", "--seeds", "0,-2"], "'-2'"),
+    ], ids=["run", "sweep"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv, value):
+        # sweep rejects the list before any seed runs: seed 0 prints no
+        # summary and writes no trace
+        code = main([*argv, "--dims", "2", "--n-init", "4", "--max-evals", "6",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert value in err[0]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key, value", [
         ("dims", "ten"), ("max_evals", 5.5), ("seed", True), ("out_dir", 3),

@@ -501,17 +501,32 @@ class TestGridInverses:
             assert kept.inverse[r][block].tobytes() == np.linalg.inv(k_oo).tobytes()
 
 
-    def test_grid_past_the_stack_bound_inverts_one_gp_per_stack(self):
-        # one GP on all 300 values has a working set of 90 000 cells, more
-        # than STACK_CELLS
-        grid = 300
-        assert grid * grid > gp_mod.STACK_CELLS
+    @pytest.mark.parametrize("gps, grid, lo, hi, stacks", [
+        (2, 300, 300, 300, 2), (200, 61, 30, 45, 16),
+    ], ids=["grid-past-the-stack-bound", "200-gps-in-16-stacks"])
+    def test_one_refresh_writes_each_gp_its_own_inverse(self, gps, grid, lo, hi, stacks):
+        # One GP on all 300 values has a working set of 90 000 cells, more
+        # than STACK_CELLS, so each GP is a stack of its own; 200 GPs with
+        # 30-45 of 61 values observed take one stack per count. Every
+        # inverse is bitwise asymmetric, so a transposed scatter fails too.
+        rng = np.random.default_rng(0)
         steps = np.arange(grid, dtype=float)[:, None]
         kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=3.0))
-        store = gp_mod.GridInverses(2, grid)
-        store.refresh(kern, np.ones((2, grid), dtype=bool), 1e-6)
-        k_oo = kern + 1e-6 * np.eye(grid)
-        assert store.inverse[1].tobytes() == np.linalg.inv(k_oo).tobytes()
+        noise = 1e-6
+        observed = np.zeros((gps, grid), dtype=bool)
+        for r, n in enumerate(rng.integers(lo, hi + 1, gps)):
+            observed[r, rng.permutation(grid)[:n]] = True
+        counts = observed.sum(axis=1)
+        assert len(gp_mod._stacks(counts, grid)) == stacks
+        store = gp_mod.GridInverses(gps, grid)
+        store.refresh(kern, observed, noise)
+        expected = np.zeros_like(store.inverse)      # +0.0 off every block
+        for r in range(gps):
+            block = np.ix_(observed[r], observed[r])
+            k_inv = np.linalg.inv(kern[block] + noise * np.eye(counts[r]))
+            assert not np.array_equal(k_inv, k_inv.T)
+            expected[r][block] = k_inv
+        assert store.inverse.tobytes() == expected.tobytes()
 
 
 class TestStackedPosterior:

@@ -20,13 +20,15 @@ every projection score table (``ScoreOptimizer._projection_scores``), of
 the first five arrays (mean, std, scale, supported, share) of every derived
 line posterior (``ScoreOptimizer._line_posterior``; its sixth array,
 ``predicted``, holds the shared profile's differences and is left out so
-that digests stay comparable with trees that did not return it) and of
-every shared profile (``ScoreOptimizer._shared_profile``). Two trees that
-print the same ``decisions`` made the same objective calls and traces; the
-same ``surrogates`` means the same models to the bit as well, so a change that
-moves only last bits of a surrogate shows there and not in ``decisions``
-unless it changes a call. Check a change by saving this output at one tree
-and comparing the other tree's runs against it:
+that digests stay comparable with trees that did not return it), of
+every shared profile (``ScoreOptimizer._shared_profile``) and of the
+projection store's ``inverse`` and ``explained`` after every
+``GridInverses.refresh``, the zero cells off each GP's block included.
+Two trees that print the same ``decisions`` made the same objective calls
+and traces; the same ``surrogates`` means the same models to the bit as
+well, so a change that moves only last bits of a surrogate shows there and
+not in ``decisions`` unless it changes a call. Check a change by saving
+this output at one tree and comparing the other tree's runs against it:
 
     python tests/trajectories.py > before.txt        # at the first tree
     python tests/trajectories.py --compare before.txt
@@ -93,13 +95,21 @@ def digest_run(config: dict, target: float, seed: int) -> dict:
             return result
         return wrapper
 
+    def hashed_store(refresh):
+        def wrapper(store, *args, **kwargs):
+            refresh(store, *args, **kwargs)
+            surrogates.update(store.inverse.tobytes())
+            surrogates.update(store.explained.tobytes())
+        return wrapper
+
     wrapped = ((gp.GpModel, "predict"), (engine.ScoreOptimizer, "_projection_scores"),
                (engine.ScoreOptimizer, "_line_posterior"),
-               (engine.ScoreOptimizer, "_shared_profile"))
+               (engine.ScoreOptimizer, "_shared_profile"), (gp.GridInverses, "refresh"))
     originals = [getattr(owner, name) for owner, name in wrapped]
     cli._build_problem = recording_build
     for (owner, name), method in zip(wrapped, originals):
-        setattr(owner, name, hashed(method, 5 if name == "_line_posterior" else None))
+        setattr(owner, name, hashed_store(method) if name == "refresh"
+                else hashed(method, 5 if name == "_line_posterior" else None))
     try:
         trace = cli.run_experiment(cli.RunConfig(**config, seed=seed))
     finally:
