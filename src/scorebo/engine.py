@@ -340,10 +340,10 @@ class ScoreOptimizer:
         y_std[y_std == 0.0] = 1.0
         alpha = np.matmul(store.inverse, (dev / y_std)[:, :, None])[:, :, 0]
         mean = alpha @ self._projection_kernel
-        # at training points signal - explained has no digits left; use the
+        # at training points 1 - explained has no digits left; use the
         # cancellation-free j * (1 - j * (K^-1)_ii), as GpModel does
         var = np.where(finite, j * (1.0 - j * np.diagonal(store.inverse, 0, 1, 2)),
-                       self.kernel.signal_variance - store.explained)
+                       1.0 - store.explained)
         self.gp_fit_count += len(minima)
         scores = score_grid(mean, np.sqrt(np.maximum(var, 0.0)),
                             (self.history.best.value - y_mean) / y_std, ZETA)
@@ -617,8 +617,8 @@ class ScoreOptimizer:
                 take(t, None)
 
         if len(chosen) < b:
-            fill = draw_unevaluated(self.space, self.rng, self.history.evaluated | taken,
-                                    b - len(chosen))
+            fill = draw_unevaluated(self.space, self.rng, self.history.evaluated,
+                                    b - len(chosen), pending=taken)
             for t in fill.tolist():
                 take(tuple(t), None)
         return chosen

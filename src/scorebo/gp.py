@@ -2,8 +2,9 @@
 
 ``gp_fit`` and ``GpModel`` back only the joint D-dimensional surrogate of
 the classical baseline (and the tests). Targets are standardized inside the
-model, so kernel variances are expressed in standardized target units
-(signal_variance=1.0 means "the sample variance of the targets").
+model, and the kernel's prior variance is 1 in those units: the sample
+variance of the targets. The 1D GPs of the decomposed optimizer standardize
+their targets too and have the same prior variance. It is not a setting.
 
 ``gp_fit`` and ``GpModel.predict`` need ``scipy.linalg`` (its triangular
 solve against the Cholesky factor) and import it inside the function: the
@@ -13,15 +14,15 @@ module scope would cost every decomposed run about 6 MiB resident and
 its first step does not pay for it.
 
 ``GpModel.predict`` solves only the queries near some training input. A
-query's variance is signal - k^T K^-1 k, and k^T K^-1 k <= |k|^2 /
+query's variance is 1 - k^T K^-1 k, and k^T K^-1 k <= |k|^2 /
 (noise + jitter), since the kernel part of K is positive semi-definite.
-Where |k|^2 < signal * 2^-56 * (noise + jitter), that is under a quarter of
-half an ulp of signal, so the full solve would return signal to the bit;
-the variance is set to signal without it. At the baseline's lengthscale
+Where |k|^2 < 2^-56 * (noise + jitter), that is under a quarter of half an
+ulp of 1, so the full solve would return 1 to the bit; the variance is set
+to 1 without it. At the baseline's lengthscale
 0.08 on [0, 1]^10 that leaves 5-6 % of the pool in the solve at 20
 evaluations and 25 % at 300. The same column norms pick out the queries
-that may equal a training input: only a column with an entry near signal
-can hold one, and the baseline's pool has none.
+that may equal a training input: only a column with an entry near 1 can
+hold one, and the baseline's pool has none.
 
 A fitted ``GpModel`` is never modified, so concurrent predicts are safe
 unless two of them share one work area: ``predict`` can write its
@@ -36,12 +37,14 @@ grid steps. ``stacked_posterior`` solves many of them at once;
 coordinates, inverted again only when its training indices change, so all
 of them are solved for new targets in one batched pass. Training indices only
 grow, so a new inverse is written over its block of the store, which covers
-the old block, and nothing is cleared first. Both solve their GPs in stacks
-of equal training-index count whose (rows, n, G) working set holds at most
-``STACK_CELLS`` cells: GPs with few training indices share a large stack,
-and 16 GPs on a whole 61-value grid fill one. ``_stacks`` groups the rows
-without sorting them, so a refresh of a single stale GP is one stack, whose
-kernels ``_inverse`` gathers by indexing, adds the noise to and inverts.
+the old block, and nothing is cleared first. Both solve all their GPs of
+one training-index count in one stack, whose kernels ``_inverse`` gathers
+by indexing, adds the noise to and inverts; the rows are grouped without
+sorting them, so a refresh of a single stale GP is one stack of one. A
+stack needs no bound: its (rows, n, G) working set holds one (n, G) cross
+covariance per GP, and a projection refresh's, with rows <= D and n <= G,
+never exceeds the (D, G, G) store of inverses that the optimizer keeps
+anyway.
 The GPs are solved in unit scale: scaling a GP's kernel and noise by one
 factor keeps its posterior mean and scales its explained variance by it
 (Rasmussen & Williams 2006, eq. 2.25-2.26), so a caller applies an
@@ -50,7 +53,6 @@ amplitude to the variance alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,26 +61,22 @@ from .errors import SurrogateError
 
 MAX_JITTER = 1e-2
 NOISE_VARIANCE = 1e-6      # observation noise of both optimizers' surrogates
-# Cells of the (rows, n, G) cross-covariance working set of one stack of GPs,
-# which at 200 dimensions would otherwise hold several MB at once; the bound
-# is the projection refresh's largest stack, 16 GPs on all of a 61-point grid
-STACK_CELLS = 16 * 61 * 61
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Squared-exponential kernel hyperparameters (standardized target units)."""
+    """Squared-exponential kernel hyperparameters (standardized target units).
+
+    The prior variance is 1, the targets' sample variance, and not a field.
+    """
 
     lengthscale: float = 3.0
-    signal_variance: float = 1.0
     noise_variance: float = NOISE_VARIANCE
     jitter: float = 1e-12
 
     def __post_init__(self):
         if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
-        if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
-            raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
         if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise ValueError(f"noise_variance must be >= 0, got {self.noise_variance}")
         if not (np.isfinite(self.jitter) and self.jitter >= 1e-12):
@@ -95,7 +93,7 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig,
     new arrays, and the result is a view of ``work[0]`` that the next call
     with the same work area overwrites. Its values are the same to the bit.
     """
-    # sigma^2 * exp(-0.5 * (a2 + b2 - 2 a.b) / l^2) on one (n, m) buffer,
+    # exp(-0.5 * (a2 + b2 - 2 a.b) / l^2) on one (n, m) buffer,
     # with every term of the squared distance halved: halving a normal
     # float is exact, so each rounding is the expression's own halved and
     # (a2/2 + b2/2 - a.b) / -l^2 has its bits. The product stays a @ b.T,
@@ -107,15 +105,12 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig,
     n, m = len(a), len(b)
     out = prod = None
     if work is not None:
-        out, prod = (_view(w, n, m) for w in work)
+        out, prod = (w[:n * m].reshape(n, m) for w in work)
     out = np.add(a2[:, None], b2[None, :], out=out)
     out -= np.matmul(a, b.T, out=prod)
     np.maximum(out, 0.0, out=out)
     out /= -(cfg.lengthscale**2)
-    np.exp(out, out=out)
-    if cfg.signal_variance != 1.0:
-        out *= cfg.signal_variance
-    return out
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -144,15 +139,15 @@ class GpModel:
         back to objective units. Variances are clamped at 0 before sqrt.
 
         The triangular solve for the variance takes only the queries whose
-        |k|^2 reaches signal * 2^-56 * (noise + jitter), with the jitter the
-        fit used. The others get the variance signal, which is what the
-        full solve gives them bit for bit: their k^T K^-1 k is at most
-        |k|^2 / (noise + jitter), under a quarter of half an ulp of signal.
+        |k|^2 reaches 2^-56 * (noise + jitter), with the jitter the fit
+        used. The others get the prior variance 1, which is what the full
+        solve gives them bit for bit: their k^T K^-1 k is at most
+        |k|^2 / (noise + jitter), under a quarter of half an ulp of 1.
 
         At a query equal to a training input the variance is computed in a
         cancellation-free form. Such a query's column holds that input's
-        entry, signal up to the rounding of their squared distance, so only
-        columns with an entry of at least (1 - 2^-10) * signal are compared
+        entry, 1 up to the rounding of their squared distance, so only
+        columns with an entry of at least 1 - 2^-10 are compared
         with the inputs. This finds every equal pair while each input's
         squared distance to itself rounds below 2^-11 * lengthscale^2: for
         every x with |x|^2 <= 2^41 * lengthscale^2 / d in d dimensions, and
@@ -174,24 +169,23 @@ class GpModel:
         from scipy.linalg import solve_triangular   # only the joint GP needs it
         k_star = kernel_matrix(self.train_inputs, query, self.kernel, work)
         mean = k_star.T @ self.alpha
-        signal = self.kernel.signal_variance
-        # below the floor signal - sum(v^2) is signal (see the docstring);
-        # the factor 4 under half an ulp covers the solve's rounding, and a
-        # NaN column stays in the solve
-        floor = signal * 2.0**-56 * (self.kernel.noise_variance + self._jitter)
+        # below the floor 1 - sum(v^2) is 1 (see the docstring); the factor
+        # 4 under half an ulp covers the solve's rounding, and a NaN column
+        # stays in the solve
+        floor = 2.0**-56 * (self.kernel.noise_variance + self._jitter)
         norms = np.einsum("ij,ij->j", k_star, k_star)
         near = ~(norms < floor)
         if np.count_nonzero(near) == 1:
             # one column takes BLAS's single-vector solve, whose bits differ
             # from the block solve's: solve a second one along
             near[np.argmin(near)] = True
-        var = np.full(len(query), signal)
+        var = np.ones(len(query))
         # the solve of two or more columns gives their columns of the full
         # solve; an F-ordered block reaches LAPACK uncopied
         v = solve_triangular(self.chol, k_star.T[near].T, lower=True,
                              check_finite=False)
         v *= v
-        var[near] = signal - np.sum(v, axis=0)
+        var[near] = 1.0 - np.sum(v, axis=0)
         self._stabilize_at_training_inputs(query, var, k_star, norms)
         std = np.sqrt(np.maximum(var, 0.0))
         if standardized:
@@ -202,14 +196,14 @@ class GpModel:
                                       k_star: np.ndarray, norms: np.ndarray) -> None:
         """Set the variance at queries equal to training inputs, in place.
 
-        There signal - sum(v^2) has no significant digits left, as the
+        There 1 - sum(v^2) has no significant digits left, as the
         variance is ~(noise + jitter); j * (1 - j * (K^-1)_ii), with
         j = noise + jitter and i the equal input, is the same without the
         cancellation. ``norms`` are the squared column norms of ``k_star``.
         """
-        # an equal input's entry is near signal (see predict), and a column
+        # an equal input's entry is near 1 (see predict), and a column
         # holding an entry e has a squared norm of at least e^2
-        top = (1.0 - 2.0**-10) * self.kernel.signal_variance
+        top = 1.0 - 2.0**-10
         cand = np.flatnonzero(norms >= top * top)
         # (training row, query) pairs sorted by row, then query: a query
         # equal to several training rows takes the last row's value
@@ -296,19 +290,20 @@ class GridInverses:
     def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float) -> None:
         """Invert again those GPs whose count changed.
 
-        ``observed`` holds every GP's training mask, in order. GPs with equal
-        counts are inverted in stacks of at most ``STACK_CELLS`` working-set
-        cells: the batched multi-right-hand-side solve of BBMM (Gardner et
-        al., 2018). Each new inverse is written over its block of the store,
-        indexed by the GP's row and its training indices, and nothing else
-        is cleared: a mask only grows, so the block of the GP's previous
-        inverse lies inside the new one.
+        ``observed`` holds every GP's training mask, in order. The stale GPs
+        of each count are inverted in one stack: the batched
+        multi-right-hand-side solve of BBMM (Gardner et al., 2018), whose
+        (rows, n, G) working set is at most the store's (D, G, G). Each new
+        inverse is written over its block of the store, indexed by the GP's
+        row and its training indices, and nothing else is cleared: a mask
+        only grows, so the block of the GP's previous inverse lies inside
+        the new one.
         """
         counts = observed.sum(axis=1)
-        grid = self.inverse.shape[-1]
         stale = np.flatnonzero(self.count != counts)
-        for n, part in _stacks(counts[stale], grid):
-            rows = stale[part]
+        widths = counts[stale]
+        for n in set(widths.tolist()):
+            rows = stale[widths == n]
             idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
             _, k_inv, self.explained[rows] = _inverse(kern, idx, noise)
             self.inverse[rows[:, None, None], idx[:, :, None], idx[:, None, :]] = k_inv
@@ -321,37 +316,22 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
 
     Row r is a GP with kernel ``kern`` (over grid steps), training indices
     ``idx[r, :widths[r]]`` and targets and noise variances in the same
-    columns of ``targets`` and ``noise``. Rows of one width are solved in
-    stacks of at most ``STACK_CELLS`` working-set cells, each with one
-    stacked inverse of its training kernels. Returns ``(mean, explained)``,
-    both ``(rows, G)``: the posterior mean on every grid value and the
-    prior variance the data explain there. For a GP whose kernel and noise
-    are both scaled by a, the mean is the same and the explained variance a
-    times this one.
+    columns of ``targets`` and ``noise``. The rows of each width are solved
+    in one stack, with one stacked inverse of their training kernels; its
+    (rows, n, G) working set holds one (n, G) cross covariance per row, so
+    it needs no bound. Returns ``(mean, explained)``, both ``(rows, G)``:
+    the posterior mean on every grid value and the prior variance the data
+    explain there. For a GP whose kernel and noise are both scaled by a,
+    the mean is the same and the explained variance a times this one.
     """
     grid = kern.shape[1]
     mean, explained = np.empty((2, len(idx), grid))
-    for n, rows in _stacks(widths, grid):
+    for n in set(widths.tolist()):
+        rows = np.flatnonzero(widths == n)
         k_so, k_inv, explained[rows] = _inverse(kern, idx[rows, :n], noise[rows, :n])
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[rows, :n])
         mean[rows] = np.einsum("dng,dn->dg", k_so, alpha)
     return mean, explained
-
-
-def _stacks(widths: np.ndarray, grid: int) -> list[tuple[int, np.ndarray]]:
-    """``(n, rows)`` of each stack: the rows of width ``n``, ascending, split
-    so that no stack's working set exceeds ``STACK_CELLS`` cells."""
-    stacks = []
-    for n in set(widths.tolist()):
-        rows = np.flatnonzero(widths == n)
-        size = max(1, STACK_CELLS // (n * grid))
-        stacks += [(n, rows[lo:lo + size]) for lo in range(0, len(rows), size)]
-    return stacks
-
-
-def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
-    """The first cells of a flat buffer, as a C-ordered array of ``shape``."""
-    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _inverse(kern, idx, noise):

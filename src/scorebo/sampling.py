@@ -29,14 +29,18 @@ ENUMERATION_LIMIT = 200_000
 
 
 def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
-                     excluded: set, count: int) -> np.ndarray:
-    """Draw ``count`` distinct uniform-random tuples not in ``excluded``.
+                     excluded: set, count: int,
+                     pending: set | frozenset = frozenset()) -> np.ndarray:
+    """Draw ``count`` distinct uniform-random tuples in neither set.
 
-    Returns them as the rows, in draw order, of a ``(count, D)`` integer
-    array of grid indices.
+    ``excluded`` (the evaluated tuples) and ``pending`` (tuples already
+    chosen, not yet evaluated) must be disjoint. They are read apart and
+    united only where a draw needs one set, so the usual draw copies
+    neither. Returns the tuples as the rows, in draw order, of a
+    ``(count, D)`` integer array of grid indices.
     """
     total = space.combination_count
-    remaining = total - len(excluded)
+    remaining = total - len(excluded) - len(pending)
     if remaining <= 0:
         raise SpaceExhausted(f"all {total} combinations evaluated")
     count = min(count, remaining)
@@ -45,15 +49,16 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
         # the unevaluated tuples as mixed-radix codes, in increasing order:
         # the order in which itertools.product would list them
         free = np.ones(total, dtype=bool)
-        if excluded:
-            free[np.ravel_multi_index(np.array(list(excluded)).T, space.lengths)] = False
+        banned = excluded | pending if pending else excluded
+        if banned:
+            free[np.ravel_multi_index(np.array(list(banned)).T, space.lengths)] = False
         pool = np.flatnonzero(free)
         picks = rng.choice(len(pool), size=count, replace=False)
         rows = np.stack(np.unravel_index(pool[picks], space.lengths), axis=1)
         return rows.astype(np.int64, copy=False)
 
     chosen = np.empty((0, space.dims), dtype=np.int64)
-    seen = excluded     # copied before the first tuple is added to it
+    seen = excluded     # united with pending before the first tuple is added
     # rejection sampling; collision probability is negligible at this size.
     # Each block is the shortfall, so no more tuples are drawn than one at a
     # time would draw, and at most 1000 per tuple asked for.
@@ -65,11 +70,11 @@ def draw_unevaluated(space: SearchSpace, rng: np.random.Generator,
         budget -= need
         block = rng.integers(0, space.lengths, size=(need, space.dims))
         keys = list(zip(*block.T.tolist()))
-        if len(set(keys)) == need and seen.isdisjoint(keys):
+        if len(set(keys)) == need and seen.isdisjoint(keys) and pending.isdisjoint(keys):
             # every row is accepted, so the draw is complete
             return np.concatenate([chosen, block])
         if seen is excluded:
-            seen = set(excluded)
+            seen = set().union(excluded, pending)
         rejected = []
         for i, t in enumerate(keys):
             if t in seen:

@@ -36,12 +36,15 @@ def _se_kernel(a: np.ndarray, b: np.ndarray, lengthscale: float,
 
 
 def se_kernel_expression(a: np.ndarray, b: np.ndarray, cfg) -> np.ndarray:
-    """The squared-exponential kernel between rows, one temporary per operation."""
+    """The squared-exponential kernel between rows, one temporary per operation.
+
+    Its prior variance is 1, as the package's kernels have.
+    """
     a2 = np.sum(a * a, axis=1)
     b2 = np.sum(b * b, axis=1)
     sq = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
-    return cfg.signal_variance * np.exp(-0.5 * sq / cfg.lengthscale**2)
+    return np.exp(-0.5 * sq / cfg.lengthscale**2)
 
 
 def full_solve_predict(model, query_points, standardized=False, *, work=None):
@@ -58,7 +61,7 @@ def full_solve_predict(model, query_points, standardized=False, *, work=None):
     mean = k_star.T @ model.alpha
     v = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
     v *= v
-    var = model.kernel.signal_variance - np.sum(v, axis=0)
+    var = 1.0 - np.sum(v, axis=0)
     matches = np.all(model.train_inputs[:, None, :] == query[None, :, :], axis=2)
     rows, cols = np.nonzero(matches)
     if len(rows):

@@ -94,8 +94,7 @@ def test_criterion_2_gp_matches_dense_inversion_oracle(capsys):
                            noise_variance=float(rng.uniform(1e-4, 1e-1)))
         query = np.concatenate([x[: min(3, n)], rng.uniform(-5.0, 65.0, 20)])
         mean, std = gp_fit(x[:, None], y, cfg).predict(query[:, None])
-        o_mean, o_std = dense_gp_predict(x, y, query, cfg.lengthscale,
-                                         cfg.signal_variance,
+        o_mean, o_std = dense_gp_predict(x, y, query, cfg.lengthscale, 1.0,
                                          cfg.noise_variance, cfg.jitter)
         worst = max(worst, float(np.max(np.abs(mean - o_mean))),
                     float(np.max(np.abs(std - o_std))))

@@ -13,7 +13,7 @@ from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
                             LineEvidence, ProjectionTable, ScoreOptimizer,
                             clip_targets)
 from scorebo.errors import SpaceExhausted
-from scorebo.gp import NOISE_VARIANCE, STACK_CELLS, GridInverses
+from scorebo.gp import NOISE_VARIANCE, GridInverses
 from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.space import SearchSpace, make_grid
 
@@ -207,7 +207,7 @@ class TestScoreDimension:
         mu, sigma = dense_gp_predict(
             [1.0, 3.0], [2.0, 5.0], np.arange(5, dtype=float),
             lengthscale=opt.kernel.lengthscale,
-            signal_variance=opt.kernel.signal_variance,
+            signal_variance=1.0,
             noise_variance=opt.kernel.noise_variance,
             jitter=opt.kernel.jitter, standardized_out=True)
         z_best = (2.0 - 3.5) / np.std([2.0, 5.0])
@@ -235,14 +235,15 @@ class TestScoreDimension:
         z_best = (best - np.mean(y)) / (np.std(y) or 1.0)
         return expected_improvement(mu, sigma, z_best, ZETA)
 
-    def test_stacked_scores_match_dense_oracle(self):
-        # Ragged grids as in SDM; one stack of equal counts holds more rows
-        # than STACK_CELLS admits at that count; every grid value is
-        # queried, training points too.
+    def test_stacked_scores_match_dense_oracle(self, monkeypatch):
+        # Ragged grids as in SDM; 36 dimensions share one count (35, and one
+        # with its whole 31-value grid observed) and so one stack, past the
+        # 31 rows that 16 * 61 * 61 working-set cells once bounded a stack
+        # to at that count; every grid value is queried, training points too.
         rng = np.random.default_rng(11)
         lengths = [31, 41, 61] * 14
         shared = 31                                # the count of the big stack
-        stack = STACK_CELLS // (shared * max(lengths)) + 4
+        stack = 35
         space = grid_space(*lengths)
         opt = ScoreOptimizer(space=space, objective=lambda p: -0.7)
         opt.history.evaluate((0,) * len(lengths))
@@ -268,7 +269,18 @@ class TestScoreDimension:
         assert clip_targets(minima[outlier, cells]).max() < 1e300
         opt.projections.minima = minima
 
-        stacked = opt._projection_scores()
+        inverted, inverse = [], gp._inverse
+
+        def spy(kern, idx, *args):
+            inverted.append(idx.shape)
+            return inverse(kern, idx, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(gp, "_inverse", spy)
+            stacked = opt._projection_scores()
+        counts = np.isfinite(minima).sum(axis=1)
+        assert sorted(n for _, n in inverted) == sorted(set(counts.tolist()))
+        assert (stack + 1, shared) in inverted
         assert opt.gp_fit_count == len(lengths)
         best = opt.history.best.value
         for d, n_grid in enumerate(lengths):
@@ -510,6 +522,29 @@ class TestSelectBatch:
         assert sum(taken for _, taken, _ in draws) >= 10
         assert all(observed for _, _, observed in draws)
 
+    def test_random_fill_reads_the_evaluated_set_uncopied(self, monkeypatch):
+        # One record on 2-D Ackley at B=5: the projection-score moves give
+        # a tuple or two, the softmax tier can draw only the evaluated
+        # tuple, and the random fill draws the rest. It is given the
+        # history's set itself and the batch's tuples apart, so that no
+        # step copies the evaluated set.
+        opt = ScoreOptimizer(space=ackley_space(2), objective=ackley,
+                             batch_size=5, seed=0)
+        opt.initialize(1)
+        draw, fills = engine.draw_unevaluated, []
+
+        def spy(space, rng, excluded, count, **kwargs):
+            fills.append((excluded is opt.history.evaluated, count,
+                          set(kwargs.get("pending", ()))))
+            return draw(space, rng, excluded, count, **kwargs)
+
+        monkeypatch.setattr(engine, "draw_unevaluated", spy)
+        batch = opt.step().batch
+        assert len(set(batch)) == 5 and len(opt.history) == 6
+        [(uncopied, count, pending)] = fills
+        assert uncopied and 1 <= len(pending) <= 2
+        assert count == 5 - len(pending) and pending == set(batch[:len(pending)])
+
     def test_ragged_grids_score_and_select_only_grid_values(self):
         space = grid_space(3, 7, 2, 5)
         lengths = np.array(space.lengths)
@@ -730,10 +765,11 @@ class TestLineEvidence:
             asked.append((t, opt.rng.bit_generator.state == start["state"]))
             return fresh(t, taken)
 
-        def line_fill(space, rng, excluded, count):
+        def line_fill(space, rng, excluded, count, pending=frozenset()):
             a = opt.lines.anchor
             moves = [a[:d] + (v,) + a[d + 1:] for d in range(3) for v in range(7)]
-            return np.array([t for t in moves if t not in excluded][:count], dtype=int)
+            fresh = [t for t in moves if t not in excluded and t not in pending]
+            return np.array(fresh[:count], dtype=int)
 
         opt._line_posterior, opt._shared_profile, opt._fresh = posterior, fit, spy
         monkeypatch.setattr(engine, "draw_unevaluated", line_fill)

@@ -37,8 +37,7 @@ class TestDenseOracle:
             model = gp_fit(x[:, None], y, cfg)
             mean, std = model.predict(query[:, None])
             o_mean, o_std = dense_gp_predict(
-                x, y, query, cfg.lengthscale, cfg.signal_variance,
-                cfg.noise_variance, cfg.jitter)
+                x, y, query, cfg.lengthscale, 1.0, cfg.noise_variance, cfg.jitter)
             np.testing.assert_allclose(mean, o_mean, atol=1e-8, rtol=0)
             np.testing.assert_allclose(std, o_std, atol=1e-8, rtol=0)
 
@@ -49,8 +48,7 @@ class TestDenseOracle:
         model = gp_fit(x[:, None], y, cfg)
         query = np.linspace(-1.0, 6.0, 15)
         mean, std = model.predict(query[:, None])
-        o_mean, o_std = dense_gp_predict(x, y, query, cfg.lengthscale,
-                                         cfg.signal_variance,
+        o_mean, o_std = dense_gp_predict(x, y, query, cfg.lengthscale, 1.0,
                                          cfg.noise_variance, cfg.jitter)
         np.testing.assert_allclose(mean, o_mean, atol=1e-8, rtol=0)
         np.testing.assert_allclose(std, o_std, atol=1e-8, rtol=0)
@@ -66,9 +64,6 @@ def kernel_inputs():
     yield "bo-train-vs-pool", train, pool, joint
     yield "bo-self", train, train, joint          # numpy's symmetric product
     yield "bo-self-copy", train, train.copy(), joint
-    for signal in (0.3, 2.5):
-        yield f"bo-train-vs-pool-signal-{signal}", train, pool, KernelConfig(
-            lengthscale=baseline.JOINT_LENGTHSCALE, signal_variance=signal)
     yield "projection-steps", steps, steps, KernelConfig(
         lengthscale=engine.LENGTHSCALE_STEPS)
     yield "line-steps", steps, steps, KernelConfig(lengthscale=engine.LINE_LENGTHSCALE)
@@ -152,7 +147,7 @@ class TestProperties:
             model = gp_fit(x[:, None], y, cfg)
             _, std = model.predict(rng.uniform(-10.0, 70.0, 50)[:, None],
                                    standardized=True)
-            bound = cfg.signal_variance + cfg.noise_variance + 10 * cfg.jitter
+            bound = 1.0 + cfg.noise_variance + 10 * cfg.jitter
             assert np.all(std**2 <= bound + 1e-12)
 
     def test_duplicate_training_point_never_increases_std(self):
@@ -257,8 +252,7 @@ def bo_like_data(rng, n, dims=10):
 
 def floor(model):
     """The |k|^2 below which predict leaves a query out of its solve."""
-    signal = model.kernel.signal_variance
-    return signal * 2.0**-56 * (model.kernel.noise_variance + model._jitter)
+    return 2.0**-56 * (model.kernel.noise_variance + model._jitter)
 
 
 def squared_norms(model, query):
@@ -275,13 +269,15 @@ def near_floor(model):
     return query[np.abs(octaves) <= 8.0]
 
 
-SIGNALS = [0.3, 1.0, 2.5]
+# the kernel's prior variance, which is 1: the floor and the variance of a
+# far query are in its units
+SIGNALS = [1.0]
 
 
 class TestFarColumns:
     """Predict solves only the queries near some training input, same bits.
 
-    A query whose |k|^2 is below floor() keeps the variance signal: the
+    A query whose |k|^2 is below floor() keeps the prior variance: the
     full solve could not change it by a bit, since k^T K^-1 k is at most
     |k|^2 / (noise + jitter).
     """
@@ -313,22 +309,20 @@ class TestFarColumns:
         rng = np.random.default_rng(n)
         x, y, pool = bo_like_data(rng, n)
         query = np.vstack([pool, x[:3]])   # training inputs: stabilized, solved
-        cfg = KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE,
-                           signal_variance=signal)
+        cfg = KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE)
         solved = self.solved_columns(gp_fit(x, y, cfg), query, monkeypatch)
         assert 3 <= solved < len(query) / 2
 
     @pytest.mark.parametrize("signal", SIGNALS)
     def test_every_column_near(self, signal, monkeypatch):
         x, y, pool = bo_like_data(np.random.default_rng(7), 100)
-        model = gp_fit(x, y, KernelConfig(lengthscale=3.0, signal_variance=signal))
+        model = gp_fit(x, y, KernelConfig(lengthscale=3.0))
         assert self.solved_columns(model, pool, monkeypatch) == len(pool)
 
     @pytest.mark.parametrize("signal", SIGNALS)
     def test_no_column_near_solves_an_empty_block(self, signal, monkeypatch):
         x, y, pool = bo_like_data(np.random.default_rng(8), 100)
-        model = gp_fit(x, y, KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE,
-                                          signal_variance=signal))
+        model = gp_fit(x, y, KernelConfig(lengthscale=baseline.JOINT_LENGTHSCALE))
         assert self.solved_columns(model, pool + 10.0, monkeypatch) == 0
         _, std = model.predict(pool + 10.0, standardized=True)
         assert np.all(std == np.sqrt(signal))
@@ -338,7 +332,7 @@ class TestFarColumns:
         # near several training inputs at once, where a one-column solve
         # mostly differs from the block solve in the last bit
         x, y, pool = bo_like_data(np.random.default_rng(11), 100)
-        model = gp_fit(x, y, KernelConfig(lengthscale=0.3, signal_variance=signal))
+        model = gp_fit(x, y, KernelConfig(lengthscale=0.3))
         for i, at in enumerate((0, 1, 500, 1020)):
             query = np.insert(pool + 10.0, at, x[i] + 0.01, axis=0)
             assert self.solved_columns(model, query, monkeypatch) == 2
@@ -352,8 +346,7 @@ class TestFarColumns:
         rng = np.random.default_rng(9)
         x = np.array([0.0, 2.0, 4.0, 7.0])
         model = gp_fit(x[:, None], rng.normal(size=4),
-                       KernelConfig(lengthscale=3.0, signal_variance=signal,
-                                    noise_variance=noise))
+                       KernelConfig(lengthscale=3.0, noise_variance=noise))
         query = near_floor(model)
         solved = self.solved_columns(model, query, monkeypatch)
         assert 0 < solved < len(query)
@@ -466,6 +459,65 @@ class TestCholeskyFit:
         assert opt.gp_fit_count == 10 and len(opt.history) == 30
 
 
+def spy_inversions(monkeypatch):
+    """The training-index count of each stack ``gp._inverse`` inverts, in call order."""
+    inverted, inverse = [], gp_mod._inverse
+
+    def spy(kern, idx, noise):
+        inverted.append(idx.shape[1])
+        return inverse(kern, idx, noise)
+
+    monkeypatch.setattr(gp_mod, "_inverse", spy)
+    return inverted
+
+
+def line_stack(seed, ragged, full, grid=61, window=16):
+    """Lines as the line posterior builds them, on a ``grid``-value grid.
+
+    ``ragged`` lines of 1 to ``window`` points, then ``full`` lines of
+    ``window``: distinct training indices, per-entry noise up to e^10 times
+    the freshest (stale levels), and power-of-two widths in which a line
+    with fewer points repeats its first one with noise 1e12 and target 0.
+    Returns ``(kern, idx, noise, targets, widths, counts)``.
+    """
+    rng = np.random.default_rng(seed)
+    steps = np.arange(grid, dtype=float)[:, None]
+    kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=engine.LINE_LENGTHSCALE))
+    counts = np.concatenate([rng.integers(1, window + 1, ragged), np.full(full, window)])
+    widths = 1 << np.ceil(np.log2(counts)).astype(int)
+    idx = np.array([rng.permutation(grid)[:window] for _ in counts])
+    noise = engine.LINE_NOISE * np.exp(engine.STALENESS_RATE * rng.uniform(0, 1, idx.shape))
+    targets = rng.normal(0.0, 2.0, idx.shape)
+    pad = np.arange(window) >= counts[:, None]
+    idx[pad] = np.broadcast_to(idx[:, :1], idx.shape)[pad]
+    noise[pad], targets[pad] = 1e12, 0.0
+    return kern, idx, noise, targets, widths, counts
+
+
+PARTS = ["bounded-stacks", "one-gp-per-call", "random-parts"]
+
+
+def parts_of(how, widths, grid):
+    """Row index arrays that hold every row once, to solve call by call.
+
+    ``bounded-stacks`` takes the rows of each width in runs whose (rows, n,
+    G) working set holds at most 16 * 61 * 61 cells, the bound at which
+    stacks were once split; ``random-parts`` shuffles the rows into seven
+    parts, each in shuffled order.
+    """
+    if how == "bounded-stacks":
+        parts = []
+        for n in sorted(set(widths.tolist())):
+            rows = np.flatnonzero(widths == n)
+            size = max(1, 16 * 61 * 61 // (n * grid))
+            parts += [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+        assert len(parts) > len(set(widths.tolist()))     # some width is split
+        return parts
+    if how == "one-gp-per-call":
+        return [np.array([r]) for r in range(len(widths))]
+    return np.array_split(np.random.default_rng(0).permutation(len(widths)), 7)
+
+
 class TestGridInverses:
     """The projection store keeps, by growth alone, what a fresh one computes."""
 
@@ -502,13 +554,15 @@ class TestGridInverses:
 
 
     @pytest.mark.parametrize("gps, grid, lo, hi, stacks", [
-        (2, 300, 300, 300, 2), (200, 61, 30, 45, 16),
-    ], ids=["grid-past-the-stack-bound", "200-gps-in-16-stacks"])
-    def test_one_refresh_writes_each_gp_its_own_inverse(self, gps, grid, lo, hi, stacks):
-        # One GP on all 300 values has a working set of 90 000 cells, more
-        # than STACK_CELLS, so each GP is a stack of its own; 200 GPs with
-        # 30-45 of 61 values observed take one stack per count. Every
-        # inverse is bitwise asymmetric, so a transposed scatter fails too.
+        (2, 300, 300, 300, 1), (200, 61, 30, 45, 16),
+    ], ids=["2-gps-300-of-300", "200-gps-in-16-stacks"])
+    def test_one_refresh_writes_each_gp_its_own_inverse(self, gps, grid, lo, hi, stacks,
+                                                        monkeypatch):
+        # Two GPs on all 300 values share one stack of 180 000 working-set
+        # cells; 200 GPs with 30-45 of 61 values observed take one stack
+        # per count. Every inverse is bitwise asymmetric, so a transposed
+        # scatter fails too.
+        inverted = spy_inversions(monkeypatch)
         rng = np.random.default_rng(0)
         steps = np.arange(grid, dtype=float)[:, None]
         kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=3.0))
@@ -517,9 +571,10 @@ class TestGridInverses:
         for r, n in enumerate(rng.integers(lo, hi + 1, gps)):
             observed[r, rng.permutation(grid)[:n]] = True
         counts = observed.sum(axis=1)
-        assert len(gp_mod._stacks(counts, grid)) == stacks
         store = gp_mod.GridInverses(gps, grid)
         store.refresh(kern, observed, noise)
+        assert sorted(inverted) == sorted(set(counts.tolist()))
+        assert len(inverted) == stacks
         expected = np.zeros_like(store.inverse)      # +0.0 off every block
         for r in range(gps):
             block = np.ix_(observed[r], observed[r])
@@ -528,31 +583,46 @@ class TestGridInverses:
             expected[r][block] = k_inv
         assert store.inverse.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("how", PARTS)
+    def test_one_refresh_equals_refreshes_in_parts(self, how):
+        # 200 GPs on a 61-value grid, 100 of them on 40 values each, each
+        # GP on values of its own: refreshed at once, each count is one
+        # stack; in parts, each refresh inverts only the GPs its mask adds.
+        # Both stores hold the same bytes.
+        rng = np.random.default_rng(1)
+        gps, grid, noise = 200, 61, 1e-6 + 1e-12
+        steps = np.arange(grid, dtype=float)[:, None]
+        kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=engine.LENGTHSCALE_STEPS))
+        counts = rng.permutation(np.concatenate([rng.integers(1, grid + 1, 100),
+                                                 np.full(100, 40)]))
+        observed = np.zeros((gps, grid), dtype=bool)
+        for r, n in enumerate(counts):
+            observed[r, rng.permutation(grid)[:n]] = True
+        whole = gp_mod.GridInverses(gps, grid)
+        whole.refresh(kern, observed, noise)
+        store, mask = gp_mod.GridInverses(gps, grid), np.zeros_like(observed)
+        for part in parts_of(how, counts, grid):
+            mask[part] = observed[part]
+            store.refresh(kern, mask, noise)
+        assert store.inverse.tobytes() == whole.inverse.tobytes()
+        assert store.explained.tobytes() == whole.explained.tobytes()
+        assert np.array_equal(store.count, whole.count)
+
 
 class TestStackedPosterior:
     """The 1D stack solve against a dense inverse per GP, noise per point."""
 
-    def test_matches_dense_oracle(self):
-        # Lines as the line posterior builds them: distinct training
-        # indices, per-entry noise up to e^10 times the freshest (stale
-        # levels), and power-of-two widths in which a line with fewer
-        # points repeats its first one with noise 1e12 and target 0. The
-        # 70 rows of width 16 take two stacks on a 61-value grid.
-        rng = np.random.default_rng(4)
-        grid, window = 61, 16
-        steps = np.arange(grid, dtype=float)[:, None]
-        kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=engine.LINE_LENGTHSCALE))
-        counts = np.concatenate([rng.integers(1, window + 1, 60), np.full(70, window)])
-        widths = 1 << np.ceil(np.log2(counts)).astype(int)
-        assert np.count_nonzero(widths == window) > gp_mod.STACK_CELLS // (window * grid)
+    def test_matches_dense_oracle(self, monkeypatch):
+        # The 104 rows of width 16 (the 70 full lines and the ragged ones
+        # of 9-16 points) take one stack on a 61-value grid, as every
+        # width's rows do.
+        inverted = spy_inversions(monkeypatch)
+        kern, idx, noise, targets, widths, counts = line_stack(4, 60, 70)
+        grid = kern.shape[1]
+        assert np.count_nonzero(widths == 16) == 104
         assert set(widths.tolist()) == {1, 2, 4, 8, 16}
-        idx = np.array([rng.permutation(grid)[:window] for _ in counts])
-        noise = engine.LINE_NOISE * np.exp(engine.STALENESS_RATE * rng.uniform(0, 1, idx.shape))
-        targets = rng.normal(0.0, 2.0, idx.shape)
-        pad = np.arange(window) >= counts[:, None]
-        idx[pad] = np.broadcast_to(idx[:, :1], idx.shape)[pad]
-        noise[pad], targets[pad] = 1e12, 0.0
         mean, explained = gp_mod.stacked_posterior(kern, idx, noise, targets, widths)
+        assert sorted(inverted) == [1, 2, 4, 8, 16]
         assert mean.shape == explained.shape == (len(counts), grid)
         for r, n in enumerate(counts):
             # the oracle sees the real points only; over seeds 0-7 of this
@@ -564,6 +634,19 @@ class TestStackedPosterior:
                 engine.LINE_LENGTHSCALE)
             np.testing.assert_allclose(mean[r], o_mean, rtol=0, atol=atol)
             np.testing.assert_allclose(explained[r], o_explained, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("how", PARTS)
+    def test_one_call_equals_calls_in_parts(self, how):
+        # 200 lines, 146 of width 16: one call solves each width in
+        # one stack, and gives the bytes of calls on parts of the rows
+        kern, idx, noise, targets, widths, _ = line_stack(5, 100, 100)
+        whole = gp_mod.stacked_posterior(kern, idx, noise, targets, widths)
+        mean, explained = np.full((2, len(idx), kern.shape[1]), np.nan)
+        for part in parts_of(how, widths, kern.shape[1]):
+            mean[part], explained[part] = gp_mod.stacked_posterior(
+                kern, idx[part], noise[part], targets[part], widths[part])
+        assert mean.tobytes() == whole[0].tobytes()
+        assert explained.tobytes() == whole[1].tobytes()
 
 
 class TestFitMechanics:
@@ -641,7 +724,6 @@ class TestFitMechanics:
     @pytest.mark.parametrize("kwargs", [
         {"lengthscale": 0.0},
         {"lengthscale": -1.0},
-        {"signal_variance": 0.0},
         {"noise_variance": -1e-9},
         {"jitter": 0.0},
     ])
