@@ -28,13 +28,13 @@ One routine, ``select_batch``, assembles a batch, tier by tier: one merged
 move (every coordinate moved to the value whose change is confidently
 negative, which merges the line moves that improved); single-coordinate
 line moves ranked by line EI; for dimensions with no line evidence, a move
-to the argmax of the dimension's projection score; then tuples drawn per
-dimension from a softmax of the projection scores over the grid values
-that dimension has already seen; and last, uniform-random unevaluated
-tuples. The softmax tier so recombines observed values and never gives a
+to the argmax of the dimension's projection score; then the fill, tuples
+that draw each coordinate uniformly, by index, from the grid values that
+dimension has already seen; and last, uniform-random unevaluated tuples.
+The fill so recombines observed values, unweighted, and never gives a
 dimension a new one: new grid values come from the line tiers, the
 projection-score move and the random fill, and a step whose batch came
-from the softmax tier alone inverts no projection GP at the next step.
+from the fill alone inverts no projection GP at the next step.
 
 The line posterior (with each shared profile's predicted change of every
 move), the merged moves and the line-EI table depend on the line evidence
@@ -67,7 +67,6 @@ from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
 
 LENGTHSCALE_STEPS = 3.0    # projection-GP lengthscale, in grid steps
-TAU_FRACTION = 0.1         # softmax temperature, a fraction of the observed score range
 LINE_LENGTHSCALE = 1.5     # line-model lengthscale, in grid steps
 LINE_EI_MIN = 0.01         # line EI (in line scales) a line move must clear
 LINE_NOISE = 0.01          # line-model noise, as a fraction of the line variance
@@ -523,12 +522,13 @@ class ScoreOptimizer:
         single-coordinate moves by line EI (standardized by each line's
         scale; a move must clear ``LINE_EI_MIN``); for dimensions with no
         line evidence, a move to the argmax of their projection score. Then
-        tuples drawn per dimension from softmax(score / tau) over its
-        observed cells (finite ``projections.minima``; a dimension with
-        none keeps its whole grid), tau being ``TAU_FRACTION`` of their
-        score range, with duplicates resampled up to 100*B times; finally
-        uniform-random unevaluated tuples. So new grid values come only
-        from the line tiers, the projection-score move and the random fill.
+        the fill: per attempt one uniform u per dimension picks cell
+        floor(u * count) of that dimension's observed cells (finite
+        ``projections.minima``, in increasing order; a dimension with none
+        keeps its whole grid), with duplicates resampled up to 100*B times;
+        finally uniform-random unevaluated tuples. So new grid values come
+        only from the line tiers, the projection-score move and the random
+        fill.
         Each line move of a dimension whose group has a shared profile
         records the profile's prediction of it, which ``_absorb`` pairs
         with the move's outcome.
@@ -595,24 +595,20 @@ class ScoreOptimizer:
         if len(chosen) >= b:
             return chosen
 
-        # per-dimension softmax CDFs over the observed cells; a row with none
-        # keeps its whole grid, since an all -inf row has no distribution
+        # each row's observed cells first, in increasing order; a row with
+        # none keeps its whole grid
         observed = np.isfinite(self.projections.minima)
-        scores = np.where(observed | ~observed.any(axis=1, keepdims=True), scores, -np.inf)
-        top = scores.max(axis=1, keepdims=True)
-        low = np.where(np.isfinite(scores), scores, np.inf).min(axis=1, keepdims=True)
-        tau = np.maximum(TAU_FRACTION * (top - low), 1e-9)
-        p = np.exp((scores - top) / tau)
-        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-        cdf /= cdf[:, -1:]
+        cells = observed | (self._grid_cells & ~observed.any(axis=1, keepdims=True))
+        order = np.argsort(~cells, axis=1, kind="stable")
+        counts = cells.sum(axis=1)
+        rows = np.arange(len(cells))
 
         attempts = 0
         while len(chosen) < b and attempts < 100 * b:
             attempts += 1
-            # one uniform per dimension, drawn and inverted as
-            # rng.choice(len(p), p=p) does it
-            u = self.rng.random(len(cdf))
-            t = tuple((cdf <= u[:, None]).sum(axis=1).tolist())
+            # one uniform per dimension; u < 1 keeps u * count below count
+            u = self.rng.random(len(cells))
+            t = tuple(order[rows, (u * counts).astype(int)].tolist())
             if self._fresh(t, taken):
                 take(t, None)
 

@@ -7,9 +7,10 @@ through five parameters:
 
 The fitting objective matches the three datasheet points commonly available
 in practice (short-circuit current, maximum power point, open-circuit
-voltage). Because no real panel datasheet ships with this package, targets
-are generated by forward-simulating a known ground truth, which makes the
-global minimum of the fit exactly zero.
+voltage). Because no real panel datasheet ships with this package, the
+default targets are those of a known ground truth, forward-simulated once
+and shipped as constants, which makes the global minimum of the fit exactly
+zero.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ class IvTargets:
 DEFAULT_GROUND_TRUTH = SdmParams(i_l=9.0, i_o=3e-10, r_s=0.35, r_sh=800.0, a=1.9)
 BISECTION_TOL = 1e-10      # bracket width at which the SDM current solve stops
 BISECTION_MAX_ITER = 200
-SCAN_POINTS = 2000         # voltage scan of the synthetic maximum power point
 
 
 def sdm_current(params: SdmParams, v: float) -> float:
@@ -162,37 +162,18 @@ def sdm_residual(params: SdmParams, targets: IvTargets) -> float:
     return math.sqrt((e_isc**2 + e_mpp**2 + e_voc**2) / 3.0)
 
 
-def open_circuit_voltage(params: SdmParams) -> float:
-    """Voltage at which the output current crosses zero."""
-    from scipy.optimize import brentq   # slow to import, and only SDM needs it
-    v_hi = 2.0 * params.a * math.log(params.i_l / params.i_o + 1.0)
-    f = lambda v: sdm_current(params, v)
-    if f(0.0) <= 0:
-        raise SolverError(f"no positive current at short circuit for {params}")
-    return float(brentq(f, 0.0, v_hi, xtol=1e-12))
-
-
 def make_synthetic_datasheet() -> IvTargets:
-    """Forward-simulate the three datasheet points from ``DEFAULT_GROUND_TRUTH``.
+    """The three datasheet points of ``DEFAULT_GROUND_TRUTH``.
 
-    The maximum power point comes from a dense voltage scan refined by a
-    golden-section pass around the best scanned value.
+    Isc is ``sdm_current`` at 0 V and Voc the zero of the current (Brent's
+    method, xtol 1e-12); the maximum power point comes from a 2 000-voltage
+    scan on [0, Voc] refined by a bounded golden-section search (xatol
+    1e-10) between the best scanned value's neighbours. They never change,
+    so they are written out here; ``tests/test_problems.py`` derives them
+    again and checks every bit.
     """
-    from scipy.optimize import minimize_scalar   # as in open_circuit_voltage
-    truth = DEFAULT_GROUND_TRUTH
-    isc = sdm_current(truth, 0.0)
-    voc = open_circuit_voltage(truth)
-    vs = np.linspace(0.0, voc, SCAN_POINTS)
-    powers = np.array([v * sdm_current(truth, v) for v in vs])
-    i_best = int(np.argmax(powers))
-    lo = vs[max(i_best - 1, 0)]
-    hi = vs[min(i_best + 1, SCAN_POINTS - 1)]
-    res = minimize_scalar(lambda v: -v * sdm_current(truth, v),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    vmp = float(res.x)
-    imp = sdm_current(truth, vmp)
-    return IvTargets(isc=isc, vmp=vmp, imp=imp, voc=voc)
+    return IvTargets(isc=8.996064220664266, vmp=37.24934710678464,
+                     imp=8.481989619277986, voc=45.824348933404316)
 
 
 def sdm_space(targets: IvTargets) -> SearchSpace:

@@ -7,7 +7,9 @@ It runs each criterion's configuration on a range of seeds in two arms:
 - ``flat``: ``ScoreOptimizer._projection_scores`` still runs in full, but
   the table it returns is replaced by zeros on every grid cell (-inf past
   each grid's end stays), patched from outside. So the projection-score
-  move and the softmax fill no longer see the projection GPs.
+  move no longer sees the projection GPs. It is the table's only reader
+  (the fill draws uniformly from observed cells), so the two arms differ
+  only at that move.
 
 For each criterion and arm it prints the hits (the criterion's own gate on
 the final best value), the median evals-to-target over the seeds that

@@ -9,7 +9,7 @@ import pytest
 from scorebo import engine, gp
 from scorebo.acquisition import ZETA, expected_improvement
 from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
-                            LINE_NOISE, STALENESS_RATE, TAU_FRACTION, TRUST_WINDOW,
+                            LINE_NOISE, STALENESS_RATE, TRUST_WINDOW,
                             LineEvidence, ProjectionTable, ScoreOptimizer,
                             clip_targets)
 from scorebo.errors import SpaceExhausted
@@ -43,12 +43,12 @@ class FakeRecord:
         self.value = value
 
 
-def record_softmax_draws(opt):
-    """Spy on the softmax tier of ``opt``'s selections.
+def record_fill_draws(opt):
+    """Spy on the fill tier of ``opt``'s selections.
 
     The tier draws one uniform per dimension with ``opt.rng.random`` and
-    then asks ``_fresh`` about the tuple it inverts them to; nothing else in
-    a selection calls ``rng.random``. Returns a list that gains one
+    then asks ``_fresh`` about the tuple of cells they index; nothing else
+    in a selection calls ``rng.random``. Returns a list that gains one
     ``(tuple, taken, on_observed_cells)`` per draw, the last read from the
     projections at that selection.
     """
@@ -426,18 +426,18 @@ class TestInverseReuse:
         opt._projection_scores()
         assert inverted == [1]
 
-    def test_step_filled_by_the_softmax_tier_inverts_no_projection(self, monkeypatch):
+    def test_step_filled_by_the_fill_tier_inverts_no_projection(self, monkeypatch):
         opt = ScoreOptimizer(space=ackley_space(6), objective=ackley,
                              batch_size=2, seed=0)
         opt.initialize(12)
-        draws = record_softmax_draws(opt)
+        draws = record_fill_draws(opt)
         for _ in range(100):
             before = len(draws)
             batch = opt.step().batch
             if sum(taken for _, taken, _ in draws[before:]) == len(batch):
                 break
         else:
-            pytest.fail("no step's batch came wholly from the softmax tier")
+            pytest.fail("no step's batch came wholly from the fill tier")
         inverted = []
         original = gp._inverse
 
@@ -488,35 +488,55 @@ class TestSelectBatch:
         batch = opt.select_batch(np.ones((2, 2)))
         assert sorted(batch) == [(1, 0), (1, 1)]
 
-    def test_softmax_tier_draws_like_rng_choice(self):
+    @staticmethod
+    def _fill_only(batch_size, seed):
+        """An optimizer on ragged grids whose selections reach the fill at once.
+
+        Its history is empty, so no line tier runs; its projections observe
+        cells 1 and 3 of the 4-value grid, none of the 5-value grid and cells
+        0, 2 and 5 of the 6-value grid. Returns it, a score table for
+        ``select_batch`` and each dimension's cells the fill may draw: the
+        observed ones, else the whole grid.
+        """
         space = grid_space(4, 5, 6)
-        rng = np.random.default_rng(2)
-        scores = [rng.uniform(0, 1, len(g)) for g in space.grids]
-        table = np.full((3, 6), -np.inf)
-        for d, s in enumerate(scores):
-            table[d, :len(s)] = s
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0,
-                             batch_size=8, seed=3)
+                             batch_size=batch_size, seed=seed)
+        cells = [[1, 3], [], [0, 2, 5]]
+        for d, c in enumerate(cells):
+            opt.projections.minima[d, c] = 0.0
+        table = np.where(opt._grid_cells, 0.0, -np.inf)
+        return opt, table, [c or list(range(n)) for c, n in zip(cells, space.lengths)]
+
+    def test_fill_draws_observed_cells_by_index(self):
+        opt, table, cells = self._fill_only(batch_size=8, seed=3)
         batch = opt.select_batch(table)
 
         ref = np.random.default_rng(3)
         expected = []
-        probs = []
-        for s in scores:
-            p = np.exp((s - s.max()) / (TAU_FRACTION * np.ptp(s)))
-            probs.append(p / p.sum())
         while len(expected) < 8:
-            t = tuple(int(ref.choice(len(p), p=p)) for p in probs)
+            u = ref.random(len(cells))
+            t = tuple(c[int(x * len(c))] for x, c in zip(u, cells))
             if t not in expected:
                 expected.append(t)
         assert batch == expected
+        assert (np.array(batch) < np.array(opt.space.lengths)).all()
+
+    def test_fill_draw_at_the_largest_uniform_takes_each_last_cell(self):
+        opt, table, cells = self._fill_only(batch_size=1, seed=0)
+
+        class Rng:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        opt.rng = Rng()
+        assert opt.select_batch(table) == [tuple(c[-1] for c in cells)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_softmax_tier_draws_only_observed_cells(self):
+    def test_fill_tier_draws_only_observed_cells(self):
         opt = ScoreOptimizer(space=ackley_space(200), objective=ackley,
                              batch_size=10, seed=0)
         opt.initialize(50)
-        draws = record_softmax_draws(opt)
+        draws = record_fill_draws(opt)
         for _ in range(20):
             opt.step()
         assert sum(taken for _, taken, _ in draws) >= 10
@@ -524,8 +544,9 @@ class TestSelectBatch:
 
     def test_random_fill_reads_the_evaluated_set_uncopied(self, monkeypatch):
         # One record on 2-D Ackley at B=5: the projection-score moves give
-        # a tuple or two, the softmax tier can draw only the evaluated
-        # tuple, and the random fill draws the rest. It is given the
+        # a tuple or two, the fill tier can draw only the evaluated tuple
+        # (each dimension has observed one cell), and the random fill draws
+        # the rest. It is given the
         # history's set itself and the batch's tuples apart, so that no
         # step copies the evaluated set.
         opt = ScoreOptimizer(space=ackley_space(2), objective=ackley,
@@ -735,12 +756,13 @@ class TestLineEvidence:
         assert groups == [[0, 1], [2]]
 
     def test_outcomes_pair_line_move_predictions_with_recorded_levels(self, monkeypatch):
-        # Three dimensions on one 7-value grid share a profile. The score
-        # table is flat on dimension 0 and peaked at the incumbent
-        # elsewhere, so the softmax tier draws single-coordinate moves of
-        # dimension 0; the random fill is made to return the incumbent's
-        # unevaluated line moves. Both tiers then give moves the profile
-        # predicts, and neither may record an outcome.
+        # Three dimensions on one 7-value grid share a profile. Before each
+        # selection the projections of dimensions 1 and 2 are made to
+        # observe only the incumbent's cell, so every tuple the fill tier
+        # draws is the incumbent or a single-coordinate move of dimension
+        # 0; the random fill is made to return the incumbent's unevaluated
+        # line moves. Both tiers then give moves the profile predicts, and
+        # neither may record an outcome.
         space = grid_space(7, 7, 7)
         opt = ScoreOptimizer(space=space,
                              objective=lambda p: float(np.sum((p - 0.3) ** 2)),
@@ -769,16 +791,19 @@ class TestLineEvidence:
             a = opt.lines.anchor
             moves = [a[:d] + (v,) + a[d + 1:] for d in range(3) for v in range(7)]
             fresh = [t for t in moves if t not in excluded and t not in pending]
+            random_fill.update(fresh[:count])
             return np.array(fresh[:count], dtype=int)
 
         opt._line_posterior, opt._shared_profile, opt._fresh = posterior, fit, spy
         monkeypatch.setattr(engine, "draw_unevaluated", line_fill)
-        line_moves = fill_moves = 0
+        line_moves = fill_moves = fill_tier_moves = 0
         for _ in range(6):
             anchor = opt.history.best.indices
-            scores = np.where(np.arange(7) == np.array(anchor)[:, None], 0.0, -50.0)
-            scores[0] = 0.0
+            at_anchor = np.arange(7) == np.array(anchor)[:, None]
+            scores = np.where(at_anchor, 0.0, -50.0)
+            opt.projections.minima[1:] = np.where(at_anchor[1:], 0.0, np.inf)
             asked.clear()
+            random_fill = set()
             start["state"] = opt.rng.bit_generator.state
             batch = opt.select_batch(scores)
             line_tier = {t for t, first in asked if first}
@@ -797,7 +822,8 @@ class TestLineEvidence:
                 else:
                     assert list(group.outcomes) == before
                     fill_moves += 1
-        assert line_moves > 0 and fill_moves > 0
+                    fill_tier_moves += t not in random_fill
+        assert line_moves > 0 and fill_moves > 0 and fill_tier_moves > 0
         assert len(group.outcomes) < TRUST_WINDOW     # none has been pushed out
 
 

@@ -1,17 +1,51 @@
 """Benchmark objectives: Ackley and the single-diode IV fitting problem."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from scorebo.errors import SolverError
 from scorebo.problems import (DEFAULT_GROUND_TRUTH, RESIDUAL_SENTINEL,
                               IvTargets, SdmParams, ackley, ackley_space,
                               load_datasheet, make_synthetic_datasheet,
-                              open_circuit_voltage, save_datasheet,
-                              sdm_current, sdm_objective, sdm_residual,
-                              sdm_space)
+                              save_datasheet, sdm_current, sdm_objective,
+                              sdm_residual, sdm_space)
+
+SCAN_POINTS = 2000         # voltage scan of the synthetic maximum power point
+
+
+def open_circuit_voltage(params: SdmParams) -> float:
+    """Voltage at which the output current crosses zero."""
+    v_hi = 2.0 * params.a * math.log(params.i_l / params.i_o + 1.0)
+    f = lambda v: sdm_current(params, v)
+    if f(0.0) <= 0:
+        raise SolverError(f"no positive current at short circuit for {params}")
+    return float(brentq(f, 0.0, v_hi, xtol=1e-12))
+
+
+def forward_simulated_datasheet() -> IvTargets:
+    """The datasheet points of ``DEFAULT_GROUND_TRUTH``, derived.
+
+    The maximum power point comes from a dense voltage scan refined by a
+    golden-section pass around the best scanned value.
+    """
+    truth = DEFAULT_GROUND_TRUTH
+    isc = sdm_current(truth, 0.0)
+    voc = open_circuit_voltage(truth)
+    vs = np.linspace(0.0, voc, SCAN_POINTS)
+    powers = np.array([v * sdm_current(truth, v) for v in vs])
+    i_best = int(np.argmax(powers))
+    lo = vs[max(i_best - 1, 0)]
+    hi = vs[min(i_best + 1, SCAN_POINTS - 1)]
+    res = minimize_scalar(lambda v: -v * sdm_current(truth, v),
+                          bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    vmp = float(res.x)
+    imp = sdm_current(truth, vmp)
+    return IvTargets(isc=isc, vmp=vmp, imp=imp, voc=voc)
 
 
 class TestAckley:
@@ -129,6 +163,10 @@ class TestOpenCircuitVoltage:
 
 
 class TestDatasheet:
+    def test_shipped_datasheet_is_the_forward_simulation_to_the_bit(self):
+        shipped, derived = make_synthetic_datasheet(), forward_simulated_datasheet()
+        assert [x.hex() for x in astuple(shipped)] == [x.hex() for x in astuple(derived)]
+
     def test_targets_satisfy_invariants(self, datasheet):
         assert 0 < datasheet.vmp < datasheet.voc
         assert 0 < datasheet.imp < datasheet.isc
