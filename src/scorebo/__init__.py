@@ -1,6 +1,6 @@
 """Dimension-decomposed Bayesian optimization on discrete grids."""
 
-from .acquisition import expected_improvement, score_grid
+from .acquisition import score_grid
 from .baseline import BoOptimizer
 from .engine import ProjectionTable, ScoreOptimizer
 from .errors import (ConfigurationError, ObjectiveError, SolverError,
@@ -10,7 +10,7 @@ from .space import (EvaluationRecord, History, ParameterGrid, SearchSpace,
                     StepResult, make_grid)
 
 __all__ = [
-    "expected_improvement", "score_grid",
+    "score_grid",
     "BoOptimizer", "ProjectionTable", "ScoreOptimizer",
     "ConfigurationError", "ObjectiveError", "SolverError", "SpaceExhausted", "SurrogateError",
     "GpModel", "KernelConfig", "gp_fit",

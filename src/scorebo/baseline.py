@@ -31,7 +31,7 @@ import numpy as np
 
 from .acquisition import ZETA, score_grid
 from .errors import SurrogateError
-from .gp import NOISE_VARIANCE, KernelConfig, gp_fit
+from .gp import KernelConfig, gp_fit
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
 
@@ -61,8 +61,7 @@ class BoOptimizer:
         import scipy.linalg  # noqa: F401
         self.rng = np.random.default_rng(self.seed)
         self.history = History(self.space, self.objective, on_record=self._keep)
-        self.kernel = KernelConfig(lengthscale=JOINT_LENGTHSCALE,
-                                   noise_variance=NOISE_VARIANCE)
+        self.kernel = KernelConfig(lengthscale=JOINT_LENGTHSCALE)
         self.gp_fit_count = 0
         self._scale = np.array([len(g) - 1 for g in self.space.grids], dtype=float)
         # rescaled inputs and values of the stored records, in record order;

@@ -72,8 +72,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     values = {}
     if path is not None:
         try:
-            values = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            values = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}")
         if not isinstance(values, dict):
             raise ConfigurationError(f"config {path} must hold a JSON object")
@@ -97,7 +97,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 def _build_problem(config: RunConfig):
     if config.problem == "ackley":
         return ackley_space(config.dims, config.grid_points), ackley
-    targets = (load_datasheet(config.datasheet)[0] if config.datasheet
+    targets = (load_datasheet(config.datasheet) if config.datasheet
                else make_synthetic_datasheet())
     return sdm_space(targets), sdm_objective(targets)
 

@@ -61,8 +61,7 @@ import numpy as np
 
 from .acquisition import ZETA, score_grid
 from .errors import SpaceExhausted
-from .gp import (NOISE_VARIANCE, GridInverses, KernelConfig, kernel_matrix,
-                 stacked_posterior)
+from .gp import GridInverses, KernelConfig, kernel_matrix, stacked_posterior
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
 
@@ -116,26 +115,23 @@ def clip_targets(values: np.ndarray) -> np.ndarray:
     ``min + CLIP_FACTOR * (p75 - min)`` of their row (last axis), which
     preserves ordering near the minimum — the only region the acquisition
     cares about. Rows may be padded with inf: those cells are not part of
-    the row and stay inf.
+    the row and stay inf. p75 is ``np.percentile(row[finite], 75)``; it
+    and min are read from one sort of the rows, which must hold no NaN.
     """
     values = np.asarray(values, dtype=float)
     finite = values < np.inf
-    lo = values.min(axis=-1, keepdims=True)
-    cap = lo + CLIP_FACTOR * (_upper_quartile(values, finite) - lo)
-    return np.where((cap > lo) & finite, np.minimum(values, cap), values)
-
-
-def _upper_quartile(values: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """``np.percentile(row[finite], 75)`` of each row, keeping dims."""
     n = finite.sum(axis=-1, keepdims=True)
     pos = 0.75 * (n - 1)
     below = pos.astype(int)
     flat = np.sort(values, axis=-1).ravel()      # infs sort past each row's values
     first = np.arange(0, flat.size, values.shape[-1]).reshape(n.shape)
+    lo = flat[first]
     a = flat[first + below]
     b = flat[first + np.minimum(below + 1, n - 1)]
     gamma = pos - below
-    return np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)
+    p75 = np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)
+    cap = lo + CLIP_FACTOR * (p75 - lo)
+    return np.where((cap > lo) & finite, np.minimum(values, cap), values)
 
 
 class LineEvidence:
@@ -230,7 +226,6 @@ class _LineTables:
     version: int                  # ``LineEvidence.version`` they were derived at
     posterior: tuple              # ``_line_posterior()``: mean, std, scale, supported,
                                   # share, predicted
-    valid: np.ndarray             # (D, G) grid values a line move may go to
     merged: tuple                 # merged moves that move some coordinate, in order
     ei: np.ndarray                # (D, G) line EI before any move is taken
 
@@ -254,8 +249,7 @@ class ScoreOptimizer:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.rng = np.random.default_rng(self.seed)
         self.history = History(self.space, self.objective, on_record=self._absorb)
-        self.kernel = KernelConfig(lengthscale=LENGTHSCALE_STEPS,
-                                   noise_variance=NOISE_VARIANCE)
+        self.kernel = KernelConfig(lengthscale=LENGTHSCALE_STEPS)
         self.gp_fit_count = 0                # per-dimension projection surrogates
         self.refinement_fit_count = 0        # line posteriors computed at selections
         self._refine_dim = 0
@@ -480,7 +474,7 @@ class ScoreOptimizer:
         return kept
 
     def _derive_line_tables(self) -> _LineTables:
-        """Line posterior, move mask, merged moves and line EI, all read-only."""
+        """Line posterior, merged moves and line EI, all read-only."""
         posterior = self._line_posterior()
         mean, std, scale, supported, _, _ = posterior
         line_rows = np.arange(len(mean))
@@ -505,9 +499,9 @@ class ScoreOptimizer:
         ei = score_grid(mean / scale[:, None], std / scale[:, None],
                         (best_level / scale)[:, None], 0.0)
         ei = np.where(open_lines, ei, 0.0)
-        for array in (*posterior, valid, ei):
+        for array in (*posterior, ei):
             array.flags.writeable = False
-        return _LineTables(self.lines.version, posterior, valid, tuple(merged), ei)
+        return _LineTables(self.lines.version, posterior, tuple(merged), ei)
 
     def _fresh(self, t: tuple[int, ...], taken: set) -> bool:
         return t not in taken and t not in self.history.evaluated
@@ -586,7 +580,8 @@ class ScoreOptimizer:
                 d = (self._refine_dim + k) % dims
                 if supported[d]:
                     continue
-                row = np.where(tables.valid[d], scores[d], -np.inf)
+                row = scores[d].copy()           # -inf past the grid's end
+                row[inc[d]] = -np.inf
                 v = int(np.argmax(row))
                 t = inc[:d] + (v,) + inc[d + 1:]
                 if row[v] > -np.inf and self._fresh(t, taken):

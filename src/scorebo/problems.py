@@ -199,23 +199,26 @@ def sdm_objective(targets: IvTargets):
     return objective
 
 
-def save_datasheet(path, targets: IvTargets,
-                   ground_truth: SdmParams | None = None) -> None:
+def save_datasheet(path, targets: IvTargets) -> None:
     """Write the datasheet fixture as key=value lines."""
     lines = [f"{k}={v!r}" for k, v in asdict(targets).items()]
-    if ground_truth is not None:
-        lines += [f"gt_{k}={v!r}" for k, v in asdict(ground_truth).items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_datasheet(path) -> tuple[IvTargets, SdmParams | None]:
+def load_datasheet(path) -> IvTargets:
     """Read a datasheet fixture written by save_datasheet.
 
-    A missing key, a value that is not a number, or targets that are not a
-    valid datasheet raise ``ConfigurationError`` naming the file.
+    Keys other than the targets' are ignored. A file that cannot be read
+    or is not UTF-8, a missing key, a value that is not a number, or
+    targets that are not a valid datasheet raise ``ConfigurationError``
+    naming the file.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read datasheet {path}: {exc}") from None
     values: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -225,14 +228,9 @@ def load_datasheet(path) -> tuple[IvTargets, SdmParams | None]:
             values[key] = float(value)
         except ValueError:
             raise ConfigurationError(f"{path}: {key} is not a number: {value!r}") from None
-
-    def build(cls, prefix=""):
-        try:
-            return cls(**{f.name: values[prefix + f.name] for f in fields(cls)})
-        except KeyError as exc:
-            raise ConfigurationError(f"{path}: missing key {exc}") from None
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
-
-    targets = build(IvTargets)
-    return targets, build(SdmParams, "gt_") if "gt_i_l" in values else None
+    try:
+        return IvTargets(**{f.name: values[f.name] for f in fields(IvTargets)})
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None

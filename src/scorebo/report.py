@@ -71,13 +71,16 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
 
 
 def read_trace_csv(path) -> ConvergenceTrace:
-    """Read a trace CSV; a wrong header, no rows or a bad cell raise
-    ``ConfigurationError``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ConfigurationError(f"{path}: unexpected CSV columns {reader.fieldnames}")
-        rows = list(reader)
+    """Read a trace CSV; a file that cannot be read or is not UTF-8, a wrong
+    header, no rows or a bad cell raise ``ConfigurationError``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+                raise ConfigurationError(f"{path}: unexpected CSV columns {reader.fieldnames}")
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read trace {path}: {exc}") from None
     if not rows:
         raise ConfigurationError(f"{path}: empty trace")
     try:

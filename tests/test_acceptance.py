@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scorebo.acquisition import expected_improvement
+from scorebo.acquisition import score_grid
 from scorebo.baseline import JOINT_LENGTHSCALE, BoOptimizer
 from scorebo.cli import RunConfig, run_experiment
 from scorebo.engine import ProjectionTable, ScoreOptimizer
@@ -67,13 +67,13 @@ def test_criterion_1_ei_matches_monte_carlo_oracle(capsys):
         std = float(rng.uniform(0.0, 2.0))
         best = float(rng.uniform(-2, 2))
         zeta = float(rng.uniform(0.0, 0.5))
-        ei = expected_improvement(mean, std, best, zeta)
+        ei = score_grid(mean, std, best, zeta)
         oracle = mc_expected_improvement(mean, std, best, zeta, samples)
         worst = max(worst, abs(ei - oracle))
     examples_ok = (
-        abs(expected_improvement(0.0, 1.0, 0.0, 0.0) - 0.3989422804) < 1e-9
-        and expected_improvement(0.0, 1e-15, 0.5, 0.0) == 0.5
-        and abs(expected_improvement(1.0, 2.0, 0.5, 0.1)
+        abs(score_grid(0.0, 1.0, 0.0, 0.0) - 0.3989422804) < 1e-9
+        and score_grid(0.0, 1e-15, 0.5, 0.0) == 0.5
+        and abs(score_grid(1.0, 2.0, 0.5, 0.1)
                 - mc_expected_improvement(
                     1.0, 2.0, 0.5, 0.1,
                     antithetic_normals(np.random.default_rng(7),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorebo.acquisition import expected_improvement, score_grid, _norm_pdf
+from scorebo.acquisition import score_grid, _norm_pdf
 
 from oracles import antithetic_normals, mc_expected_improvement
 
@@ -14,17 +14,17 @@ _SAMPLES = antithetic_normals(np.random.default_rng(2024), 1_000_000)
 
 class TestReferenceValues:
     def test_symmetric_case_equals_normal_pdf_at_zero(self):
-        assert expected_improvement(0.0, 1.0, 0.0, 0.0) == pytest.approx(
+        assert score_grid(0.0, 1.0, 0.0, 0.0) == pytest.approx(
             0.3989422804, abs=1e-9)
         assert _norm_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
 
     def test_deterministic_improvement_limit(self):
-        assert expected_improvement(0.0, 0.0, 0.5, 0.0) == 0.5
-        assert expected_improvement(0.0, 1e-15, 0.5, 0.0) == 0.5
-        assert expected_improvement(1.0, 0.0, 0.5, 0.0) == 0.0
+        assert score_grid(0.0, 0.0, 0.5, 0.0) == 0.5
+        assert score_grid(0.0, 1e-15, 0.5, 0.0) == 0.5
+        assert score_grid(1.0, 0.0, 0.5, 0.0) == 0.0
 
     def test_monte_carlo_tagged_example(self):
-        ei = expected_improvement(1.0, 2.0, 0.5, 0.1)
+        ei = score_grid(1.0, 2.0, 0.5, 0.1)
         samples = antithetic_normals(np.random.default_rng(7), 10_000_000)
         oracle = mc_expected_improvement(1.0, 2.0, 0.5, 0.1, samples)
         assert ei == pytest.approx(oracle, abs=2e-3)
@@ -37,7 +37,7 @@ class TestReferenceValues:
             std = float(rng.uniform(0.0, 2.0))
             best = float(rng.uniform(-2, 2))
             zeta = float(rng.uniform(0.0, 0.5))
-            ei = expected_improvement(mean, std, best, zeta)
+            ei = score_grid(mean, std, best, zeta)
             oracle = mc_expected_improvement(mean, std, best, zeta, _SAMPLES)
             assert ei == pytest.approx(oracle, abs=5e-3)
 
@@ -47,7 +47,7 @@ class TestProperties:
     @given(st.floats(-10, 10), st.floats(0, 10), st.floats(-10, 10),
            st.floats(0, 2))
     def test_lower_bounds(self, mean, std, best, zeta):
-        ei = expected_improvement(mean, std, best, zeta)
+        ei = score_grid(mean, std, best, zeta)
         assert ei >= 0.0
         assert ei >= max(best - mean - zeta, 0.0) - 1e-12
 
@@ -56,22 +56,22 @@ class TestProperties:
            st.floats(0, 1), st.floats(-5, 5))
     def test_nonincreasing_in_mean(self, mean, std, best, zeta, bump):
         lo, hi = sorted((mean, mean + abs(bump)))
-        assert (expected_improvement(hi, std, best, zeta)
-                <= expected_improvement(lo, std, best, zeta) + 1e-10)
+        assert (score_grid(hi, std, best, zeta)
+                <= score_grid(lo, std, best, zeta) + 1e-10)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-5, 5), st.floats(1e-6, 5), st.floats(-5, 5),
            st.floats(0, 1), st.floats(0, 5))
     def test_nondecreasing_in_std(self, mean, std, best, zeta, bump):
-        assert (expected_improvement(mean, std + bump, best, zeta)
-                >= expected_improvement(mean, std, best, zeta) - 1e-10)
+        assert (score_grid(mean, std + bump, best, zeta)
+                >= score_grid(mean, std, best, zeta) - 1e-10)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-3, 3), st.floats(0, 3), st.floats(-3, 3),
            st.floats(0, 1), st.floats(-3, 3))
     def test_translation_invariance(self, mean, std, best, zeta, c):
-        a = expected_improvement(mean, std, best, zeta)
-        b = expected_improvement(mean + c, std, best + c, zeta)
+        a = score_grid(mean, std, best, zeta)
+        b = score_grid(mean + c, std, best + c, zeta)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_argmax_invariant_under_positive_affine_rescaling(self):
@@ -94,7 +94,7 @@ class TestScoreGrid:
         stds = rng.uniform(0, 2, 61)
         scores = score_grid(means, stds, 0.3, 0.05)
         for i in range(61):
-            assert scores[i] == expected_improvement(means[i], stds[i], 0.3, 0.05)
+            assert scores[i] == score_grid(means[i], stds[i], 0.3, 0.05)
 
     def test_identical_posteriors_give_identical_scores(self):
         scores = score_grid(np.full(10, 0.5), np.full(10, 1.5), 0.2, 0.01)
@@ -102,7 +102,7 @@ class TestScoreGrid:
 
     def test_single_element_equals_scalar_call(self):
         assert score_grid([0.1], [0.9], 0.4, 0.0)[0] == \
-            expected_improvement(0.1, 0.9, 0.4, 0.0)
+            score_grid(0.1, 0.9, 0.4, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -212,8 +212,12 @@ class TestCommands:
         assert "configuration error" in capsys.readouterr().err
 
     def test_runtime_error_exits_3(self, tmp_path, capsys):
-        missing = tmp_path / "nope.csv"
-        assert main(["report", str(missing)]) == 3
+        # a readable trace, but the output directory is a file
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(CSV_COLUMNS) + "\nscore,0,0,4,1.0,1.0,1.0\n")
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        assert main(["report", str(trace), "--out", str(blocked)]) == 3
         assert "runtime error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
@@ -364,6 +368,24 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert str(path) in err[0] and key in err[0]
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe=\xff\n"),
+    ], ids=["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config"],
+        ["run", "--problem", "sdm", "--n-init", "4", "--max-evals", "6", "--datasheet"],
+        ["report"],
+    ], ids=["config", "datasheet", "report"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, argv, make):
+        path = tmp_path / "input"
+        make(path)
+        assert main(argv + [str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert str(path) in err[0]
 
 
 def _scipy_loaded_after(code: str) -> set:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scorebo import engine, gp
-from scorebo.acquisition import ZETA, expected_improvement
+from scorebo.acquisition import ZETA, score_grid
 from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
                             LINE_NOISE, STALENESS_RATE, TRUST_WINDOW,
                             LineEvidence, ProjectionTable, ScoreOptimizer,
@@ -175,6 +175,30 @@ class TestClipTargets:
             expected = np.array([clip_targets(row) for row in rows])
             np.testing.assert_array_equal(clip_targets(rows), expected)
 
+    def test_inf_padded_rows_clip_as_their_finite_cells(self):
+        rng = np.random.default_rng(8)
+        rows = [np.array([-4.0]),                         # one finite cell
+                np.full(6, 2.5),                          # constant
+                np.append(rng.normal(size=8), 1e300),     # one outlier
+                rng.normal(size=11) * 1e3,
+                rng.normal(size=3)]
+        width = 13
+        table = np.full((len(rows), width), np.inf)
+        cells = []
+        for r, row in enumerate(rows):
+            idx = np.sort(rng.choice(width, size=len(row), replace=False))
+            table[r, idx] = row
+            cells.append(idx)
+        clipped = clip_targets(table)
+        for r, (row, idx) in enumerate(zip(rows, cells, strict=True)):
+            assert clip_targets(row).tobytes() == clipped[r, idx].tobytes()
+            assert np.isposinf(np.delete(clipped[r], idx)).all()
+            lo = row.min()
+            cap = lo + 20.0 * (np.percentile(row, 75) - lo)
+            np.testing.assert_array_equal(clipped[r, idx],
+                                          np.minimum(row, cap) if cap > lo else row)
+        assert clipped[2, cells[2][-1]] < 1e300           # the outlier was capped
+
 
 class TestScoreDimension:
     def test_single_best_observation_favors_far_grid_points(self):
@@ -211,7 +235,7 @@ class TestScoreDimension:
             noise_variance=opt.kernel.noise_variance,
             jitter=opt.kernel.jitter, standardized_out=True)
         z_best = (2.0 - 3.5) / np.std([2.0, 5.0])
-        oracle = [expected_improvement(m, s, z_best, ZETA)
+        oracle = [score_grid(m, s, z_best, ZETA)
                   for m, s in zip(mu, sigma)]
         np.testing.assert_allclose(scores, oracle, atol=1e-8, rtol=0)
 
@@ -233,7 +257,7 @@ class TestScoreDimension:
         mu, sigma = dense_gp_predict(idx, y, np.arange(n_grid), LENGTHSCALE_STEPS,
                                      1.0, NOISE_VARIANCE, standardized_out=True)
         z_best = (best - np.mean(y)) / (np.std(y) or 1.0)
-        return expected_improvement(mu, sigma, z_best, ZETA)
+        return score_grid(mu, sigma, z_best, ZETA)
 
     def test_stacked_scores_match_dense_oracle(self, monkeypatch):
         # Ragged grids as in SDM; 36 dimensions share one count (35, and one
@@ -846,7 +870,6 @@ class TestLineTableReuse:
             for a, b in zip(kept.posterior, fresh.posterior, strict=True):
                 assert np.array_equal(a, b, equal_nan=True)
             assert kept.merged == fresh.merged
-            assert np.array_equal(kept.valid, fresh.valid)
             assert np.array_equal(kept.ei, fresh.ei)
             return kept
 
@@ -948,7 +971,7 @@ class TestLineTableReuse:
             opt.step()
         kept = opt._line_tables()
         assert not np.isnan(kept.posterior[5]).all()    # a shared profile's changes
-        for array in (*kept.posterior, kept.valid, kept.ei):
+        for array in (*kept.posterior, kept.ei):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
 

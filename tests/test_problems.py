@@ -179,26 +179,25 @@ class TestDatasheet:
         for dv in (-0.05, 0.05):
             assert power(datasheet.vmp + dv) <= p_star
 
-    def test_round_trip_with_ground_truth(self, datasheet, tmp_path):
-        path = tmp_path / "panel.txt"
-        save_datasheet(path, datasheet, DEFAULT_GROUND_TRUTH)
-        loaded, gt = load_datasheet(path)
-        assert loaded == datasheet
-        assert gt == DEFAULT_GROUND_TRUTH
-
-    def test_round_trip_without_ground_truth(self, datasheet, tmp_path):
+    def test_round_trip(self, datasheet, tmp_path):
         path = tmp_path / "panel.txt"
         save_datasheet(path, datasheet)
-        loaded, gt = load_datasheet(path)
-        assert loaded == datasheet
-        assert gt is None
+        assert load_datasheet(path) == datasheet
+
+    def test_legacy_ground_truth_lines_are_ignored(self, datasheet, tmp_path):
+        # older fixtures also carried the ground truth as gt_ lines
+        path = tmp_path / "panel.txt"
+        save_datasheet(path, datasheet)
+        path.write_text(path.read_text() + "gt_i_l=9.0\ngt_i_o=3e-10\ngt_r_s=0.35\n"
+                        "gt_r_sh=800.0\ngt_a=1.9\n")
+        assert load_datasheet(path) == datasheet
 
     def test_loader_skips_comments_and_blank_lines(self, datasheet, tmp_path):
         path = tmp_path / "panel.txt"
         save_datasheet(path, datasheet)
         text = "# fixture\n\n" + path.read_text()
         path.write_text(text)
-        assert load_datasheet(path)[0] == datasheet
+        assert load_datasheet(path) == datasheet
 
 
 class TestFittingSpace:
