@@ -179,13 +179,14 @@ class TestDatasheet:
         for dv in (-0.05, 0.05):
             assert power(datasheet.vmp + dv) <= p_star
 
-    def test_round_trip(self, datasheet, tmp_path):
+    def test_round_trip_without_ground_truth(self, datasheet, tmp_path):
         path = tmp_path / "panel.txt"
         save_datasheet(path, datasheet)
         assert load_datasheet(path) == datasheet
 
-    def test_legacy_ground_truth_lines_are_ignored(self, datasheet, tmp_path):
-        # older fixtures also carried the ground truth as gt_ lines
+    def test_round_trip_with_ground_truth(self, datasheet, tmp_path):
+        # older fixtures also carried the ground truth as gt_ lines, which
+        # the loader ignores
         path = tmp_path / "panel.txt"
         save_datasheet(path, datasheet)
         path.write_text(path.read_text() + "gt_i_l=9.0\ngt_i_o=3e-10\ngt_r_s=0.35\n"
