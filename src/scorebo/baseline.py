@@ -94,7 +94,7 @@ class BoOptimizer:
         # each of two stays under 4 MiB up to 512 rows)
         return np.empty(size), np.empty(size)
 
-    def initialize(self, n_init: int | None = None) -> None:
+    def initialize(self, n_init: int) -> None:
         """Evaluate the initial design (see ``History.initialize``)."""
         self.history.initialize(self.rng, n_init)
 

@@ -24,8 +24,7 @@ from pathlib import Path
 
 from .baseline import BoOptimizer
 from .engine import ScoreOptimizer
-from .errors import (ConfigurationError, ObjectiveError, SolverError, SpaceExhausted,
-                     SurrogateError)
+from .errors import ConfigurationError, ObjectiveError, SpaceExhausted, SurrogateError
 from .problems import (ackley, ackley_space, load_datasheet,
                        make_synthetic_datasheet, sdm_objective, sdm_space)
 from .report import (ConvergenceTrace, TraceRow, read_trace_csv, render_svg,
@@ -40,7 +39,7 @@ class RunConfig:
     problem: str = "ackley"          # "ackley" or "sdm"
     dims: int = 10                   # ackley only; sdm is always 5-parameter
     grid_points: int = 61
-    n_init: int | None = None        # default: twice the number of dimensions
+    n_init: int | None = None        # unset: twice the built space's dimensions
     batch_size: int = 1
     max_evals: int = 300
     seed: int = 0
@@ -60,15 +59,11 @@ class RunConfig:
             raise ConfigurationError(f"n_init must be >= 1, got {self.n_init}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        dims = self.dims if self.problem == "ackley" else 5   # sdm's parameters
-        n_init = self.n_init if self.n_init is not None else 2 * dims
-        if self.max_evals < n_init:
-            raise ConfigurationError(
-                f"max_evals={self.max_evals} is below n_init={n_init}")
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then JSON file values, then explicit CLI overrides."""
+    """Defaults, then JSON file values (type-checked), then explicit CLI
+    overrides; ``run_experiment`` validates the result."""
     values = {}
     if path is not None:
         try:
@@ -89,9 +84,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                     f"config key {key!r} must be {fields[key].type}, got {value!r}")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    config = RunConfig(**values)
-    config.validate()
-    return config
+    return RunConfig(**values)
 
 
 def _build_problem(config: RunConfig):
@@ -103,13 +96,18 @@ def _build_problem(config: RunConfig):
 
 
 def run_experiment(config: RunConfig) -> ConvergenceTrace:
-    """Execute one optimizer to budget or space exhaustion.
+    """Validate ``config``, then execute one optimizer to budget or space
+    exhaustion. An unset ``n_init`` is twice the built space's dimensions.
 
     An exception from the objective ends the run with ``ObjectiveError``,
     whose ``trace`` holds the rows of the steps completed before it.
     """
     config.validate()
     space, objective = _build_problem(config)
+    n_init = config.n_init if config.n_init is not None else 2 * space.dims
+    if config.max_evals < n_init:
+        raise ConfigurationError(
+            f"max_evals={config.max_evals} is below n_init={n_init}")
 
     def guarded(point):
         try:
@@ -128,7 +126,7 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
 
     trace = ConvergenceTrace(method=config.method, seed=config.seed)
     t0 = time.perf_counter()
-    opt.initialize(config.n_init)
+    opt.initialize(n_init)
     cum_ms = (time.perf_counter() - t0) * 1000.0
     trace.append(TraceRow(iteration=0, evals=history.n_evaluations,
                           best_value=history.best.value, iter_time_ms=cum_ms,
@@ -158,7 +156,7 @@ def aggregate_median(traces: list[ConvergenceTrace]) -> ConvergenceTrace:
     agg = ConvergenceTrace(method=f"{traces[0].method}-median", seed=-1)
     for i in range(n_rows):
         rows = [t.rows[i] for t in traces]
-        agg.rows.append(TraceRow(
+        agg.append(TraceRow(
             iteration=rows[0].iteration,
             evals=rows[0].evals,
             best_value=statistics.median(r.best_value for r in rows),
@@ -186,28 +184,28 @@ def _write_traces(config: RunConfig, traces: list[ConvergenceTrace]) -> Path:
     return out
 
 
-def _run_seeds(args, seeds: list) -> tuple[RunConfig, list[ConvergenceTrace]]:
-    """One run per seed of the flags' config, each summary printed as it ends.
+def _run_seeds(config: RunConfig, seeds: list[int]) -> list[ConvergenceTrace]:
+    """One run of ``config`` per seed, each summary printed as it ends.
 
-    A seed of None keeps the config's own. If the objective raises, the
-    traces of the seeds completed so far and the failed seed's partial
-    trace are written before the error propagates.
+    If the objective raises, the traces of the seeds completed so far and
+    the failed seed's partial trace are written before the error propagates.
     """
     traces = []
     for seed in seeds:
-        config = load_config(args.config, {**_overrides(args), "seed": seed})
+        run = dataclasses.replace(config, seed=seed)
         try:
-            trace = run_experiment(config)
+            trace = run_experiment(run)
         except ObjectiveError as exc:
             _write_traces(config, traces + [exc.trace])
             raise
         traces.append(trace)
-        _print_summary(config, trace)
-    return config, traces
+        _print_summary(run, trace)
+    return traces
 
 
 def _cmd_run(args) -> int:
-    config, traces = _run_seeds(args, [args.seed])
+    config = load_config(args.config, _overrides(args))
+    traces = _run_seeds(config, [config.seed])
     out = _write_traces(config, traces)
     stem = f"{_trace_stem(config)}_seed{config.seed}"
     render_svg(traces, "convergence", out / f"{stem}_convergence.svg")
@@ -226,7 +224,8 @@ def _cmd_sweep(args) -> int:
             raise ConfigurationError(f"--seeds: {entry!r} is negative")
     if not seeds:
         raise ConfigurationError("--seeds must list at least one seed")
-    config, traces = _run_seeds(args, seeds)
+    config = load_config(args.config, _overrides(args))
+    traces = _run_seeds(config, seeds)
     out = _write_traces(config, traces)
     stem = _trace_stem(config)
     write_trace_csv(aggregate_median(traces), out / f"{stem}_median.csv")
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ObjectiveError, SolverError, SurrogateError, OSError) as exc:
+    except (ObjectiveError, SurrogateError, OSError) as exc:
         log.debug("runtime error", exc_info=exc)      # with the objective's traceback
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

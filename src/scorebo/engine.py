@@ -295,7 +295,7 @@ class ScoreOptimizer:
             if pred is not None:
                 self._groups[self._group_of[d]].outcomes.append((pred, level))
 
-    def initialize(self, n_init: int | None = None) -> None:
+    def initialize(self, n_init: int) -> None:
         """Evaluate the initial design (see ``History.initialize``)."""
         self.history.initialize(self.rng, n_init)
 

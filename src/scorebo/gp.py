@@ -54,6 +54,7 @@ amplitude to the variance alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,19 +69,18 @@ class KernelConfig:
     """Squared-exponential kernel hyperparameters (standardized target units).
 
     The prior variance is 1, the targets' sample variance, and not a field.
+    ``jitter``, added to the noise, is the constant 1e-12, not a field.
     """
 
     lengthscale: float = 3.0
     noise_variance: float = NOISE_VARIANCE
-    jitter: float = 1e-12
+    jitter: ClassVar[float] = 1e-12
 
     def __post_init__(self):
         if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
         if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise ValueError(f"noise_variance must be >= 0, got {self.noise_variance}")
-        if not (np.isfinite(self.jitter) and self.jitter >= 1e-12):
-            raise ValueError(f"jitter must be >= 1e-12, got {self.jitter}")
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: KernelConfig,

@@ -208,28 +208,28 @@ def save_datasheet(path, targets: IvTargets) -> None:
 def load_datasheet(path) -> IvTargets:
     """Read a datasheet fixture written by save_datasheet.
 
-    Keys other than the targets' are ignored. A file that cannot be read
-    or is not UTF-8, a missing key, a value that is not a number, or
-    targets that are not a valid datasheet raise ``ConfigurationError``
-    naming the file.
+    Keys other than the targets' are ignored, whatever their values. A
+    file that cannot be read or is not UTF-8, a missing key, a value that
+    is not a number, or targets that are not a valid datasheet raise
+    ``ConfigurationError`` naming the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read datasheet {path}: {exc}") from None
+    names = tuple(f.name for f in fields(IvTargets))
     values: dict[str, float] = {}
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
+        key, _, value = line.strip().partition("=")
         key = key.strip()
+        if key not in names:          # blank and '#' lines, and other keys
+            continue
         try:
             values[key] = float(value)
         except ValueError:
             raise ConfigurationError(f"{path}: {key} is not a number: {value!r}") from None
     try:
-        return IvTargets(**{f.name: values[f.name] for f in fields(IvTargets)})
+        return IvTargets(**{name: values[name] for name in names})
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing key {exc}") from None
     except ValueError as exc:

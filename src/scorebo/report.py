@@ -86,7 +86,7 @@ def read_trace_csv(path) -> ConvergenceTrace:
     try:
         trace = ConvergenceTrace(method=rows[0]["method"], seed=int(rows[0]["seed"]))
         for r in rows:
-            trace.rows.append(TraceRow(
+            trace.append(TraceRow(
                 iteration=int(r["iteration"]),
                 evals=int(r["evals"]),
                 best_value=float(r["best_value"]),

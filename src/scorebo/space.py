@@ -187,15 +187,13 @@ class History:
             self.on_record(record)
         return record
 
-    def initialize(self, rng: np.random.Generator, n_init: int | None = None) -> None:
+    def initialize(self, rng: np.random.Generator, n_init: int) -> None:
         """Evaluate ``n_init`` distinct uniform-random tuples drawn with ``rng``.
 
-        ``n_init`` defaults to twice the number of dimensions. Raises
-        ``SurrogateError`` when no value of the design is finite, since then
-        no surrogate can be fitted.
+        The caller sizes the design (the CLI's default is twice the number
+        of dimensions). Raises ``SurrogateError`` when no value of the design
+        is finite, since then no surrogate can be fitted.
         """
-        if n_init is None:
-            n_init = 2 * self.space.dims
         if n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {n_init}")
         design = draw_unevaluated(self.space, rng, self.evaluated, n_init)

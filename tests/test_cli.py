@@ -16,7 +16,7 @@ from scorebo import cli
 from scorebo.cli import (RunConfig, aggregate_median, build_parser, load_config,
                          main, run_experiment)
 from scorebo.errors import ConfigurationError
-from scorebo.problems import ackley
+from scorebo.problems import ackley, sdm_objective
 from scorebo.report import CSV_COLUMNS, read_trace_csv
 
 
@@ -94,7 +94,6 @@ class TestConfig:
         {"dims": 0},
         {"batch_size": 0},
         {"n_init": 0},
-        {"n_init": 50, "max_evals": 10},
         {"seed": -1},
     ])
     def test_validation(self, kwargs):
@@ -104,6 +103,10 @@ class TestConfig:
 
 
 class TestRunExperiment:
+    def test_budget_below_n_init_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="below n_init=50"):
+            run_experiment(RunConfig(n_init=50, max_evals=10))
+
     def test_score_protocol_has_280_post_init_iterations(self):
         config = RunConfig(method="score", problem="ackley", dims=10,
                            n_init=20, batch_size=1, max_evals=300, seed=7)
@@ -205,6 +208,38 @@ class TestCommands:
         assert code == 0
         assert (tmp_path / "report_timing.svg").exists()
 
+    def test_sweep_reads_its_config_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting_load_config(*args):
+            calls.append(args)
+            return load_config(*args)
+
+        monkeypatch.setattr(cli, "load_config", counting_load_config)
+        code = main(["sweep", "--dims", "2", "--n-init", "4", "--max-evals", "6",
+                     "--seeds", "0,1", "--out", str(tmp_path)])
+        assert code == 0 and len(calls) == 1
+        assert (tmp_path / "score_ackley_seed1.csv").exists()
+
+    def test_budget_below_default_n_init_exits_2(self, monkeypatch, tmp_path, capsys):
+        # the default design is twice the built SDM space's 5 dimensions
+        calls = []
+
+        def counting_sdm_objective(targets):
+            def objective(point):
+                calls.append(point)
+                return sdm_objective(targets)(point)
+            return objective
+
+        monkeypatch.setattr(cli, "sdm_objective", counting_sdm_objective)
+        code = main(["run", "--problem", "sdm", "--max-evals", "9",
+                     "--out", str(tmp_path)])
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert "below n_init=10" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"method": "annealing"}))
@@ -232,6 +267,19 @@ class TestCommands:
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:")
+
+    @pytest.mark.parametrize("second_row", [
+        "score,0,1,4,0.5,1.0,2.0", "score,0,1,6,2.0,1.0,2.0",
+    ], ids=["falling-evals", "rising-best"])
+    def test_disordered_trace_csv_exits_2(self, tmp_path, capsys, second_row):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\nscore,0,0,5,1.0,1.0,1.0\n"
+                        + second_row + "\n")
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert str(path) in err[0]
+        assert list(tmp_path.glob("*.svg")) == []
 
     def test_non_integer_seed_exits_2(self, tmp_path, capsys):
         code = main(["sweep", "--dims", "2", "--n-init", "4", "--max-evals", "6",
@@ -354,9 +402,11 @@ class TestCommands:
         (lambda lines: [ln for ln in lines if not ln.startswith("vmp=")], "vmp"),
         (lambda lines: ["imp=lots" if ln.startswith("imp=") else ln
                         for ln in lines], "imp"),
+        (lambda lines: ["isc=abc" if ln.startswith("isc=") else ln
+                        for ln in lines], "isc"),
         (lambda lines: ["voc=-1.0" if ln.startswith("voc=") else ln
                         for ln in lines], "voc"),
-    ], ids=["missing-key", "non-numeric", "invalid-targets"])
+    ], ids=["missing-key", "non-numeric", "non-numeric-isc", "invalid-targets"])
     def test_bad_datasheet_exits_2(self, tmp_path, capsys, datasheet, edit, key):
         from scorebo.problems import save_datasheet
         path = tmp_path / "panel.txt"

@@ -725,11 +725,15 @@ class TestFitMechanics:
         {"lengthscale": 0.0},
         {"lengthscale": -1.0},
         {"noise_variance": -1e-9},
-        {"jitter": 0.0},
     ])
     def test_kernel_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             KernelConfig(**kwargs)
+
+    def test_jitter_is_a_constant_not_a_setting(self):
+        assert KernelConfig().jitter == 1e-12
+        with pytest.raises(TypeError):
+            KernelConfig(jitter=1e-6)
 
 
 def _timed_fit(x, y, cfg):

@@ -200,6 +200,12 @@ class TestDatasheet:
         path.write_text(text)
         assert load_datasheet(path) == datasheet
 
+    def test_loader_ignores_other_keys_whatever_their_values(self, datasheet, tmp_path):
+        path = tmp_path / "panel.txt"
+        save_datasheet(path, datasheet)
+        path.write_text(path.read_text() + "model=ABC-123\n")
+        assert load_datasheet(path) == datasheet
+
 
 class TestFittingSpace:
     def test_grid_layout(self, datasheet):
