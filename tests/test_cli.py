@@ -94,6 +94,7 @@ class TestConfig:
         {"dims": 0},
         {"batch_size": 0},
         {"n_init": 0},
+        {"problem": "sdm", "n_init": 0},
         {"seed": -1},
     ])
     def test_validation(self, kwargs):
