@@ -63,7 +63,7 @@ class BoOptimizer:
         self.history = History(self.space, self.objective, on_record=self._keep)
         self.kernel = KernelConfig(lengthscale=JOINT_LENGTHSCALE)
         self.gp_fit_count = 0
-        self._scale = np.array([len(g) - 1 for g in self.space.grids], dtype=float)
+        self._scale = np.array(self.space.lengths, dtype=float) - 1.0
         # rescaled inputs and values of the stored records, in record order;
         # rows past len(history.records) are unused capacity
         self._train_inputs = np.empty((TRAIN_ROWS, self.space.dims))

@@ -55,7 +55,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -253,9 +252,8 @@ class ScoreOptimizer:
         self.gp_fit_count = 0                # per-dimension projection surrogates
         self.refinement_fit_count = 0        # line posteriors computed at selections
         self._refine_dim = 0
-        self._n_grid = np.array(self.space.lengths)
-        max_grid = int(self._n_grid.max())
-        self._grid_cells = np.arange(max_grid)[None, :] < self._n_grid[:, None]
+        self._grid_cells = ~np.isnan(self.space.values)
+        max_grid = self._grid_cells.shape[1]
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
         self._projection_kernel = kernel_matrix(steps, steps, self.kernel)
@@ -271,7 +269,7 @@ class ScoreOptimizer:
         self._groups = []
         self._group_of = np.empty(self.space.dims, dtype=int)
         for dims in by_grid.values():
-            group = _GridGroup(dims=np.array(dims), n_grid=len(self.space.grids[dims[0]]))
+            group = _GridGroup(dims=np.array(dims), n_grid=self.space.lengths[dims[0]])
             if len(dims) > 1:
                 n = group.n_grid
                 group.prior_precision = np.linalg.inv(self._line_kernel[:n, :n]
@@ -303,7 +301,7 @@ class ScoreOptimizer:
 
     def score_dimension(self, d: int) -> np.ndarray:
         """EI score for every grid value of dimension d: row d of a full pass."""
-        return self._projection_scores()[d, :self._n_grid[d]]
+        return self._projection_scores()[d, :self.space.lengths[d]]
 
     def _projection_scores(self) -> np.ndarray:
         """EI scores of every dimension, (D, G), -inf past each grid's end.
@@ -366,10 +364,7 @@ class ScoreOptimizer:
         """Slope and explained variance of observed changes on predicted ones."""
         if len(group.outcomes) < MIN_TRUST_OUTCOMES:
             return 0.0, 0.0
-        # the C-ordered (k, 2) block np.array(outcomes) would give, read by
-        # column: a dot product's bits depend on the stride it reads
-        pred, obs = np.fromiter(chain.from_iterable(group.outcomes), float,
-                                2 * len(group.outcomes)).reshape(-1, 2).T
+        pred, obs = np.array(group.outcomes).T
         obs = clip_targets(obs)
         spp = float(pred @ pred)
         soo = float(obs @ obs)

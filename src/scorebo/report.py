@@ -9,6 +9,7 @@ from the timing columns.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,9 +103,20 @@ def read_trace_csv(path) -> ConvergenceTrace:
 # SVG line plots
 
 
+def _axis_range(values) -> tuple[float, float]:
+    """(lo, hi) of an axis over ``values``, with lo < hi at any finite magnitude.
+
+    A zero span v becomes [v, v + 1] where v + 1 != v, else v and its
+    neighbour toward zero, so that not even +-float max overflows.
+    """
+    lo, hi = min(values), max(values)
+    if hi > lo:
+        return lo, hi
+    hi = lo + 1 if lo + 1 != lo else math.nextafter(lo, 0.0)
+    return min(lo, hi), max(lo, hi)
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     return [lo + span * i / (n - 1) for i in range(n)]
 
@@ -114,6 +126,8 @@ def render_svg(traces: list[ConvergenceTrace], kind: str, path) -> None:
 
     kind="convergence": best_value vs evals.
     kind="timing":      cum_time_ms vs iteration.
+    Both axes take their range from ``_axis_range``: flat traces of any
+    finite magnitude plot with finite coordinates.
     """
     if not traces:
         raise ValueError("need at least one trace to plot")
@@ -133,14 +147,8 @@ def render_svg(traces: list[ConvergenceTrace], kind: str, path) -> None:
     width = margin_l + plot_w + margin_r
     height = margin_t + plot_h + margin_b
 
-    all_x = [x for xs, _ in series for x in xs]
-    all_y = [y for _, ys in series for y in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
-    if y_hi == y_lo:
-        y_hi = y_lo + 1
+    x_lo, x_hi = _axis_range([x for xs, _ in series for x in xs])
+    y_lo, y_hi = _axis_range([y for _, ys in series for y in ys])
 
     def sx(x):
         return margin_l + plot_w * (x - x_lo) / (x_hi - x_lo)

@@ -74,6 +74,8 @@ class SearchSpace:
     lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # values[d, i] is grid d's value at index i, NaN past the grid's end
     values: np.ndarray = field(init=False, repr=False, compare=False)
+    # lengths as an array, for the range check of ``point``
+    _length_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grids = tuple(self.grids)
@@ -85,6 +87,7 @@ class SearchSpace:
         for row, g in zip(values, grids):
             row[:len(g)] = g.values
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_length_array", np.array(self.lengths))
 
     @property
     def dims(self) -> int:
@@ -96,8 +99,15 @@ class SearchSpace:
         return math.prod(self.lengths)
 
     def point(self, indices) -> np.ndarray:
-        """Map in-range grid indices to the corresponding parameter values."""
-        return self.values[np.arange(self.dims), np.fromiter(indices, np.intp, self.dims)]
+        """Map grid indices to the corresponding parameter values.
+
+        The indices are checked before any value is read: a wrong count or an
+        index out of range raises ``validate_indices``' ``ConfigurationError``.
+        """
+        idx = np.fromiter(indices, np.intp, self.dims) if len(indices) == self.dims else None
+        if idx is None or not ((idx >= 0) & (idx < self._length_array)).all():
+            self.validate_indices(indices)          # raises, naming the bad index
+        return self.values[np.arange(self.dims), idx]
 
     def nearest_indices(self, point) -> tuple[int, ...]:
         """Map a point back to the nearest grid index in each dimension."""
@@ -180,7 +190,8 @@ class History:
         return record
 
     def evaluate(self, indices: tuple[int, ...]) -> EvaluationRecord | None:
-        """Call the objective at ``indices`` and record the value."""
+        """Check ``indices`` (``SearchSpace.point``), call the objective there
+        and record the value."""
         value = float(self.objective(self.space.point(indices)))
         record = self.record_evaluation(indices, value)
         if record is not None and self.on_record is not None:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,20 @@ class TestCommands:
         blocked.write_text("")
         assert main(["report", str(trace), "--out", str(blocked)]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [
+        [1e17], [1e300] * 3, [sys.float_info.max], [-sys.float_info.max],
+    ], ids=["1e17", "flat-1e300", "+max", "-max"])
+    def test_report_renders_flat_traces_of_any_magnitude(self, tmp_path, values):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
+            f"score,0,{i},{4 + i},{v!r},1.0,{1.0 + i}\n" for i, v in enumerate(values)))
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "report_convergence.svg").read_text()
+        coords = re.findall(r'\b(?:x|y|x1|y1|x2|y2)="([^"]*)"', text)
+        coords += re.split(r"[ ,]", re.search(r'points="([^"]*)"', text)[1])
+        assert all(math.isfinite(float(c)) for c in coords)
+        assert "nan" not in text and "inf" not in text      # tick labels too
 
     @pytest.mark.parametrize("text", [
         "iteration,evals\n0,4\n",

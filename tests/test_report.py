@@ -1,8 +1,12 @@
 """Trace bookkeeping, CSV round trips, and SVG rendering."""
 
+import hashlib
+import math
+import sys
+
 import pytest
 
-from scorebo.report import (CSV_COLUMNS, ConvergenceTrace, TraceRow,
+from scorebo.report import (CSV_COLUMNS, ConvergenceTrace, TraceRow, _axis_range,
                             read_trace_csv, render_svg, write_trace_csv)
 
 
@@ -99,3 +103,28 @@ class TestSvg:
         with pytest.raises(ValueError):
             render_svg([], "convergence", tmp_path / "x.svg")
 
+    def test_flat_trace_keeps_unit_axes(self, tmp_path):
+        # a zero span of ordinary magnitude plots on [v, v + 1], byte for byte
+        trace = ConvergenceTrace(method="score", seed=0)
+        for i in range(3):
+            trace.append(TraceRow(iteration=i, evals=4 + i, best_value=3.5,
+                                  iter_time_ms=1.0, cum_time_ms=1.0 + i))
+        path = tmp_path / "flat.svg"
+        render_svg([trace], "convergence", path)
+        text = path.read_text()
+        assert all(f">{label}</text>" in text for label in ("3.5", "3.75", "4.25", "4.5"))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5f7127c308cba98eb3034e96b0ac939fbaf26c65f73d694fd1e9033dbeefdcd3")
+
+
+class TestAxisRange:
+    @pytest.mark.parametrize("v", [3.5, -2.0**53, 1e17, -1e17, 1e300,
+                                   sys.float_info.max, -sys.float_info.max],
+                             ids=["3.5", "-2^53", "1e17", "-1e17", "1e300", "+max", "-max"])
+    def test_zero_span_widens_by_one_or_toward_zero(self, v):
+        lo, hi = _axis_range([v, v])
+        if v + 1 != v:
+            assert (lo, hi) == (v, v + 1)
+        else:
+            assert lo < hi and math.isfinite(hi - lo)
+            assert (hi == v) if v > 0 else (lo == v)

@@ -134,6 +134,22 @@ class TestHistory:
         assert seen[0].tolist() == [space.grids[0].values[2],
                                     space.grids[1].values[7]]
 
+    @pytest.mark.parametrize("indices", [(-1, 0), (3, 0), (0, 0, 0), (0, 5), (0,)],
+                             ids=["negative", "past-dim-0", "too-many", "past-dim-1",
+                                  "too-few"])
+    def test_evaluate_checks_indices_before_the_objective(self, indices):
+        space = small_space(3, 5)
+        seen = []
+        h = History(space, objective=lambda point: seen.append(point) or 0.5)
+        h.evaluate((1, 1))
+        with pytest.raises(ConfigurationError) as expected:
+            space.validate_indices(indices)
+        with pytest.raises(ConfigurationError) as raised:
+            h.evaluate(indices)
+        assert str(raised.value) == str(expected.value)
+        assert len(seen) == 1
+        assert h.evaluated == {(1, 1)} and h.n_rejected == 0
+
     def test_eval_ids_contiguous_from_zero(self):
         h = History(small_space(6, 6))
         for i in range(5):
