@@ -4,9 +4,11 @@ EI(x) = (best - mu - zeta) * Phi(z) + sigma * phi(z),  z = (best - mu - zeta) / 
 
 where Phi/phi are the standard normal CDF/PDF. One routine, ``score_grid``,
 serves both optimizers: it is elementwise over arrays of any shape and
-returns a float for 0-d input. Callers are expected to pass posterior
-statistics and the incumbent in the same (standardized) scale so zeta is
-problem-scale-free.
+returns a float for 0-d input. It computes the expression above in place,
+in a few work arrays, with the textbook form's operations in its order, so
+its results are that form's to the bit. Callers are expected to pass
+posterior statistics and the incumbent in the same (standardized) scale so
+zeta is problem-scale-free.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from scipy.special import ndtr
 
 DEGENERATE_STD = 1e-12
 ZETA = 0.01        # both optimizers' exploration offset, in standardized units
-
-
-def _norm_pdf(z):
-    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
 
 
 def score_grid(means, stds, best_value: float, zeta: float = 0.0):
@@ -35,13 +33,22 @@ def score_grid(means, stds, best_value: float, zeta: float = 0.0):
         raise ValueError("score_grid needs a non-empty posterior list")
     if means.shape != stds.shape:
         raise ValueError("means and stds must have matching shapes")
-    improvement = best_value - means - zeta
+    if means.ndim == 0:
+        return float(score_grid(means[None], stds[None], best_value, zeta)[0])
+    # the operations of the textbook form, in its order; products and sums
+    # are commutative in IEEE arithmetic, so swapping operands keeps bits
+    improvement = best_value - means
+    improvement -= zeta
     degenerate = stds < DEGENERATE_STD
     safe_std = np.where(degenerate, 1.0, stds)
     z = improvement / safe_std
-    ei = improvement * ndtr(z) + safe_std * _norm_pdf(z)
-    ei = np.where(degenerate, np.maximum(improvement, 0.0), ei)
-    ei = np.maximum(ei, 0.0)
-    if ei.ndim == 0:
-        return float(ei)
-    return ei
+    pdf = -0.5 * z                       # phi(z), in place
+    pdf *= z
+    np.exp(pdf, out=pdf)
+    pdf /= np.sqrt(2.0 * np.pi)
+    pdf *= safe_std
+    ei = ndtr(z, out=z)
+    ei *= improvement
+    ei += pdf
+    np.copyto(ei, np.maximum(improvement, 0.0), where=degenerate)
+    return np.maximum(ei, 0.0, out=ei)

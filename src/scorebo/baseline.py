@@ -72,17 +72,21 @@ class BoOptimizer:
         # scratch, so it grows with them without a copy
         self._kernel_work = self._work_area(TRAIN_ROWS)
 
-    def _keep(self, record: EvaluationRecord) -> None:
-        """Append a stored record to the training rows and targets."""
-        n = record.eval_id
-        if n == len(self._train_targets):
+    def _keep(self, records: list[EvaluationRecord], rows: np.ndarray) -> None:
+        """Append stored records, with their index rows, to the training
+        rows and targets; their capacity doubles until they fit."""
+        n, end = records[0].eval_id, records[-1].eval_id + 1   # consecutive ids
+        capacity = len(self._train_targets)
+        if end > capacity:
+            while capacity < end:
+                capacity *= 2
+            grow = capacity - len(self._train_targets)
             self._train_inputs = np.concatenate([self._train_inputs,
-                                                 np.empty_like(self._train_inputs)])
-            self._train_targets = np.concatenate([self._train_targets,
-                                                  np.empty_like(self._train_targets)])
-            self._kernel_work = self._work_area(2 * n)
-        self._train_inputs[n] = np.asarray(record.indices) / self._scale
-        self._train_targets[n] = record.value
+                                                 np.empty((grow, self.space.dims))])
+            self._train_targets = np.concatenate([self._train_targets, np.empty(grow)])
+            self._kernel_work = self._work_area(capacity)
+        self._train_inputs[n:end] = rows / self._scale
+        self._train_targets[n:end] = [record.value for record in records]
 
     def _work_area(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """A work area for the kernel of ``rows`` training rows and the
@@ -114,8 +118,10 @@ class BoOptimizer:
         """One iteration: joint fit, EI over the pool, evaluate the argmax.
 
         The batch is always one tuple, so any ``max_batch`` of at least 1
-        gives the same step.
+        gives the same step; one below 1 is rejected.
         """
+        if max_batch is not None and max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if not self.history.records:
             raise ValueError("initialize() must run before step()")
         # capped at the unevaluated count; SpaceExhausted when there is none

@@ -9,6 +9,14 @@ its inverse training kernel in grid coordinates (``gp.GridInverses``),
 inverted again only when the dimension gains a grid value, so all D GPs are
 scored in one batched pass over the (D, G) table, not one fit each.
 
+What depends only on which cells are observed is kept, not derived each
+step: ``ProjectionTable`` keeps the observed mask and the per-dimension
+counts next to the minima and ``update`` maintains them; the projection
+store keeps each GP's posterior std and each dimension's observed cells in
+increasing order (the fill's draw table), and rewrites them only for the
+dimensions it inverts again. So a step whose batch gave no dimension a new
+grid value re-derives none of them.
+
 Candidate assembly is led by incumbent-line refinement. Every evaluated
 tuple that differs from the incumbent in one coordinate is kept as line
 evidence: its change in value from that incumbent, one entry per
@@ -87,21 +95,30 @@ class ProjectionTable:
 
     ``minima[d, i]`` is the best value seen with coordinate d at grid index i,
     inf where never seen. Recorded values are always finite, so the finite
-    cells are exactly the observed ones.
+    cells are exactly the observed ones: ``mask`` marks them and
+    ``counts[d]`` counts those of dimension d. ``update`` is the only
+    writer of the three, and a cell, once observed, stays so.
     """
 
     def __init__(self, dims: int, max_grid: int):
         self.minima = np.full((dims, max_grid), np.inf)
+        self.mask = np.zeros((dims, max_grid), dtype=bool)
+        self.counts = np.zeros(dims, dtype=int)
+        self._offsets = np.arange(dims) * max_grid   # flat number of each row's cell 0
 
-    def update(self, records) -> None:
-        rows = np.arange(len(self.minima))
-        for rec in records:
-            cells = (rows, np.asarray(rec.indices))
-            self.minima[cells] = np.minimum(self.minima[cells], rec.value)
+    def update(self, rows, values) -> None:
+        """Fold in evaluated tuples, given as index rows, and their values."""
+        for row, value in zip(rows, values):
+            cells = self._offsets + row      # flat numbers of the cells (d, row[d])
+            seen = self.mask.take(cells)
+            if np.count_nonzero(seen) < len(cells):
+                self.counts += ~seen
+                self.mask.put(cells, True)
+            self.minima.put(cells, np.minimum(self.minima.take(cells), value))
 
     def observed(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted observed indices of dimension d and their projected minima."""
-        idx = np.flatnonzero(np.isfinite(self.minima[d]))
+        idx = np.flatnonzero(self.mask[d])
         return idx.astype(float), self.minima[d, idx]
 
 
@@ -167,12 +184,13 @@ class LineEvidence:
         """Share of the incumbent's coordinates changed since each level was set."""
         return self.drift - self.born
 
-    def moved_dim(self, indices: tuple[int, ...]) -> int | None:
-        """The one coordinate in which ``indices`` differs from the anchor."""
+    def moved_dim(self, indices) -> int | None:
+        """The one coordinate in which ``indices`` (a tuple or an index row)
+        differs from the anchor."""
         if self.anchor is None:
             return None
-        diff = np.flatnonzero(self.anchor_array != np.fromiter(indices, int))
-        return int(diff[0]) if len(diff) == 1 else None
+        diff = self.anchor_array != indices
+        return int(diff.argmax()) if np.count_nonzero(diff) == 1 else None
 
     def record(self, d: int, v: int, value: float) -> float:
         self.version += 1
@@ -253,6 +271,7 @@ class ScoreOptimizer:
         self.refinement_fit_count = 0        # line posteriors computed at selections
         self._refine_dim = 0
         self._grid_cells = ~np.isnan(self.space.values)
+        self._lengths = np.array(self.space.lengths)
         max_grid = self._grid_cells.shape[1]
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
@@ -277,21 +296,24 @@ class ScoreOptimizer:
             self._group_of[dims] = len(self._groups)
             self._groups.append(group)
 
-    def _absorb(self, record: EvaluationRecord) -> None:
-        """Add a new record to the projections and the line evidence."""
-        self.projections.update([record])
-        if self.lines.anchor is None:
-            self.lines.reset(record.indices, record.value)
-            return
-        d = self.lines.moved_dim(record.indices)
-        if d is not None:
-            v = record.indices[d]
-            level = self.lines.record(d, v, record.value)
-            # outcomes grow only here, right after a record, so the line
-            # evidence's version covers what _trust reads from them too
-            pred = self._pending.pop((d, v), None)
-            if pred is not None:
-                self._groups[self._group_of[d]].outcomes.append((pred, level))
+    def _absorb(self, records: list[EvaluationRecord], rows: np.ndarray) -> None:
+        """Add new records, with their index rows, to the projections and
+        the line evidence, in order."""
+        self.projections.update(rows, [record.value for record in records])
+        lines = self.lines
+        for record, row in zip(records, rows):
+            if lines.anchor is None:
+                lines.reset(record.indices, record.value)
+                continue
+            d = lines.moved_dim(row)
+            if d is not None:
+                v = record.indices[d]
+                level = lines.record(d, v, record.value)
+                # outcomes grow only here, right after a record, so the line
+                # evidence's version covers what _trust reads from them too
+                pred = self._pending.pop((d, v), None)
+                if pred is not None:
+                    self._groups[self._group_of[d]].outcomes.append((pred, level))
 
     def initialize(self, n_init: int) -> None:
         """Evaluate the initial design (see ``History.initialize``)."""
@@ -303,6 +325,13 @@ class ScoreOptimizer:
         """EI score for every grid value of dimension d: row d of a full pass."""
         return self._projection_scores()[d, :self.space.lengths[d]]
 
+    def _projection_store(self) -> GridInverses:
+        """The projection GPs' store, refreshed for the table's observed mask."""
+        table, store = self.projections, self._projection_inverses
+        store.refresh(self._projection_kernel, table.mask,
+                      self.kernel.noise_variance + self.kernel.jitter, table.counts)
+        return store
+
     def _projection_scores(self) -> np.ndarray:
         """EI scores of every dimension, (D, G), -inf past each grid's end.
 
@@ -311,32 +340,25 @@ class ScoreOptimizer:
         ``alpha = K^-1 z`` as one batched mat-vec with the inverses kept in
         grid coordinates, and the mean ``alpha @ kern`` as one product.
         Projection cells never become unobserved, so a dimension whose count
-        is unchanged keeps its inverse; only the others are inverted again
-        (distinct indices and the 1e-6 noise keep each training kernel well
-        conditioned). Every dimension is solved for its new targets, so each
-        call counts one fit per dimension.
+        is unchanged keeps its inverse and its posterior std; only the
+        others are inverted again (distinct indices and the 1e-6 noise keep
+        each training kernel well conditioned). Every dimension is solved
+        for its new targets, so each call counts one fit per dimension.
         """
-        minima = self.projections.minima
-        finite = np.isfinite(minima)
-        counts = finite.sum(axis=1, keepdims=True)
-        if not counts.all():
+        table = self.projections
+        finite, counts = table.mask, table.counts[:, None]
+        if np.count_nonzero(table.counts) < len(table.counts):
             raise ValueError(f"no observations project onto dimension {np.argmin(counts)}")
-        j = self.kernel.noise_variance + self.kernel.jitter
-        store = self._projection_inverses
-        store.refresh(self._projection_kernel, finite, j)
-        y = clip_targets(minima)
+        store = self._projection_store()
+        y = clip_targets(table.minima)
         y_mean = np.sum(y, axis=1, keepdims=True, where=finite) / counts
         dev = np.where(finite, y - y_mean, 0.0)
         y_std = np.sqrt(np.sum(dev * dev, axis=1, keepdims=True) / counts)
         y_std[y_std == 0.0] = 1.0
         alpha = np.matmul(store.inverse, (dev / y_std)[:, :, None])[:, :, 0]
         mean = alpha @ self._projection_kernel
-        # at training points 1 - explained has no digits left; use the
-        # cancellation-free j * (1 - j * (K^-1)_ii), as GpModel does
-        var = np.where(finite, j * (1.0 - j * np.diagonal(store.inverse, 0, 1, 2)),
-                       1.0 - store.explained)
-        self.gp_fit_count += len(minima)
-        scores = score_grid(mean, np.sqrt(np.maximum(var, 0.0)),
+        self.gp_fit_count += len(finite)
+        scores = score_grid(mean, store.std,
                             (self.history.best.value - y_mean) / y_std, ZETA)
         return np.where(self._grid_cells, scores, -np.inf)
 
@@ -512,10 +534,11 @@ class ScoreOptimizer:
         scale; a move must clear ``LINE_EI_MIN``); for dimensions with no
         line evidence, a move to the argmax of their projection score. Then
         the fill: per attempt one uniform u per dimension picks cell
-        floor(u * count) of that dimension's observed cells (finite
-        ``projections.minima``, in increasing order; a dimension with none
-        keeps its whole grid), with duplicates resampled up to 100*B times;
-        finally uniform-random unevaluated tuples. So new grid values come
+        floor(u * count) of that dimension's observed cells (the projection
+        store's kept ``order``, refreshed first if the table has grown since
+        the last projection pass; a dimension with none keeps its whole
+        grid), with duplicates resampled up to 100*B times; finally
+        uniform-random unevaluated tuples. So new grid values come
         only from the line tiers, the projection-score move and the random
         fill.
         Each line move of a dimension whose group has a shared profile
@@ -585,20 +608,21 @@ class ScoreOptimizer:
         if len(chosen) >= b:
             return chosen
 
-        # each row's observed cells first, in increasing order; a row with
-        # none keeps its whole grid
-        observed = np.isfinite(self.projections.minima)
-        cells = observed | (self._grid_cells & ~observed.any(axis=1, keepdims=True))
-        order = np.argsort(~cells, axis=1, kind="stable")
-        counts = cells.sum(axis=1)
-        rows = np.arange(len(cells))
+        # each row's observed cells, in increasing order, as the store keeps
+        # them; a row with none keeps its whole grid, which its order starts as
+        store, counts = self._projection_inverses, self.projections.counts
+        if np.count_nonzero(store.count != counts):   # grown since the last projection pass
+            store = self._projection_store()
+        if np.count_nonzero(counts) < len(counts):
+            counts = np.where(counts > 0, counts, self._lengths)
+        rows = np.arange(len(counts))
 
         attempts = 0
         while len(chosen) < b and attempts < 100 * b:
             attempts += 1
             # one uniform per dimension; u < 1 keeps u * count below count
-            u = self.rng.random(len(cells))
-            t = tuple(order[rows, (u * counts).astype(int)].tolist())
+            u = self.rng.random(len(rows))
+            t = tuple(store.order[rows, (u * counts).astype(int)].tolist())
             if self._fresh(t, taken):
                 take(t, None)
 
@@ -610,7 +634,12 @@ class ScoreOptimizer:
         return chosen
 
     def step(self, max_batch: int | None = None) -> StepResult:
-        """One iteration: D 1D GP posteriors, one batch selection, B evaluations."""
+        """One iteration: D 1D GP posteriors, one batch selection, B evaluations.
+
+        The batch holds at most ``max_batch`` tuples, which must be at least 1.
+        """
+        if max_batch is not None and max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if not self.history.records:
             raise ValueError("initialize() must run before step()")
         t0 = time.perf_counter()
@@ -618,6 +647,5 @@ class ScoreOptimizer:
         gp_seconds = time.perf_counter() - t0
 
         batch = self.select_batch(scores, max_batch=max_batch)
-        for indices in batch:
-            self.history.evaluate(indices)
+        self.history.evaluate_batch(batch)
         return StepResult(batch=batch, gp_fit_seconds=gp_seconds)

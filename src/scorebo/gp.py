@@ -35,7 +35,11 @@ training and cross covariances are slices of one precomputed kernel over
 grid steps. ``stacked_posterior`` solves many of them at once;
 ``GridInverses`` keeps each projection GP's inverse training kernel in grid
 coordinates, inverted again only when its training indices change, so all
-of them are solved for new targets in one batched pass. Training indices only
+of them are solved for new targets in one batched pass. It also keeps what
+depends on a GP's training indices alone: its posterior std on every grid
+value and its training indices in increasing order. These are rewritten
+only for the GPs it inverts again, and a refresh that finds no GP whose
+training indices changed returns at once. Training indices only
 grow, so a new inverse is written over its block of the store, which covers
 the old block, and nothing is cleared first. Both solve all their GPs of
 one training-index count in one stack, whose kernels ``_inverse`` gathers
@@ -277,37 +281,55 @@ class GridInverses:
     GP r is trained at the grid indices marked in its row of an ``observed``
     mask. ``inverse[r]`` holds its inverse training kernel on those rows and
     columns, zeros elsewhere; ``explained[r]`` the prior variance its data
-    explain on every grid value; ``count[r]`` its index count when inverted.
-    Only GPs whose count changed are inverted again, so a GP's indices must
-    change only by growing.
+    explain on every grid value; ``std[r]`` its posterior std there;
+    ``order[r, :count[r]]`` its training indices in increasing order (every
+    row starts as the grid's indices in order); ``count[r]`` its index
+    count when inverted. Only GPs whose count changed are inverted again, so
+    a GP's indices must change only by growing.
     """
 
     def __init__(self, gps: int, grid: int):
         self.count = np.zeros(gps, dtype=int)
         self.inverse = np.zeros((gps, grid, grid))
         self.explained = np.zeros((gps, grid))
+        self.std = np.zeros((gps, grid))
+        self.order = np.tile(np.arange(grid), (gps, 1))
 
-    def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float) -> None:
+    def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float,
+                counts: np.ndarray | None = None) -> None:
         """Invert again those GPs whose count changed.
 
-        ``observed`` holds every GP's training mask, in order. The stale GPs
+        ``observed`` holds every GP's training mask, in order, and
+        ``counts``, if the caller keeps them, its row sums. The stale GPs
         of each count are inverted in one stack: the batched
         multi-right-hand-side solve of BBMM (Gardner et al., 2018), whose
         (rows, n, G) working set is at most the store's (D, G, G). Each new
         inverse is written over its block of the store, indexed by the GP's
         row and its training indices, and nothing else is cleared: a mask
         only grows, so the block of the GP's previous inverse lies inside
-        the new one.
+        the new one. The std of a stale GP is written from its new inverse:
+        at its training indices 1 - explained has no digits left, so there
+        it is the cancellation-free ``noise * (1 - noise * (K^-1)_ii)``, as
+        ``GpModel`` computes it.
         """
-        counts = observed.sum(axis=1)
-        stale = np.flatnonzero(self.count != counts)
+        if counts is None:
+            counts = observed.sum(axis=1)
+        changed = self.count != counts
+        if not np.count_nonzero(changed):
+            return
+        stale = np.flatnonzero(changed)
         widths = counts[stale]
         for n in set(widths.tolist()):
             rows = stale[widths == n]
             idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
             _, k_inv, self.explained[rows] = _inverse(kern, idx, noise)
             self.inverse[rows[:, None, None], idx[:, :, None], idx[:, None, :]] = k_inv
+            self.order[rows, :n] = idx
         self.count[stale] = counts[stale]
+        var = np.where(observed[stale],
+                       noise * (1.0 - noise * np.diagonal(self.inverse, 0, 1, 2)[stale]),
+                       1.0 - self.explained[stale])
+        self.std[stale] = np.sqrt(np.maximum(var, 0.0))
 
 
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,

@@ -118,7 +118,18 @@ def _axis_range(values) -> tuple[float, float]:
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     span = hi - lo
-    return [lo + span * i / (n - 1) for i in range(n)]
+    if math.isinf(span):
+        # only near +-float max, where halving is exact; a doubled tick that
+        # rounded past the range is put back on its end
+        return [min(max(2.0 * t, lo), hi) for t in _ticks(lo / 2.0, hi / 2.0, n)]
+    return [lo + span * (i / (n - 1)) for i in range(n)]
+
+
+def _fraction(v: float, lo: float, hi: float) -> float:
+    """(v - lo) / (hi - lo) for lo <= v <= hi and lo < hi, without overflow."""
+    if math.isinf(hi - lo):
+        v, lo, hi = v / 2.0, lo / 2.0, hi / 2.0     # exact this far from 0
+    return (v - lo) / (hi - lo)
 
 
 def render_svg(traces: list[ConvergenceTrace], kind: str, path) -> None:
@@ -126,8 +137,9 @@ def render_svg(traces: list[ConvergenceTrace], kind: str, path) -> None:
 
     kind="convergence": best_value vs evals.
     kind="timing":      cum_time_ms vs iteration.
-    Both axes take their range from ``_axis_range``: flat traces of any
-    finite magnitude plot with finite coordinates.
+    Both axes take their range from ``_axis_range`` and place a value by
+    its fraction of the range (``_fraction``): traces of any finite values,
+    flat or spanning +-float max, plot with finite coordinates and ticks.
     """
     if not traces:
         raise ValueError("need at least one trace to plot")
@@ -151,10 +163,10 @@ def render_svg(traces: list[ConvergenceTrace], kind: str, path) -> None:
     y_lo, y_hi = _axis_range([y for _, ys in series for y in ys])
 
     def sx(x):
-        return margin_l + plot_w * (x - x_lo) / (x_hi - x_lo)
+        return margin_l + plot_w * _fraction(x, x_lo, x_hi)
 
     def sy(y):
-        return margin_t + plot_h * (1 - (y - y_lo) / (y_hi - y_lo))
+        return margin_t + plot_h * (1 - _fraction(y, y_lo, y_hi))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',

@@ -5,6 +5,14 @@ made of per-dimension value grids, a ``History`` that calls the objective,
 draws the initial design and is the single source of truth for which
 combinations were evaluated and for best-so-far tracking, and the
 ``StepResult`` that every optimizer's ``step()`` returns.
+
+A ``SearchSpace`` keeps what depends on its grids alone (the lengths, the
+padded value table, the combination count), computed once when it is built.
+``History.evaluate_batch`` evaluates a step's batch, or the initial design,
+as one ``(B, D)`` index block: one range check of the whole block before
+any objective call, one gather of its points, and one call of
+``on_record`` with the stored records and their index rows, so that an
+optimizer folds them in without turning each tuple into an array again.
 """
 
 from __future__ import annotations
@@ -74,8 +82,12 @@ class SearchSpace:
     lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # values[d, i] is grid d's value at index i, NaN past the grid's end
     values: np.ndarray = field(init=False, repr=False, compare=False)
-    # lengths as an array, for the range check of ``point``
+    # Python int: 61**200 and the like must not overflow
+    combination_count: int = field(init=False, repr=False, compare=False)
+    # lengths as an unsigned array, for the range check of ``index_block``,
+    # and the dimension numbers, for the gather of points
     _length_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _dim_range: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grids = tuple(self.grids)
@@ -87,16 +99,37 @@ class SearchSpace:
         for row, g in zip(values, grids):
             row[:len(g)] = g.values
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_length_array", np.array(self.lengths))
+        object.__setattr__(self, "combination_count", math.prod(self.lengths))
+        object.__setattr__(self, "_length_array", np.array(self.lengths, dtype=np.uintp))
+        object.__setattr__(self, "_dim_range", np.arange(len(grids)))
 
     @property
     def dims(self) -> int:
         return len(self.grids)
 
-    @property
-    def combination_count(self) -> int:
-        # Python int: 61**200 and the like must not overflow.
-        return math.prod(self.lengths)
+    def index_block(self, batch) -> np.ndarray:
+        """The index tuples of ``batch`` as one checked ``(n, D)`` block.
+
+        ``batch`` is a sequence of tuples or an ``(n, D)`` array. A wrong
+        count or an index out of range in any tuple raises the
+        ``ConfigurationError`` of ``validate_indices`` for the first such
+        tuple, before the caller reads any value.
+        """
+        try:
+            rows = np.array(batch, dtype=np.intp)
+        except (TypeError, ValueError, OverflowError):   # ragged or not integral
+            rows = None
+        # a negative index read as unsigned is past every length
+        if (rows is None or rows.ndim != 2 or rows.shape[1] != self.dims
+                or np.count_nonzero(rows.view(np.uintp) < self._length_array) < rows.size):
+            # raises at the first bad tuple, naming its bad index
+            rows = np.array([self.validate_indices(t) for t in batch],
+                            dtype=np.intp).reshape(len(batch), self.dims)
+        return rows
+
+    def points(self, rows: np.ndarray) -> np.ndarray:
+        """Parameter values of the checked ``(n, D)`` index block ``rows``."""
+        return self.values[self._dim_range, rows]
 
     def point(self, indices) -> np.ndarray:
         """Map grid indices to the corresponding parameter values.
@@ -104,10 +137,7 @@ class SearchSpace:
         The indices are checked before any value is read: a wrong count or an
         index out of range raises ``validate_indices``' ``ConfigurationError``.
         """
-        idx = np.fromiter(indices, np.intp, self.dims) if len(indices) == self.dims else None
-        if idx is None or not ((idx >= 0) & (idx < self._length_array)).all():
-            self.validate_indices(indices)          # raises, naming the bad index
-        return self.values[np.arange(self.dims), idx]
+        return self.points(self.index_block([indices]))[0]
 
     def nearest_indices(self, point) -> tuple[int, ...]:
         """Map a point back to the nearest grid index in each dimension."""
@@ -140,17 +170,19 @@ class EvaluationRecord:
 class History:
     """The evaluation record both optimizers share.
 
-    ``evaluate`` calls the objective and records the result;
-    ``initialize`` evaluates the initial design. ``evaluated`` holds every
-    tuple ever recorded, rejected ones included, so no tuple is tried twice.
-    Non-finite objective values are rejected (counted, not stored) so a
-    pointwise objective failure does not abort the run. ``on_record`` is
-    called with each stored record.
+    ``evaluate_batch`` calls the objective on a batch of tuples and records
+    each result; ``evaluate`` does so for one tuple and ``initialize`` for
+    the initial design. ``evaluated`` holds every tuple ever recorded,
+    rejected ones included, so no tuple is tried twice. Non-finite
+    objective values are rejected (counted, not stored) so a pointwise
+    objective failure does not abort the run. ``on_record`` is called once
+    per evaluated batch that stored a record, with the stored records, in
+    order, and their ``(k, D)`` block of index rows.
     """
 
     space: SearchSpace
     objective: Callable[[np.ndarray], float] | None = None
-    on_record: Callable[[EvaluationRecord], None] | None = None
+    on_record: Callable[[list[EvaluationRecord], np.ndarray], None] | None = None
     records: list[EvaluationRecord] = field(default_factory=list)
     evaluated: set[tuple[int, ...]] = field(default_factory=set)
     best_index: int | None = None
@@ -173,7 +205,9 @@ class History:
     def record_evaluation(self, indices, value: float) -> EvaluationRecord | None:
         """Append an evaluation; returns the record, or None if rejected.
 
-        Ties on the best value keep the earlier record.
+        Checks ``indices`` (``SearchSpace.validate_indices``) itself, for
+        callers that record values they computed. Ties on the best value
+        keep the earlier record.
         """
         indices = self.space.validate_indices(indices)
         self.evaluated.add(indices)
@@ -189,27 +223,49 @@ class History:
             self.best_index = record.eval_id
         return record
 
-    def evaluate(self, indices: tuple[int, ...]) -> EvaluationRecord | None:
-        """Check ``indices`` (``SearchSpace.point``), call the objective there
-        and record the value."""
-        value = float(self.objective(self.space.point(indices)))
-        record = self.record_evaluation(indices, value)
-        if record is not None and self.on_record is not None:
-            self.on_record(record)
-        return record
+    def evaluate(self, indices) -> EvaluationRecord | None:
+        """Evaluate one index tuple: ``evaluate_batch`` of a batch of one."""
+        return self.evaluate_batch([indices])[0]
+
+    def evaluate_batch(self, batch) -> list[EvaluationRecord | None]:
+        """Call the objective on each tuple of ``batch``, in order, and record it.
+
+        The batch is checked as one block (``SearchSpace.index_block``)
+        before any objective call, so a bad tuple anywhere in it leaves the
+        objective, the evaluated set and the rejection count untouched; its
+        points are gathered at once. Every value goes through
+        ``record_evaluation``. The stored records reach ``on_record`` once,
+        after the last call or when the objective raises, so those recorded
+        before an objective error are absorbed too. Returns each tuple's
+        record, None where the value was rejected.
+        """
+        rows = self.space.index_block(batch)
+        points = self.space.points(rows)
+        records, stored = [], []
+        try:
+            for k, (indices, point) in enumerate(zip(rows.tolist(), points)):
+                record = self.record_evaluation(indices, float(self.objective(point)))
+                records.append(record)
+                if record is not None:
+                    stored.append(k)
+        finally:
+            if stored and self.on_record is not None:
+                # rows[:n] while no value was rejected: a view, not a gather
+                self.on_record([records[k] for k in stored],
+                               rows[:len(stored)] if len(stored) == len(records) else rows[stored])
+        return records
 
     def initialize(self, rng: np.random.Generator, n_init: int) -> None:
         """Evaluate ``n_init`` distinct uniform-random tuples drawn with ``rng``.
 
         The caller sizes the design (the CLI's default is twice the number
-        of dimensions). Raises ``SurrogateError`` when no value of the design
-        is finite, since then no surrogate can be fitted.
+        of dimensions); it is evaluated as one batch. Raises
+        ``SurrogateError`` when no value of the design is finite, since then
+        no surrogate can be fitted.
         """
         if n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {n_init}")
-        design = draw_unevaluated(self.space, rng, self.evaluated, n_init)
-        for indices in map(tuple, design.tolist()):
-            self.evaluate(indices)
+        self.evaluate_batch(draw_unevaluated(self.space, rng, self.evaluated, n_init))
         if not self.records:
             raise SurrogateError(f"all {self.n_rejected} evaluations of the initial "
                                  "design returned non-finite values")

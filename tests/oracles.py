@@ -9,7 +9,9 @@ production inverts its precision over the grid; the EI oracle is a Monte
 Carlo expectation instead of the closed form, and the projection oracle is
 a from-scratch recomputation instead of incremental updates. The exceptions are bit-level references: ``se_kernel_expression``,
 the kernel as one array expression, kept verbatim for ``gp.kernel_matrix``,
-which performs the same operations halved on one buffer; and
+which performs the same operations halved on one buffer;
+``ei_expression``, expected improvement as one array expression, for
+``acquisition.score_grid``, which performs the same operations in place; and
 ``full_solve_predict``, the joint GP's predict with the triangular solve
 over every query and an equality scan of every (training row, query) pair,
 for ``GpModel.predict``, which leaves out the queries too far from the
@@ -45,6 +47,20 @@ def se_kernel_expression(a: np.ndarray, b: np.ndarray, cfg) -> np.ndarray:
     sq = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-0.5 * sq / cfg.lengthscale**2)
+
+
+def ei_expression(means, stds, best_value, zeta):
+    """Expected improvement, one temporary per operation; std < 1e-12 is
+    degenerate and gives max(best - mean - zeta, 0)."""
+    from scipy.special import ndtr
+    improvement = best_value - means - zeta
+    degenerate = stds < 1e-12
+    safe_std = np.where(degenerate, 1.0, stds)
+    z = improvement / safe_std
+    pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    ei = improvement * ndtr(z) + safe_std * pdf
+    ei = np.where(degenerate, np.maximum(improvement, 0.0), ei)
+    return np.maximum(ei, 0.0)
 
 
 def full_solve_predict(model, query_points, standardized=False, *, work=None):
@@ -187,6 +203,14 @@ def brute_force_projection(records, dims):
             best, count = table[d].get(idx, (math.inf, 0))
             table[d][idx] = (min(best, rec.value), count + 1)
     return table
+
+
+def set_minima(table, minima):
+    """Give a ``ProjectionTable`` these minima, and the observed mask and
+    counts derived from them from scratch, as updates to them would keep."""
+    table.minima = minima
+    table.mask = np.isfinite(minima)
+    table.counts = table.mask.sum(axis=1)
 
 
 def dense_layout(table, max_grid):

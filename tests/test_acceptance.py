@@ -124,13 +124,15 @@ def test_criterion_3_projection_equals_brute_force(capsys):
             history.record_evaluation(indices, float(rng.normal()))
         max_grid = max(len(g) for g in space.grids)
         table = ProjectionTable(dims, max_grid)
-        table.update(history.records)
+        table.update([r.indices for r in history.records],
+                     [r.value for r in history.records])
         brute = brute_force_projection(history.records, dims)
         minima, _ = dense_layout(brute, max_grid)
         observed_ok = all(
             np.array_equal(table.observed(d)[0], sorted(cells))
             and np.array_equal(table.observed(d)[1],
                                [cells[k][0] for k in sorted(cells)])
+            and table.counts[d] == len(cells)
             for d, cells in enumerate(brute))
         if not (np.array_equal(table.minima, minima) and observed_ok):
             mismatches += 1

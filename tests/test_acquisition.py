@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorebo.acquisition import score_grid, _norm_pdf
+from scorebo.acquisition import score_grid
 
-from oracles import antithetic_normals, mc_expected_improvement
+from oracles import antithetic_normals, ei_expression, mc_expected_improvement
 
 _SAMPLES = antithetic_normals(np.random.default_rng(2024), 1_000_000)
 
@@ -15,8 +15,7 @@ _SAMPLES = antithetic_normals(np.random.default_rng(2024), 1_000_000)
 class TestReferenceValues:
     def test_symmetric_case_equals_normal_pdf_at_zero(self):
         assert score_grid(0.0, 1.0, 0.0, 0.0) == pytest.approx(
-            0.3989422804, abs=1e-9)
-        assert _norm_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
+            0.3989422804014327, abs=1e-12)
 
     def test_deterministic_improvement_limit(self):
         assert score_grid(0.0, 0.0, 0.5, 0.0) == 0.5
@@ -99,6 +98,30 @@ class TestScoreGrid:
     def test_identical_posteriors_give_identical_scores(self):
         scores = score_grid(np.full(10, 0.5), np.full(10, 1.5), 0.2, 0.01)
         assert np.all(scores == scores[0])
+
+    @pytest.mark.parametrize("shape", [(10, 61), (200, 61), (1000,)])
+    def test_matches_the_expression_byte_for_byte(self, shape):
+        # as the engine calls it: a 2-D table with one incumbent per row;
+        # and a 1-D pool with one scalar incumbent, as the baseline does.
+        # Stds span the degenerate threshold, exact zeros and wide tails.
+        rng = np.random.default_rng(sum(shape))
+        means = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        stds = rng.uniform(0, 2, shape) * 10.0 ** rng.uniform(-14, 2, shape)
+        flat = stds.reshape(-1)
+        flat[::7] = 0.0
+        flat[1::7] = 1e-12
+        flat[2::7] = np.nextafter(1e-12, 0.0)
+        best = rng.normal(size=(shape[0], 1)) if len(shape) == 2 else 0.3
+        for zeta in (0.0, 0.01):
+            scores = score_grid(means, stds, best, zeta)
+            expected = ei_expression(means, stds, best, zeta)
+            assert scores.shape == expected.shape
+            assert scores.tobytes() == expected.tobytes()
+
+    def test_zero_dimensional_input_gives_a_float(self):
+        score = score_grid(np.float64(0.2), np.array(0.7), 0.5, 0.01)
+        assert type(score) is float
+        assert score == float(ei_expression(0.2, 0.7, 0.5, 0.01))
 
     def test_single_element_equals_scalar_call(self):
         assert score_grid([0.1], [0.9], 0.4, 0.0)[0] == \

@@ -1,14 +1,21 @@
 """Every cache of the decomposed optimizer gives the run a cache-free one gives.
 
-The optimizer keeps three caches across steps: projection inverses reused
-while a dimension's count of observed values is unchanged, those inverses
-kept in grid coordinates (``GridInverses``), and the line tables kept while
-``LineEvidence.version`` is unchanged. Each run here is made twice on the
-same drawn case: once as is, and once with a fresh ``GridInverses`` and the
-kept line tables marked stale before every step, so that every inverse and
-every line table is computed again. Both runs must score the grids to the
-same bits, evaluate the same batches and record the same values; when the
-objective raises on a drawn call, both must stop on that call.
+The optimizer keeps these caches across steps: the projection table's
+observed mask and per-dimension counts, maintained by its updates;
+projection inverses reused while a dimension's count of observed values is
+unchanged, kept in grid coordinates (``GridInverses``) with each GP's
+posterior std and each dimension's observed cells in order (the fill's draw
+table); and the line tables kept while ``LineEvidence.version`` is
+unchanged. Each run here is made twice on the same drawn case: once as is,
+and once cache-free: before every step the mask and counts are derived
+again from the minima, the ``GridInverses`` is a fresh one and the kept line
+tables are marked stale, and every refresh of the store is followed by a
+derivation of the std and the fill's order from scratch (from the store's
+inverses and the mask, as a step derived them before they were kept), so
+that all of them are computed again. Both runs
+must score the grids to the same bits, evaluate the same batches and record
+the same values; when the objective raises on a drawn call, both must stop
+on that call.
 
 The kept tables are marked stale rather than dropped: their line posterior
 is also what re-anchoring reads when the incumbent moves (a level the new
@@ -27,6 +34,8 @@ from scorebo.engine import ScoreOptimizer
 from scorebo.errors import SpaceExhausted, SurrogateError
 from scorebo.gp import GridInverses
 from scorebo.space import SearchSpace, make_grid
+
+from oracles import set_minima
 
 
 @st.composite
@@ -93,10 +102,24 @@ def run(case, cache_free):
         return table
 
     opt._projection_scores = kept_scores
+    if cache_free:
+        projection_store = opt._projection_store
+
+        def rederived_store():
+            store = projection_store()
+            mask, j = opt.projections.mask, opt.kernel.noise_variance + opt.kernel.jitter
+            var = np.where(mask, j * (1.0 - j * np.diagonal(store.inverse, 0, 1, 2)),
+                           1.0 - store.explained)
+            store.std = np.sqrt(np.maximum(var, 0.0))
+            store.order = np.argsort(~mask, axis=1, kind="stable")   # observed first
+            return store
+
+        opt._projection_store = rederived_store
     try:
         opt.initialize(case["n_init"])
         for _ in range(case["steps"]):
             if cache_free:
+                set_minima(opt.projections, opt.projections.minima)
                 opt._projection_inverses = GridInverses(*opt._projection_inverses.explained.shape)
                 kept = opt._line_tables_kept
                 if kept is not None:

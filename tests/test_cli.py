@@ -261,6 +261,25 @@ class TestCommands:
         [1e17], [1e300] * 3, [sys.float_info.max], [-sys.float_info.max],
     ], ids=["1e17", "flat-1e300", "+max", "-max"])
     def test_report_renders_flat_traces_of_any_magnitude(self, tmp_path, values):
+        self._assert_report_is_finite(tmp_path, values)
+
+    @pytest.mark.parametrize("values", [
+        [sys.float_info.max, -sys.float_info.max],
+        [sys.float_info.max, 0.0, -sys.float_info.max],
+        [1e308, -5e307],
+    ], ids=["+max-to-max", "+max-0-max", "1e308-to-5e307"])
+    def test_report_renders_traces_spanning_float_max(self, tmp_path, values):
+        # the span overflows (or, at 1.5e308, the plot width times it
+        # would): the ticks still run from the low to the high end
+        labels = self._assert_report_is_finite(tmp_path, values)
+        # four digits of +-max read back as +-inf, which still sort
+        assert [float(t) for t in labels] == sorted(float(t) for t in labels)
+        assert (labels[0], labels[-1]) == (f"{min(values):.4g}", f"{max(values):.4g}")
+
+    @staticmethod
+    def _assert_report_is_finite(tmp_path, values):
+        """Report a trace of these best values; check every coordinate and
+        label is finite and return the y-axis tick labels, bottom up."""
         path = tmp_path / "trace.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
             f"score,0,{i},{4 + i},{v!r},1.0,{1.0 + i}\n" for i, v in enumerate(values)))
@@ -270,6 +289,7 @@ class TestCommands:
         coords += re.split(r"[ ,]", re.search(r'points="([^"]*)"', text)[1])
         assert all(math.isfinite(float(c)) for c in coords)
         assert "nan" not in text and "inf" not in text      # tick labels too
+        return re.findall(r'text-anchor="end">([^<]*)<', text)
 
     @pytest.mark.parametrize("text", [
         "iteration,evals\n0,4\n",

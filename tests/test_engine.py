@@ -18,7 +18,7 @@ from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.space import SearchSpace, make_grid
 
 from oracles import (brute_force_projection, dense_gp_predict, dense_layout,
-                     difference_profile_posterior)
+                     difference_profile_posterior, set_minima)
 
 # The shared profile against its covariance-form oracle: 7e-14 (mean) and
 # 7e-15 (covariance) on the test's case, at most 1.4e-12 over 200 random ones
@@ -41,6 +41,11 @@ class FakeRecord:
     def __init__(self, indices, value):
         self.indices = indices
         self.value = value
+
+
+def update(table, records):
+    """Fold ``records`` into a ``ProjectionTable`` as index rows and values."""
+    table.update([rec.indices for rec in records], [rec.value for rec in records])
 
 
 def record_fill_draws(opt):
@@ -76,12 +81,15 @@ def record_fill_draws(opt):
 
 
 def observed_matches(table, brute):
-    """``observed(d)`` is each dimension's sorted brute-force keys and minima."""
+    """``observed(d)`` is each dimension's sorted brute-force keys and minima,
+    and the kept mask and count mark and count those keys."""
     for d, cells in enumerate(brute):
         keys = sorted(cells)
         idx, best = table.observed(d)
         if not (np.array_equal(idx, keys)
-                and np.array_equal(best, [cells[k][0] for k in keys])):
+                and np.array_equal(best, [cells[k][0] for k in keys])
+                and np.array_equal(np.flatnonzero(table.mask[d]), keys)
+                and table.counts[d] == len(keys)):
             return False
     return True
 
@@ -90,14 +98,14 @@ class TestProjectionTable:
     def test_single_record_projects_itself(self):
         records = [FakeRecord((1, 2), 5.0)]
         table = ProjectionTable(2, 4)
-        table.update(records)
+        update(table, records)
         assert table.minima[0, 1] == table.minima[1, 2] == 5.0
         assert observed_matches(table, brute_force_projection(records, 2))
 
     def test_min_update(self):
         records = [FakeRecord((1, 2), 5.0), FakeRecord((1, 3), 4.0)]
         table = ProjectionTable(2, 4)
-        table.update(records)
+        update(table, records)
         assert table.minima[0, 1] == 4.0
         assert table.minima[1, 2:].tolist() == [5.0, 4.0]
         assert observed_matches(table, brute_force_projection(records, 2))
@@ -108,7 +116,7 @@ class TestProjectionTable:
                               float(rng.normal()))
                    for _ in range(200)]
         table = ProjectionTable(4, 8)
-        table.update(records)
+        update(table, records)
         brute = brute_force_projection(records, 4)
         minima, _ = dense_layout(brute, 8)
         np.testing.assert_array_equal(table.minima, minima)
@@ -120,16 +128,16 @@ class TestProjectionTable:
                               float(rng.normal()))
                    for _ in range(60)]
         table_fwd, table_rev = ProjectionTable(3, 5), ProjectionTable(3, 5)
-        table_fwd.update(records)
+        update(table_fwd, records)
         for rec in reversed(records):
-            table_rev.update([rec])
+            update(table_rev, [rec])
         np.testing.assert_array_equal(table_fwd.minima, table_rev.minima)
         assert observed_matches(table_rev, brute_force_projection(records, 3))
 
     def test_observed_returns_sorted_indices(self):
         table = ProjectionTable(1, 6)
-        table.update([FakeRecord((4,), 2.0), FakeRecord((1,), 3.0),
-                      FakeRecord((4,), 1.0)])
+        update(table, [FakeRecord((4,), 2.0), FakeRecord((1,), 3.0),
+                       FakeRecord((4,), 1.0)])
         idx, best = table.observed(0)
         assert list(idx) == [1.0, 4.0]
         assert list(best) == [3.0, 1.0]
@@ -298,7 +306,7 @@ class TestScoreDimension:
         minima[outlier, cells] = rng.normal(size=8)
         minima[outlier, cells[3]] = 1e300
         assert clip_targets(minima[outlier, cells]).max() < 1e300
-        opt.projections.minima = minima
+        set_minima(opt.projections, minima)
 
         inverted, inverse = [], gp._inverse
 
@@ -336,7 +344,7 @@ class TestScoreDimension:
                 count = int(rng.integers(1, n_grid + 1))
                 idx = rng.choice(n_grid, size=count, replace=False)
                 minima[d, idx] = rng.normal(size=count) * 10.0 ** rng.uniform(-2, 2)
-            opt.projections.minima = minima
+            set_minima(opt.projections, minima)
             scores = opt._projection_scores()
             best = opt.history.best.value
             for d, n_grid in enumerate(lengths):
@@ -358,7 +366,7 @@ class TestScoreDimension:
         for d, n_grid in enumerate(lengths):
             cells = 8 if d == outlier else 1
             minima[d, rng.choice(n_grid, size=cells, replace=False)] = rng.normal(size=cells)
-        opt.projections.minima = minima
+        set_minima(opt.projections, minima)
         best = opt.history.best.value
         for batch in range(8):
             for d, n_grid in enumerate(lengths):
@@ -373,6 +381,7 @@ class TestScoreDimension:
             minima[constant, np.isfinite(minima[constant])] = 2.0
             if batch >= 2:
                 minima[outlier, np.flatnonzero(np.isfinite(minima[outlier]))[-1]] = 1e300
+            set_minima(opt.projections, minima)
             clipped = clip_targets(minima)
             assert batch < 2 or clipped[outlier, np.isfinite(minima[outlier])].max() < 1e300
             for row, out in zip(minima, clipped):
@@ -533,8 +542,10 @@ class TestSelectBatch:
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0,
                              batch_size=batch_size, seed=seed)
         cells = [[1, 3], [], [0, 2, 5]]
+        minima = opt.projections.minima.copy()
         for d, c in enumerate(cells):
-            opt.projections.minima[d, c] = 0.0
+            minima[d, c] = 0.0
+        set_minima(opt.projections, minima)
         table = np.where(opt._grid_cells, 0.0, -np.inf)
         return opt, table, [c or list(range(n)) for c, n in zip(cells, space.lengths)]
 
@@ -831,7 +842,12 @@ class TestLineEvidence:
             anchor = opt.history.best.indices
             at_anchor = np.arange(7) == np.array(anchor)[:, None]
             scores = np.where(at_anchor, 0.0, -50.0)
-            opt.projections.minima[1:] = np.where(at_anchor[1:], 0.0, np.inf)
+            minima = opt.projections.minima.copy()
+            minima[1:] = np.where(at_anchor[1:], 0.0, np.inf)
+            set_minima(opt.projections, minima)
+            # the table's cells shrank, which no update does: start the
+            # store, which keeps the fill's cells, afresh
+            opt._projection_inverses = GridInverses(*opt._projection_inverses.std.shape)
             asked.clear()
             random_fill = set()
             start["state"] = opt.rng.bit_generator.state

@@ -543,7 +543,10 @@ class TestGridInverses:
             fresh.refresh(kern, observed, noise)
             assert kept.inverse.tobytes() == fresh.inverse.tobytes()
             assert kept.explained.tobytes() == fresh.explained.tobytes()
+            assert kept.std.tobytes() == fresh.std.tobytes()
             assert np.array_equal(kept.count, observed.sum(axis=1))
+            assert all(np.array_equal(kept.order[q, :kept.count[q]], np.flatnonzero(observed[q]))
+                       for q in range(gps))
             never = ~(observed[:, :, None] & observed[:, None, :])
             assert np.all(kept.inverse[never] == 0.0)
             assert not np.signbit(kept.inverse[never]).any()
@@ -606,7 +609,14 @@ class TestGridInverses:
             store.refresh(kern, mask, noise)
         assert store.inverse.tobytes() == whole.inverse.tobytes()
         assert store.explained.tobytes() == whole.explained.tobytes()
+        assert store.std.tobytes() == whole.std.tobytes()
         assert np.array_equal(store.count, whole.count)
+        # the std is the posterior's, cancellation-free at training indices
+        var = np.where(observed, noise * (1.0 - noise * np.diagonal(whole.inverse, 0, 1, 2)),
+                       1.0 - whole.explained)
+        assert whole.std.tobytes() == np.sqrt(np.maximum(var, 0.0)).tobytes()
+        for r, n in enumerate(counts):
+            assert np.array_equal(store.order[r, :n], np.flatnonzero(observed[r]))
 
 
 class TestStackedPosterior:

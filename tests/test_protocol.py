@@ -44,6 +44,22 @@ def test_step_contract(make):
     assert len(calls) == history.n_evaluations
 
 
+@pytest.mark.parametrize("max_batch", [0, -1])
+@pytest.mark.parametrize("make", OPTIMIZERS)
+def test_step_rejects_max_batch_below_one(make, max_batch):
+    # both optimizers, before they draw or evaluate anything
+    calls = []
+    opt = make(space=ackley_space(3), objective=lambda p: calls.append(p) or ackley(p),
+               seed=0)
+    opt.initialize(4)
+    state = opt.rng.bit_generator.state
+    with pytest.raises(ValueError, match="max_batch"):
+        opt.step(max_batch=max_batch)
+    assert len(calls) == opt.history.n_evaluations == 4
+    assert opt.rng.bit_generator.state == state
+    assert len(opt.step(max_batch=1).batch) == 1
+
+
 @pytest.mark.parametrize("make", OPTIMIZERS)
 def test_initial_design_without_finite_value_raises(make):
     opt = make(space=ackley_space(2), objective=lambda point: math.nan, seed=0)

@@ -1,10 +1,13 @@
 """Grid construction, search-space indexing and history bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorebo.engine import ScoreOptimizer
 from scorebo.errors import ConfigurationError
 from scorebo.space import History, ParameterGrid, SearchSpace, make_grid
 
@@ -166,3 +169,95 @@ class TestHistory:
         assert h.best.value == min(r.value for r in h.records)
         first_min = min(range(len(h.records)), key=lambda k: h.records[k].value)
         assert h.best_index == first_min
+
+
+BAD_TUPLES = [(-1, 0), (3, 0), (0, 0, 0), (0, 5), (0,), (2**70, 0)]
+BAD_IDS = ["negative", "past-dim-0", "too-many", "past-dim-1", "too-few", "huge"]
+
+
+class TestEvaluateBatch:
+    """A batch is checked as one block, then evaluated tuple by tuple."""
+
+    @pytest.mark.parametrize("bad", BAD_TUPLES, ids=BAD_IDS)
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_bad_tuple_at_k_raises_before_any_call(self, bad, k):
+        space = small_space(3, 5)
+        seen = []
+        h = History(space, objective=lambda point: seen.append(point) or 0.5)
+        h.evaluate((1, 1))
+        batch = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+        batch[k] = bad
+        if k < 4:
+            batch[4] = (9, 9)                  # a later bad tuple is not the one named
+        with pytest.raises(ConfigurationError) as expected:
+            space.validate_indices(bad)
+        with pytest.raises(ConfigurationError) as raised:
+            h.evaluate_batch(batch)
+        assert str(raised.value) == str(expected.value)
+        assert len(seen) == 1
+        assert h.evaluated == {(1, 1)} and h.n_rejected == 0 and len(h) == 1
+
+    def test_array_block_is_evaluated_as_its_tuples(self):
+        space = small_space(3, 5)
+        block = np.array([[2, 4], [0, 1], [1, 3]])
+        seen, kept = [], []
+        h = History(space, objective=lambda point: seen.append(point) or float(point.sum()),
+                    on_record=lambda records, rows: kept.append((records, rows)))
+        records = h.evaluate_batch(block)
+        assert [r.indices for r in records] == [(2, 4), (0, 1), (1, 3)]
+        assert all(type(i) is int for r in records for i in r.indices)
+        assert [p.tolist() for p in seen] == [space.point(t).tolist() for t in block.tolist()]
+        [(stored, rows)] = kept
+        assert stored == records and rows.tolist() == block.tolist()
+
+    def test_non_finite_values_mid_batch_are_counted_not_stored(self):
+        space = small_space(4, 4)
+        values = iter([3.0, math.nan, 2.0, math.inf, 0.5])
+        kept = []
+        h = History(space, objective=lambda point: next(values),
+                    on_record=lambda records, rows: kept.append((records, rows)))
+        batch = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3)]
+        records = h.evaluate_batch(batch)
+        assert [r is None for r in records] == [False, True, False, True, False]
+        assert h.n_rejected == 2 and h.n_evaluations == 5
+        assert [(r.indices, r.value, r.eval_id) for r in h.records] == [
+            ((0, 0), 3.0, 0), ((2, 2), 2.0, 1), ((0, 3), 0.5, 2)]
+        assert h.evaluated == set(batch)
+        assert h.best.value == 0.5
+        [(stored, rows)] = kept                 # once, with the stored rows only
+        assert stored == h.records
+        assert rows.tolist() == [[0, 0], [2, 2], [0, 3]]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_objective_error_at_call_k_keeps_earlier_records_absorbed(self, k):
+        # the first record anchors the line evidence and the next two are
+        # line moves, so each absorbed record leaves a level
+        space = small_space(5, 5, 5)
+        batch = [(2, 2, 2), (2, 2, 4), (0, 2, 2), (1, 1, 1)]
+
+        def value(point):
+            return float(np.sum(point ** 2))
+
+        def objective(point):
+            calls.append(point)
+            if len(calls) == k + 1:
+                raise RuntimeError("objective failed")
+            return value(point)
+
+        calls = []
+        opt = ScoreOptimizer(space=space, objective=objective)
+        with pytest.raises(RuntimeError):
+            opt.history.evaluate_batch(batch)
+        assert [r.indices for r in opt.history.records] == batch[:k]
+        assert opt.history.evaluated == set(batch[:k])
+
+        # the same records evaluated one at a time, with no error
+        ref = ScoreOptimizer(space=space, objective=value)
+        for t in batch[:k]:
+            ref.history.evaluate(t)
+        for name in ("minima", "mask", "counts"):
+            assert getattr(opt.projections, name).tobytes() == \
+                getattr(ref.projections, name).tobytes()
+        assert opt.lines.levels.tobytes() == ref.lines.levels.tobytes()
+        assert opt.lines.anchor == ref.lines.anchor
+        assert opt.lines.version == ref.lines.version == k
