@@ -176,28 +176,24 @@ def _print_summary(config: RunConfig, trace: ConvergenceTrace) -> None:
           f"time={trace.total_time_ms / 1000.0:.2f}s")
 
 
-def _write_traces(config: RunConfig, traces: list[ConvergenceTrace]) -> Path:
-    """One trace CSV per seed in the config's output directory, returned."""
-    out = Path(config.out_dir)
-    for trace in traces:
-        write_trace_csv(trace, out / f"{_trace_stem(config)}_seed{trace.seed}.csv")
-    return out
-
-
 def _run_seeds(config: RunConfig, seeds: list[int]) -> list[ConvergenceTrace]:
-    """One run of ``config`` per seed, each summary printed as it ends.
+    """One run of ``config`` per seed. Each seed's trace CSV is written to
+    the config's output directory and its summary printed as its run ends,
+    so a sweep stopped midway keeps the seeds it completed.
 
-    If the objective raises, the traces of the seeds completed so far and
-    the failed seed's partial trace are written before the error propagates.
+    If the objective raises, the failed seed's partial trace is written
+    before the error propagates.
     """
     traces = []
     for seed in seeds:
         run = dataclasses.replace(config, seed=seed)
+        path = Path(config.out_dir) / f"{_trace_stem(config)}_seed{seed}.csv"
         try:
             trace = run_experiment(run)
         except ObjectiveError as exc:
-            _write_traces(config, traces + [exc.trace])
+            write_trace_csv(exc.trace, path)
             raise
+        write_trace_csv(trace, path)
         traces.append(trace)
         _print_summary(run, trace)
     return traces
@@ -206,7 +202,7 @@ def _run_seeds(config: RunConfig, seeds: list[int]) -> list[ConvergenceTrace]:
 def _cmd_run(args) -> int:
     config = load_config(args.config, _overrides(args))
     traces = _run_seeds(config, [config.seed])
-    out = _write_traces(config, traces)
+    out = Path(config.out_dir)
     stem = f"{_trace_stem(config)}_seed{config.seed}"
     render_svg(traces, "convergence", out / f"{stem}_convergence.svg")
     render_svg(traces, "timing", out / f"{stem}_timing.svg")
@@ -226,7 +222,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError("--seeds must list at least one seed")
     config = load_config(args.config, _overrides(args))
     traces = _run_seeds(config, seeds)
-    out = _write_traces(config, traces)
+    out = Path(config.out_dir)
     stem = _trace_stem(config)
     write_trace_csv(aggregate_median(traces), out / f"{stem}_median.csv")
     render_svg(traces, "convergence", out / f"{stem}_convergence.svg")
@@ -298,6 +294,9 @@ def main(argv=None) -> int:
         log.debug("runtime error", exc_info=exc)      # with the objective's traceback
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ counts next to the minima and ``update`` maintains them; the projection
 store keeps each GP's posterior std and each dimension's observed cells in
 increasing order (the fill's draw table), and rewrites them only for the
 dimensions it inverts again. So a step whose batch gave no dimension a new
-grid value re-derives none of them.
+grid value re-derives none of them. The projection pass is the store's only
+refresh: every step runs it right before its selection, so the fill reads
+the store as that pass left it.
 
 Candidate assembly is led by incumbent-line refinement. Every evaluated
 tuple that differs from the incumbent in one coordinate is kept as line
@@ -187,8 +189,6 @@ class LineEvidence:
     def moved_dim(self, indices) -> int | None:
         """The one coordinate in which ``indices`` (a tuple or an index row)
         differs from the anchor."""
-        if self.anchor is None:
-            return None
         diff = self.anchor_array != indices
         return int(diff.argmax()) if np.count_nonzero(diff) == 1 else None
 
@@ -271,7 +271,6 @@ class ScoreOptimizer:
         self.refinement_fit_count = 0        # line posteriors computed at selections
         self._refine_dim = 0
         self._grid_cells = ~np.isnan(self.space.values)
-        self._lengths = np.array(self.space.lengths)
         max_grid = self._grid_cells.shape[1]
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
@@ -325,13 +324,6 @@ class ScoreOptimizer:
         """EI score for every grid value of dimension d: row d of a full pass."""
         return self._projection_scores()[d, :self.space.lengths[d]]
 
-    def _projection_store(self) -> GridInverses:
-        """The projection GPs' store, refreshed for the table's observed mask."""
-        table, store = self.projections, self._projection_inverses
-        store.refresh(self._projection_kernel, table.mask,
-                      self.kernel.noise_variance + self.kernel.jitter, table.counts)
-        return store
-
     def _projection_scores(self) -> np.ndarray:
         """EI scores of every dimension, (D, G), -inf past each grid's end.
 
@@ -349,7 +341,9 @@ class ScoreOptimizer:
         finite, counts = table.mask, table.counts[:, None]
         if np.count_nonzero(table.counts) < len(table.counts):
             raise ValueError(f"no observations project onto dimension {np.argmin(counts)}")
-        store = self._projection_store()
+        store = self._projection_inverses
+        store.refresh(self._projection_kernel, finite,
+                      self.kernel.noise_variance + self.kernel.jitter, table.counts)
         y = clip_targets(table.minima)
         y_mean = np.sum(y, axis=1, keepdims=True, where=finite) / counts
         dev = np.where(finite, y - y_mean, 0.0)
@@ -528,19 +522,20 @@ class ScoreOptimizer:
         """Assemble distinct, never-evaluated index-tuples, tier by tier.
 
         ``scores`` is the (D, G) projection-score table, -inf past each
-        grid's end. Once the history holds a record, the line tiers come
+        grid's end. It reads the state ``step()`` leaves: the history holds
+        a record, so every dimension has an observed cell, and the
+        projection pass that gave ``scores`` has just refreshed the
+        projection store for the table as it stands. The line tiers come
         first, from the line tables of ``_line_tables``: the merged moves;
         single-coordinate moves by line EI (standardized by each line's
         scale; a move must clear ``LINE_EI_MIN``); for dimensions with no
         line evidence, a move to the argmax of their projection score. Then
         the fill: per attempt one uniform u per dimension picks cell
         floor(u * count) of that dimension's observed cells (the projection
-        store's kept ``order``, refreshed first if the table has grown since
-        the last projection pass; a dimension with none keeps its whole
-        grid), with duplicates resampled up to 100*B times; finally
-        uniform-random unevaluated tuples. So new grid values come
-        only from the line tiers, the projection-score move and the random
-        fill.
+        store's kept ``order``), with duplicates resampled up to 100*B
+        times; finally uniform-random unevaluated tuples. So new grid
+        values come only from the line tiers, the projection-score move and
+        the random fill.
         Each line move of a dimension whose group has a shared profile
         records the profile's prediction of it, which ``_absorb`` pairs
         with the move's outcome.
@@ -563,58 +558,52 @@ class ScoreOptimizer:
             if d is not None and not np.isnan(predicted[d, t[d]]):
                 self._pending[(d, t[d])] = float(predicted[d, t[d]])
 
-        if len(self.history) > 0:
-            tables = self._line_tables()
-            _, _, _, supported, share, predicted = tables.posterior
-            inc = self.lines.anchor
-            dims, max_grid = tables.ei.shape
+        tables = self._line_tables()
+        _, _, _, supported, share, predicted = tables.posterior
+        inc = self.lines.anchor
+        dims, max_grid = tables.ei.shape
 
-            for merged in tables.merged:
-                if len(chosen) < b and self._fresh(merged, taken):
-                    take(merged, self.lines.moved_dim(merged))
+        for merged in tables.merged:
+            if len(chosen) < b and self._fresh(merged, taken):
+                take(merged, self.lines.moved_dim(merged))
 
-            # single-coordinate moves by line EI
-            ei = tables.ei.copy()
-            while len(chosen) < b:
-                d, v = divmod(int(np.argmax(ei)), max_grid)
-                if ei[d, v] <= LINE_EI_MIN:
-                    break
-                ei[d, v] = 0.0
-                t = inc[:d] + (v,) + inc[d + 1:]
-                if not self._fresh(t, taken):
-                    continue
+        # single-coordinate moves by line EI
+        ei = tables.ei.copy()
+        while len(chosen) < b:
+            d, v = divmod(int(np.argmax(ei)), max_grid)
+            if ei[d, v] <= LINE_EI_MIN:
+                break
+            ei[d, v] = 0.0
+            t = inc[:d] + (v,) + inc[d + 1:]
+            if not self._fresh(t, taken):
+                continue
+            take(t, d)
+            ei[d] = 0.0                       # one move per line and batch
+            if share[d] > 0.0:
+                # under a trusted shared profile, values near v on the
+                # other lines of the group are now less informative
+                g = self._groups[self._group_of[d]]
+                ei[g.dims] *= 1.0 - share[d] * self._line_kernel[v]
+
+        # dimensions without line evidence: follow the projection score
+        for k in range(dims):
+            if len(chosen) >= b:
+                break
+            d = (self._refine_dim + k) % dims
+            if supported[d]:
+                continue
+            row = scores[d].copy()           # -inf past the grid's end
+            row[inc[d]] = -np.inf
+            v = int(np.argmax(row))
+            t = inc[:d] + (v,) + inc[d + 1:]
+            if row[v] > -np.inf and self._fresh(t, taken):
                 take(t, d)
-                ei[d] = 0.0                       # one move per line and batch
-                if share[d] > 0.0:
-                    # under a trusted shared profile, values near v on the
-                    # other lines of the group are now less informative
-                    g = self._groups[self._group_of[d]]
-                    ei[g.dims] *= 1.0 - share[d] * self._line_kernel[v]
-
-            # dimensions without line evidence: follow the projection score
-            for k in range(dims):
-                if len(chosen) >= b:
-                    break
-                d = (self._refine_dim + k) % dims
-                if supported[d]:
-                    continue
-                row = scores[d].copy()           # -inf past the grid's end
-                row[inc[d]] = -np.inf
-                v = int(np.argmax(row))
-                t = inc[:d] + (v,) + inc[d + 1:]
-                if row[v] > -np.inf and self._fresh(t, taken):
-                    take(t, d)
-                    self._refine_dim = d + 1
+                self._refine_dim = d + 1
         if len(chosen) >= b:
             return chosen
 
-        # each row's observed cells, in increasing order, as the store keeps
-        # them; a row with none keeps its whole grid, which its order starts as
+        # each row's observed cells, in increasing order, as the store keeps them
         store, counts = self._projection_inverses, self.projections.counts
-        if np.count_nonzero(store.count != counts):   # grown since the last projection pass
-            store = self._projection_store()
-        if np.count_nonzero(counts) < len(counts):
-            counts = np.where(counts > 0, counts, self._lengths)
         rows = np.arange(len(counts))
 
         attempts = 0

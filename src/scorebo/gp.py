@@ -38,17 +38,18 @@ coordinates, inverted again only when its training indices change, so all
 of them are solved for new targets in one batched pass. It also keeps what
 depends on a GP's training indices alone: its posterior std on every grid
 value and its training indices in increasing order. These are rewritten
-only for the GPs it inverts again, and a refresh that finds no GP whose
-training indices changed returns at once. Training indices only
-grow, so a new inverse is written over its block of the store, which covers
-the old block, and nothing is cleared first. Both solve all their GPs of
-one training-index count in one stack, whose kernels ``_inverse`` gathers
-by indexing, adds the noise to and inverts; the rows are grouped without
-sorting them, so a refresh of a single stale GP is one stack of one. A
-stack needs no bound: its (rows, n, G) working set holds one (n, G) cross
-covariance per GP, and a projection refresh's, with rows <= D and n <= G,
-never exceeds the (D, G, G) store of inverses that the optimizer keeps
-anyway.
+only for the GPs it inverts again. A refresh takes each GP's training
+index count from the caller, which keeps them, and finds the changed GPs
+by their counts alone; one that finds none returns at once. Training
+indices only grow, so a new inverse is written over its block of the
+store, which covers the old block, and nothing is cleared first. Both
+solve all their GPs of one training-index count in one stack, whose
+kernels ``_inverse`` gathers by indexing, adds the noise to and inverts;
+the rows are grouped without sorting them, so a refresh of a single
+stale GP is one stack of one. A stack needs no bound: its (rows, n, G)
+working set holds one (n, G) cross covariance per GP, and a projection
+refresh's, with rows <= D and n <= G, never exceeds the (D, G, G) store of
+inverses that the optimizer keeps anyway.
 The GPs are solved in unit scale: scaling a GP's kernel and noise by one
 factor keeps its posterior mean and scales its explained variance by it
 (Rasmussen & Williams 2006, eq. 2.25-2.26), so a caller applies an
@@ -296,11 +297,12 @@ class GridInverses:
         self.order = np.tile(np.arange(grid), (gps, 1))
 
     def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float,
-                counts: np.ndarray | None = None) -> None:
+                counts: np.ndarray) -> None:
         """Invert again those GPs whose count changed.
 
         ``observed`` holds every GP's training mask, in order, and
-        ``counts``, if the caller keeps them, its row sums. The stale GPs
+        ``counts`` its row sums, which the caller keeps (the optimizer's
+        projection pass, its one caller, once per step). The stale GPs
         of each count are inverted in one stack: the batched
         multi-right-hand-side solve of BBMM (Gardner et al., 2018), whose
         (rows, n, G) working set is at most the store's (D, G, G). Each new
@@ -312,8 +314,6 @@ class GridInverses:
         it is the cancellation-free ``noise * (1 - noise * (K^-1)_ii)``, as
         ``GpModel`` computes it.
         """
-        if counts is None:
-            counts = observed.sum(axis=1)
         changed = self.count != counts
         if not np.count_nonzero(changed):
             return

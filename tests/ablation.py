@@ -20,17 +20,23 @@ criterion 4 gates hits at best < 2.0 and counts evals to 1.0.
 
     python tests/ablation.py [first_seed last_seed]     (default 0 29)
 
-About 40 s per arm for 30 seeds on one core; run it under one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``) to compare trees.
+About 40 s per arm for 30 seeds on one core. To make two trees compare,
+it pins one BLAS thread: it sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before numpy is imported,
+unless already set; one set by the caller wins.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")          # one BLAS thread, set before numpy loads
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

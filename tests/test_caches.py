@@ -86,6 +86,23 @@ def make_objective(space, seed, bad, raise_at, calls):
     return objective
 
 
+def rederiving_store(shape):
+    """A fresh ``GridInverses`` whose every refresh is followed by a
+    derivation of the std and the fill's order from scratch."""
+    store = GridInverses(*shape)
+    refresh = store.refresh
+
+    def rederived(kern, mask, noise, counts):
+        refresh(kern, mask, noise, counts)
+        var = np.where(mask, noise * (1.0 - noise * np.diagonal(store.inverse, 0, 1, 2)),
+                       1.0 - store.explained)
+        store.std = np.sqrt(np.maximum(var, 0.0))
+        store.order = np.argsort(~mask, axis=1, kind="stable")   # observed first
+
+    store.refresh = rederived
+    return store
+
+
 def run(case, cache_free):
     """Batches, projection score tables, records, rejections and objective
     calls of one run."""
@@ -102,25 +119,13 @@ def run(case, cache_free):
         return table
 
     opt._projection_scores = kept_scores
-    if cache_free:
-        projection_store = opt._projection_store
-
-        def rederived_store():
-            store = projection_store()
-            mask, j = opt.projections.mask, opt.kernel.noise_variance + opt.kernel.jitter
-            var = np.where(mask, j * (1.0 - j * np.diagonal(store.inverse, 0, 1, 2)),
-                           1.0 - store.explained)
-            store.std = np.sqrt(np.maximum(var, 0.0))
-            store.order = np.argsort(~mask, axis=1, kind="stable")   # observed first
-            return store
-
-        opt._projection_store = rederived_store
     try:
         opt.initialize(case["n_init"])
         for _ in range(case["steps"]):
             if cache_free:
                 set_minima(opt.projections, opt.projections.minima)
-                opt._projection_inverses = GridInverses(*opt._projection_inverses.explained.shape)
+                opt._projection_inverses = rederiving_store(
+                    opt._projection_inverses.explained.shape)
                 kept = opt._line_tables_kept
                 if kept is not None:
                     opt._line_tables_kept = dataclasses.replace(kept, version=-1)

@@ -431,6 +431,29 @@ class TestCommands:
         assert not (tmp_path / "score_ackley_seed2.csv").exists()
         assert not (tmp_path / "score_ackley_median.csv").exists()
 
+    def test_interrupted_sweep_keeps_completed_seeds(self, monkeypatch, tmp_path, capsys):
+        # Ctrl-C during seed 1 (the 10th of its calls): seed 0 ran to its
+        # budget, so its trace is on disk as a whole run wrote it
+        args = ["sweep", "--dims", "2", "--n-init", "4", "--max-evals", "20"]
+        calls = []
+
+        def interrupted_on_call_30(point):
+            calls.append(point)
+            if len(calls) == 30:
+                raise KeyboardInterrupt
+            return ackley(point)
+
+        monkeypatch.setattr(cli, "ackley", interrupted_on_call_30)
+        code = main(args + ["--seeds", "0,1,2", "--out", str(tmp_path)])
+        assert code == 130 and len(calls) == 30
+        assert capsys.readouterr().err.splitlines() == ["interrupted"]
+        monkeypatch.setattr(cli, "ackley", ackley)
+        main(args + ["--seeds", "0", "--out", str(tmp_path / "whole")])
+        stem = "score_ackley_seed0.csv"
+        assert _strip_timing(tmp_path / stem) == _strip_timing(tmp_path / "whole" / stem)
+        assert len(read_trace_csv(tmp_path / stem).rows) == 17
+        assert not (tmp_path / "score_ackley_median.csv").exists()
+
     def test_objective_error_is_exported(self):
         assert scorebo.ObjectiveError is scorebo.errors.ObjectiveError
 

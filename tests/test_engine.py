@@ -10,8 +10,7 @@ from scorebo import engine, gp
 from scorebo.acquisition import ZETA, score_grid
 from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
                             LINE_NOISE, STALENESS_RATE, TRUST_WINDOW,
-                            LineEvidence, ProjectionTable, ScoreOptimizer,
-                            clip_targets)
+                            ProjectionTable, ScoreOptimizer, clip_targets)
 from scorebo.errors import SpaceExhausted
 from scorebo.gp import NOISE_VARIANCE, GridInverses
 from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
@@ -490,11 +489,44 @@ class TestInverseReuse:
         opt._projection_scores()
         assert inverted == []
 
+    @pytest.mark.parametrize("dims,batch,n_init,warm", [(10, 1, 20, 65), (200, 10, 50, 2)])
+    def test_each_step_refreshes_the_store_once(self, dims, batch, n_init, warm,
+                                                monkeypatch):
+        # The projection pass is the store's only refresh. After ``warm``
+        # steps, the next 20 hold both line steps and steps whose batch came
+        # from the fill, which reads the store that pass left.
+        opt = ScoreOptimizer(space=ackley_space(dims), objective=ackley,
+                             batch_size=batch, seed=0)
+        opt.initialize(n_init)
+        for _ in range(warm):
+            opt.step()
+        refreshed, refresh = [], GridInverses.refresh
+
+        def spy(store, *args, **kwargs):
+            refreshed.append(store)
+            refresh(store, *args, **kwargs)
+
+        monkeypatch.setattr(GridInverses, "refresh", spy)
+        draws = record_fill_draws(opt)
+        filled = 0
+        for step in range(20):
+            before = len(draws)
+            opt.step()
+            assert len(refreshed) == step + 1
+            filled += any(taken for _, taken, _ in draws[before:])
+        assert 0 < filled < 20
+        assert all(store is opt._projection_inverses for store in refreshed)
+
 
 class TestSelectBatch:
     def test_evaluated_top_tuple_is_not_returned(self):
+        # On a constant objective no line is supported (its one move
+        # changed nothing), so the projection score leads; its top tuple
+        # (1, 0) is the incumbent's evaluated line move.
         opt = ScoreOptimizer(space=grid_space(2, 2), objective=lambda p: 0.0)
-        opt.history.evaluated.add((1, 0))
+        opt.history.evaluate((0, 0))
+        opt.history.evaluate((1, 0))
+        opt._projection_scores()
         scores = np.array([[0.1, 0.9], [0.3, 0.2]])
         batch = opt.select_batch(scores)
         assert len(batch) == 1
@@ -508,6 +540,8 @@ class TestSelectBatch:
         for _ in range(2):
             opt = ScoreOptimizer(space=space, objective=ackley,
                                  batch_size=10, seed=5)
+            opt.initialize(20)
+            opt._projection_scores()
             batches.append(opt.select_batch(scores.copy()))
         assert batches[0] == batches[1]
         assert len(batches[0]) == 10
@@ -524,30 +558,29 @@ class TestSelectBatch:
         space = grid_space(2, 2)
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0,
                              batch_size=10)
-        opt.history.evaluated = {(0, 0), (0, 1)}
-        batch = opt.select_batch(np.ones((2, 2)))
+        opt.history.evaluate((0, 0))
+        opt.history.evaluate((0, 1))
+        batch = opt.select_batch(opt._projection_scores())
         assert sorted(batch) == [(1, 0), (1, 1)]
 
     @staticmethod
     def _fill_only(batch_size, seed):
         """An optimizer on ragged grids whose selections reach the fill at once.
 
-        Its history is empty, so no line tier runs; its projections observe
-        cells 1 and 3 of the 4-value grid, none of the 5-value grid and cells
-        0, 2 and 5 of the 6-value grid. Returns it, a score table for
-        ``select_batch`` and each dimension's cells the fill may draw: the
-        observed ones, else the whole grid.
+        Its records, on a constant objective, differ pairwise in more than
+        one coordinate, so no line has evidence, and the score table it
+        returns is -inf on every cell, so the projection-score move finds no
+        value. They observe cells 1 and 3 of the 4-value grid, 0, 2 and 4 of
+        the 5-value grid and 0, 2 and 5 of the 6-value grid, and a
+        projection pass has refreshed the store for them. Returns it, the
+        table for ``select_batch`` and each dimension's observed cells.
         """
-        space = grid_space(4, 5, 6)
-        opt = ScoreOptimizer(space=space, objective=lambda p: 0.0,
+        opt = ScoreOptimizer(space=grid_space(4, 5, 6), objective=lambda p: 0.0,
                              batch_size=batch_size, seed=seed)
-        cells = [[1, 3], [], [0, 2, 5]]
-        minima = opt.projections.minima.copy()
-        for d, c in enumerate(cells):
-            minima[d, c] = 0.0
-        set_minima(opt.projections, minima)
-        table = np.where(opt._grid_cells, 0.0, -np.inf)
-        return opt, table, [c or list(range(n)) for c, n in zip(cells, space.lengths)]
+        for indices in [(1, 0, 0), (3, 2, 2), (1, 4, 5)]:
+            opt.history.evaluate(indices)
+        opt._projection_scores()
+        return opt, np.full((3, 6), -np.inf), [[1, 3], [0, 2, 4], [0, 2, 5]]
 
     def test_fill_draws_observed_cells_by_index(self):
         opt, table, cells = self._fill_only(batch_size=8, seed=3)
@@ -558,7 +591,7 @@ class TestSelectBatch:
         while len(expected) < 8:
             u = ref.random(len(cells))
             t = tuple(c[int(x * len(c))] for x, c in zip(u, cells))
-            if t not in expected:
+            if t not in expected and t not in opt.history.evaluated:
                 expected.append(t)
         assert batch == expected
         assert (np.array(batch) < np.array(opt.space.lengths)).all()
@@ -668,13 +701,16 @@ class TestLineEvidence:
         assert np.sum(~np.isnan(opt.lines.levels)) == 4   # two anchors, two moves
 
     def test_moved_dim_names_the_one_changed_coordinate(self):
-        lines = LineEvidence(4, 5)
-        assert lines.moved_dim((1, 2, 3, 4)) is None
-        lines.reset((1, 2, 3, 4), 0.0)
+        space = grid_space(5, 5, 5, 5)
+        opt = ScoreOptimizer(space=space, objective=table_objective(
+            space, {(1, 2, 3, 4): 1.0, (1, 0, 3, 4): 0.0}))
+        lines = opt.lines
+        opt.history.evaluate((1, 2, 3, 4))             # the first record anchors
         assert lines.moved_dim((1, 2, 3, 4)) is None
         assert lines.moved_dim((1, 0, 3, 4)) == 1
         assert lines.moved_dim((0, 2, 3, 0)) is None
-        lines.reanchor((1, 0, 3, 4), 0.0, None)
+        opt.history.evaluate((1, 0, 3, 4))
+        opt._line_tables()                             # re-anchors to the new incumbent
         assert lines.anchor_array.tolist() == [1, 0, 3, 4]
         assert lines.drift == 0.25
         assert lines.moved_dim((1, 2, 3, 4)) == 1
@@ -846,8 +882,10 @@ class TestLineEvidence:
             minima[1:] = np.where(at_anchor[1:], 0.0, np.inf)
             set_minima(opt.projections, minima)
             # the table's cells shrank, which no update does: start the
-            # store, which keeps the fill's cells, afresh
+            # store, which keeps the fill's cells, afresh, and refresh it
+            # as a step's projection pass does
             opt._projection_inverses = GridInverses(*opt._projection_inverses.std.shape)
+            opt._projection_scores()
             asked.clear()
             random_fill = set()
             start["state"] = opt.rng.bit_generator.state

@@ -534,13 +534,13 @@ class TestGridInverses:
         observed = np.zeros((gps, grid), dtype=bool)
         observed[np.arange(gps), rng.integers(0, lengths)] = True
         kept = gp_mod.GridInverses(gps, grid)
-        kept.refresh(kern, observed, noise)
+        kept.refresh(kern, observed, noise, observed.sum(axis=1))
         while (free := np.argwhere(~observed & (np.arange(grid) < lengths[:, None]))).size:
             r, v = free[rng.integers(len(free))]
             observed[r, v] = True
-            kept.refresh(kern, observed, noise)
+            kept.refresh(kern, observed, noise, observed.sum(axis=1))
             fresh = gp_mod.GridInverses(gps, grid)
-            fresh.refresh(kern, observed, noise)
+            fresh.refresh(kern, observed, noise, observed.sum(axis=1))
             assert kept.inverse.tobytes() == fresh.inverse.tobytes()
             assert kept.explained.tobytes() == fresh.explained.tobytes()
             assert kept.std.tobytes() == fresh.std.tobytes()
@@ -575,7 +575,7 @@ class TestGridInverses:
             observed[r, rng.permutation(grid)[:n]] = True
         counts = observed.sum(axis=1)
         store = gp_mod.GridInverses(gps, grid)
-        store.refresh(kern, observed, noise)
+        store.refresh(kern, observed, noise, counts)
         assert sorted(inverted) == sorted(set(counts.tolist()))
         assert len(inverted) == stacks
         expected = np.zeros_like(store.inverse)      # +0.0 off every block
@@ -602,11 +602,11 @@ class TestGridInverses:
         for r, n in enumerate(counts):
             observed[r, rng.permutation(grid)[:n]] = True
         whole = gp_mod.GridInverses(gps, grid)
-        whole.refresh(kern, observed, noise)
+        whole.refresh(kern, observed, noise, counts)
         store, mask = gp_mod.GridInverses(gps, grid), np.zeros_like(observed)
         for part in parts_of(how, counts, grid):
             mask[part] = observed[part]
-            store.refresh(kern, mask, noise)
+            store.refresh(kern, mask, noise, mask.sum(axis=1))
         assert store.inverse.tobytes() == whole.inverse.tobytes()
         assert store.explained.tobytes() == whole.explained.tobytes()
         assert store.std.tobytes() == whole.std.tobytes()

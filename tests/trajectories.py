@@ -39,7 +39,11 @@ Each differing run is marked ``same up to target`` when its ``target`` and
 ``pre_target`` equal FILE's, so no call up to the one that reached the
 target differs, and ``differs up to target`` otherwise.
 
-Run both under the same BLAS thread count: the predict bytes depend on it.
+The predict bytes depend on the BLAS thread count, so the script pins one
+thread: it sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 before numpy is imported, unless already set. Two
+trees thus compare without setting a variable; one set by the caller wins,
+and must then be the same for both.
 
 About 30 s on one core.
 """
@@ -48,8 +52,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")          # one BLAS thread, set before numpy loads
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
