@@ -55,6 +55,8 @@ class RunConfig:
             raise ConfigurationError(f"dims must be >= 1, got {self.dims}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.method == "bo" and self.batch_size != 1:
+            raise ConfigurationError(f"method 'bo' needs batch_size 1, got {self.batch_size}")
         if self.n_init is not None and self.n_init < 1:
             raise ConfigurationError(f"n_init must be >= 1, got {self.n_init}")
         if self.seed < 0:
@@ -100,7 +102,9 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
     exhaustion. An unset ``n_init`` is twice the built space's dimensions.
 
     An exception from the objective ends the run with ``ObjectiveError``,
-    whose ``trace`` holds the rows of the steps completed before it.
+    whose ``trace`` holds the rows of the steps completed before it; a
+    ``KeyboardInterrupt`` during the design or a step gets the same
+    ``trace``.
     """
     config.validate()
     space, objective = _build_problem(config)
@@ -113,9 +117,7 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
         try:
             return objective(point)
         except Exception as exc:
-            failure = ObjectiveError(f"the objective raised {type(exc).__name__}: {exc}")
-            failure.trace = trace            # the steps completed so far
-            raise failure from exc
+            raise ObjectiveError(f"the objective raised {type(exc).__name__}: {exc}") from exc
 
     if config.method == "score":
         opt = ScoreOptimizer(space=space, objective=guarded,
@@ -125,23 +127,27 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
     history = opt.history
 
     trace = ConvergenceTrace(method=config.method, seed=config.seed)
-    t0 = time.perf_counter()
-    opt.initialize(n_init)
-    cum_ms = (time.perf_counter() - t0) * 1000.0
-    trace.append(TraceRow(iteration=0, evals=history.n_evaluations,
-                          best_value=history.best.value, iter_time_ms=cum_ms,
-                          cum_time_ms=cum_ms))
-    while history.n_evaluations < config.max_evals:
+    try:
         t0 = time.perf_counter()
-        try:
-            opt.step(max_batch=config.max_evals - history.n_evaluations)
-        except SpaceExhausted:
-            break
-        iter_ms = (time.perf_counter() - t0) * 1000.0
-        cum_ms += iter_ms
-        trace.append(TraceRow(iteration=len(trace.rows), evals=history.n_evaluations,
-                              best_value=history.best.value,
-                              iter_time_ms=iter_ms, cum_time_ms=cum_ms))
+        opt.initialize(n_init)
+        cum_ms = (time.perf_counter() - t0) * 1000.0
+        trace.append(TraceRow(iteration=0, evals=history.n_evaluations,
+                              best_value=history.best.value, iter_time_ms=cum_ms,
+                              cum_time_ms=cum_ms))
+        while history.n_evaluations < config.max_evals:
+            t0 = time.perf_counter()
+            try:
+                opt.step(max_batch=config.max_evals - history.n_evaluations)
+            except SpaceExhausted:
+                break
+            iter_ms = (time.perf_counter() - t0) * 1000.0
+            cum_ms += iter_ms
+            trace.append(TraceRow(iteration=len(trace.rows), evals=history.n_evaluations,
+                                  best_value=history.best.value,
+                                  iter_time_ms=iter_ms, cum_time_ms=cum_ms))
+    except (ObjectiveError, KeyboardInterrupt) as exc:
+        exc.trace = trace                    # the steps completed so far
+        raise
     if history.n_rejected:
         log.warning("dropped %d of %d evaluations: the objective returned a "
                     "non-finite value", history.n_rejected, history.n_evaluations)
@@ -181,8 +187,8 @@ def _run_seeds(config: RunConfig, seeds: list[int]) -> list[ConvergenceTrace]:
     the config's output directory and its summary printed as its run ends,
     so a sweep stopped midway keeps the seeds it completed.
 
-    If the objective raises, the failed seed's partial trace is written
-    before the error propagates.
+    If the objective raises, or the run is interrupted, the seed's partial
+    trace is written before the exception propagates.
     """
     traces = []
     for seed in seeds:
@@ -190,8 +196,9 @@ def _run_seeds(config: RunConfig, seeds: list[int]) -> list[ConvergenceTrace]:
         path = Path(config.out_dir) / f"{_trace_stem(config)}_seed{seed}.csv"
         try:
             trace = run_experiment(run)
-        except ObjectiveError as exc:
-            write_trace_csv(exc.trace, path)
+        except (ObjectiveError, KeyboardInterrupt) as exc:
+            if hasattr(exc, "trace"):        # none if interrupted before the run began
+                write_trace_csv(exc.trace, path)
             raise
         write_trace_csv(trace, path)
         traces.append(trace)

@@ -5,19 +5,19 @@ dimension gets its own 1D GP fitted to that parameter's min-projection of
 the history (for each grid value, the best objective ever observed with
 that value, the other parameters marginalized out by minimum). Every grid
 value is then scored with expected improvement. Each projection GP keeps
-its inverse training kernel in grid coordinates (``gp.GridInverses``),
-inverted again only when the dimension gains a grid value, so all D GPs are
-scored in one batched pass over the (D, G) table, not one fit each.
+its inverse training kernel in grid coordinates, inverted again only when
+the dimension gains a grid value, so all D GPs are scored in one batched
+pass over the (D, G) table, not one fit each.
 
 What depends only on which cells are observed is kept, not derived each
-step: ``ProjectionTable`` keeps the observed mask and the per-dimension
-counts next to the minima and ``update`` maintains them; the projection
-store keeps each GP's posterior std and each dimension's observed cells in
-increasing order (the fill's draw table), and rewrites them only for the
-dimensions it inverts again. So a step whose batch gave no dimension a new
-grid value re-derives none of them. The projection pass is the store's only
-refresh: every step runs it right before its selection, so the fill reads
-the store as that pass left it.
+step, in one place: ``ProjectionTable`` keeps the observed mask and the
+per-dimension counts next to the minima, and ``update`` maintains them; its
+``refresh`` keeps each GP's inverse, its posterior std and each dimension's
+observed cells in increasing order (the fill's draw table), and rewrites
+them only for the dimensions whose count changed. So a step whose batch
+gave no dimension a new grid value re-derives none of them. The projection
+pass is the only refresh: every step runs it right before its selection,
+so the fill reads the table as that pass left it.
 
 Candidate assembly is led by incumbent-line refinement. Every evaluated
 tuple that differs from the incumbent in one coordinate is kept as line
@@ -70,7 +70,7 @@ import numpy as np
 
 from .acquisition import ZETA, score_grid
 from .errors import SpaceExhausted
-from .gp import GridInverses, KernelConfig, kernel_matrix, stacked_posterior
+from .gp import KernelConfig, kernel_matrix, stack_inverse, stacked_posterior
 from .sampling import draw_unevaluated
 from .space import EvaluationRecord, History, SearchSpace, StepResult
 
@@ -93,19 +93,31 @@ CLIP_FACTOR = 20.0         # 1D targets are capped at min + this * (p75 - min)
 
 
 class ProjectionTable:
-    """Per-dimension min-projection of the history on a dense (D, G_max) table.
+    """Per-dimension min-projection of the history on a dense (D, G_max) table,
+    with each dimension's projection GP kept in grid coordinates.
 
     ``minima[d, i]`` is the best value seen with coordinate d at grid index i,
     inf where never seen. Recorded values are always finite, so the finite
     cells are exactly the observed ones: ``mask`` marks them and
     ``counts[d]`` counts those of dimension d. ``update`` is the only
     writer of the three, and a cell, once observed, stays so.
+
+    The GP of dimension d is trained at its observed cells. ``refresh``
+    keeps what depends on those alone: ``inverse[d]``, the inverse training
+    kernel on their rows and columns, zeros elsewhere; ``std[d]``, the
+    posterior std on every grid value; ``order[d, :counts[d]]``, the cells
+    in increasing order (every row starts as the grid's indices in order);
+    and ``inverted[d]``, the count they were derived at.
     """
 
     def __init__(self, dims: int, max_grid: int):
         self.minima = np.full((dims, max_grid), np.inf)
         self.mask = np.zeros((dims, max_grid), dtype=bool)
         self.counts = np.zeros(dims, dtype=int)
+        self.inverted = np.zeros(dims, dtype=int)
+        self.inverse = np.zeros((dims, max_grid, max_grid))
+        self.std = np.zeros((dims, max_grid))
+        self.order = np.tile(np.arange(max_grid), (dims, 1))
         self._offsets = np.arange(dims) * max_grid   # flat number of each row's cell 0
 
     def update(self, rows, values) -> None:
@@ -122,6 +134,38 @@ class ProjectionTable:
         """Sorted observed indices of dimension d and their projected minima."""
         idx = np.flatnonzero(self.mask[d])
         return idx.astype(float), self.minima[d, idx]
+
+    def refresh(self, kern: np.ndarray, noise: float) -> None:
+        """Invert again the GPs of the dimensions whose count changed.
+
+        ``kern`` is the kernel over grid steps and ``noise`` the variance
+        added to its diagonal. The stale GPs of each count are inverted in
+        one stack: the batched multi-right-hand-side solve of BBMM (Gardner
+        et al., 2018), whose (rows, n, G) working set is at most the kept
+        (D, G, G). Each new inverse is written over its block of
+        ``inverse``, indexed by the dimension and its observed cells, and
+        nothing else is cleared: a cell stays observed, so the block of the
+        previous inverse lies inside the new one. The std of a stale GP is
+        written from its new inverse: at its training indices 1 - explained
+        has no digits left, so there it is the cancellation-free
+        ``noise * (1 - noise * (K^-1)_ii)``, as ``GpModel`` computes it.
+        """
+        stale = np.flatnonzero(self.inverted != self.counts)
+        if not len(stale):
+            return
+        widths = self.counts[stale]
+        explained = np.empty(self.minima.shape)      # prior variance the data explain
+        for n in set(widths.tolist()):
+            rows = stale[widths == n]
+            idx = np.nonzero(self.mask[rows])[1].reshape(len(rows), n)
+            _, k_inv, explained[rows] = stack_inverse(kern, idx, noise)
+            self.inverse[rows[:, None, None], idx[:, :, None], idx[:, None, :]] = k_inv
+            self.order[rows, :n] = idx
+        self.inverted[stale] = widths
+        var = np.where(self.mask[stale],
+                       noise * (1.0 - noise * np.diagonal(self.inverse, 0, 1, 2)[stale]),
+                       1.0 - explained[stale])
+        self.std[stale] = np.sqrt(np.maximum(var, 0.0))
 
 
 def clip_targets(values: np.ndarray) -> np.ndarray:
@@ -275,7 +319,6 @@ class ScoreOptimizer:
         self.projections = ProjectionTable(self.space.dims, max_grid)
         steps = np.arange(max_grid, dtype=float)[:, None]
         self._projection_kernel = kernel_matrix(steps, steps, self.kernel)
-        self._projection_inverses = GridInverses(self.space.dims, max_grid)
         self._line_kernel = kernel_matrix(steps, steps,
                                           KernelConfig(lengthscale=LINE_LENGTHSCALE))
         self.lines = LineEvidence(self.space.dims, max_grid)
@@ -341,18 +384,16 @@ class ScoreOptimizer:
         finite, counts = table.mask, table.counts[:, None]
         if np.count_nonzero(table.counts) < len(table.counts):
             raise ValueError(f"no observations project onto dimension {np.argmin(counts)}")
-        store = self._projection_inverses
-        store.refresh(self._projection_kernel, finite,
-                      self.kernel.noise_variance + self.kernel.jitter, table.counts)
+        table.refresh(self._projection_kernel, self.kernel.noise_variance + self.kernel.jitter)
         y = clip_targets(table.minima)
         y_mean = np.sum(y, axis=1, keepdims=True, where=finite) / counts
         dev = np.where(finite, y - y_mean, 0.0)
         y_std = np.sqrt(np.sum(dev * dev, axis=1, keepdims=True) / counts)
         y_std[y_std == 0.0] = 1.0
-        alpha = np.matmul(store.inverse, (dev / y_std)[:, :, None])[:, :, 0]
+        alpha = np.matmul(table.inverse, (dev / y_std)[:, :, None])[:, :, 0]
         mean = alpha @ self._projection_kernel
         self.gp_fit_count += len(finite)
-        scores = score_grid(mean, store.std,
+        scores = score_grid(mean, table.std,
                             (self.history.best.value - y_mean) / y_std, ZETA)
         return np.where(self._grid_cells, scores, -np.inf)
 
@@ -525,14 +566,14 @@ class ScoreOptimizer:
         grid's end. It reads the state ``step()`` leaves: the history holds
         a record, so every dimension has an observed cell, and the
         projection pass that gave ``scores`` has just refreshed the
-        projection store for the table as it stands. The line tiers come
+        projection table. The line tiers come
         first, from the line tables of ``_line_tables``: the merged moves;
         single-coordinate moves by line EI (standardized by each line's
         scale; a move must clear ``LINE_EI_MIN``); for dimensions with no
         line evidence, a move to the argmax of their projection score. Then
         the fill: per attempt one uniform u per dimension picks cell
         floor(u * count) of that dimension's observed cells (the projection
-        store's kept ``order``), with duplicates resampled up to 100*B
+        table's kept ``order``), with duplicates resampled up to 100*B
         times; finally uniform-random unevaluated tuples. So new grid
         values come only from the line tiers, the projection-score move and
         the random fill.
@@ -602,16 +643,16 @@ class ScoreOptimizer:
         if len(chosen) >= b:
             return chosen
 
-        # each row's observed cells, in increasing order, as the store keeps them
-        store, counts = self._projection_inverses, self.projections.counts
-        rows = np.arange(len(counts))
+        # each row's observed cells, in increasing order, as the table keeps them
+        table = self.projections
+        rows = np.arange(len(table.counts))
 
         attempts = 0
         while len(chosen) < b and attempts < 100 * b:
             attempts += 1
             # one uniform per dimension; u < 1 keeps u * count below count
             u = self.rng.random(len(rows))
-            t = tuple(store.order[rows, (u * counts).astype(int)].tolist())
+            t = tuple(table.order[rows, (u * table.counts).astype(int)].tolist())
             if self._fresh(t, taken):
                 take(t, None)
 

@@ -32,24 +32,15 @@ zeroed again on every step.
 
 The decomposed optimizer's 1D GPs all take integer grid indices, so their
 training and cross covariances are slices of one precomputed kernel over
-grid steps. ``stacked_posterior`` solves many of them at once;
-``GridInverses`` keeps each projection GP's inverse training kernel in grid
-coordinates, inverted again only when its training indices change, so all
-of them are solved for new targets in one batched pass. It also keeps what
-depends on a GP's training indices alone: its posterior std on every grid
-value and its training indices in increasing order. These are rewritten
-only for the GPs it inverts again. A refresh takes each GP's training
-index count from the caller, which keeps them, and finds the changed GPs
-by their counts alone; one that finds none returns at once. Training
-indices only grow, so a new inverse is written over its block of the
-store, which covers the old block, and nothing is cleared first. Both
-solve all their GPs of one training-index count in one stack, whose
-kernels ``_inverse`` gathers by indexing, adds the noise to and inverts;
-the rows are grouped without sorting them, so a refresh of a single
-stale GP is one stack of one. A stack needs no bound: its (rows, n, G)
-working set holds one (n, G) cross covariance per GP, and a projection
-refresh's, with rows <= D and n <= G, never exceeds the (D, G, G) store of
-inverses that the optimizer keeps anyway.
+grid steps. ``stack_inverse`` gathers a stack of such GPs' training
+kernels by indexing, adds the noise to them and inverts them in one
+stacked call; ``stacked_posterior`` solves a stack of GPs with it, all of
+one training-index count at a time, and the engine's projection table
+keeps the inverses it returns. The rows of a count are grouped without
+sorting them, so one GP is a stack of one. A stack needs no bound: its
+(rows, n, G) working set holds one (n, G) cross covariance per GP, and
+with rows <= D and n <= G it never exceeds the (D, G, G) inverses that the
+projection table keeps anyway.
 The GPs are solved in unit scale: scaling a GP's kernel and noise by one
 factor keeps its posterior mean and scales its explained variance by it
 (Rasmussen & Williams 2006, eq. 2.25-2.26), so a caller applies an
@@ -276,62 +267,6 @@ def gp_fit(inputs, targets, kernel: KernelConfig = KernelConfig()) -> GpModel:
                    _jitter=jitter)
 
 
-class GridInverses:
-    """Inverse training kernels of 1D GPs on one grid, in grid coordinates.
-
-    GP r is trained at the grid indices marked in its row of an ``observed``
-    mask. ``inverse[r]`` holds its inverse training kernel on those rows and
-    columns, zeros elsewhere; ``explained[r]`` the prior variance its data
-    explain on every grid value; ``std[r]`` its posterior std there;
-    ``order[r, :count[r]]`` its training indices in increasing order (every
-    row starts as the grid's indices in order); ``count[r]`` its index
-    count when inverted. Only GPs whose count changed are inverted again, so
-    a GP's indices must change only by growing.
-    """
-
-    def __init__(self, gps: int, grid: int):
-        self.count = np.zeros(gps, dtype=int)
-        self.inverse = np.zeros((gps, grid, grid))
-        self.explained = np.zeros((gps, grid))
-        self.std = np.zeros((gps, grid))
-        self.order = np.tile(np.arange(grid), (gps, 1))
-
-    def refresh(self, kern: np.ndarray, observed: np.ndarray, noise: float,
-                counts: np.ndarray) -> None:
-        """Invert again those GPs whose count changed.
-
-        ``observed`` holds every GP's training mask, in order, and
-        ``counts`` its row sums, which the caller keeps (the optimizer's
-        projection pass, its one caller, once per step). The stale GPs
-        of each count are inverted in one stack: the batched
-        multi-right-hand-side solve of BBMM (Gardner et al., 2018), whose
-        (rows, n, G) working set is at most the store's (D, G, G). Each new
-        inverse is written over its block of the store, indexed by the GP's
-        row and its training indices, and nothing else is cleared: a mask
-        only grows, so the block of the GP's previous inverse lies inside
-        the new one. The std of a stale GP is written from its new inverse:
-        at its training indices 1 - explained has no digits left, so there
-        it is the cancellation-free ``noise * (1 - noise * (K^-1)_ii)``, as
-        ``GpModel`` computes it.
-        """
-        changed = self.count != counts
-        if not np.count_nonzero(changed):
-            return
-        stale = np.flatnonzero(changed)
-        widths = counts[stale]
-        for n in set(widths.tolist()):
-            rows = stale[widths == n]
-            idx = np.nonzero(observed[rows])[1].reshape(len(rows), n)
-            _, k_inv, self.explained[rows] = _inverse(kern, idx, noise)
-            self.inverse[rows[:, None, None], idx[:, :, None], idx[:, None, :]] = k_inv
-            self.order[rows, :n] = idx
-        self.count[stale] = counts[stale]
-        var = np.where(observed[stale],
-                       noise * (1.0 - noise * np.diagonal(self.inverse, 0, 1, 2)[stale]),
-                       1.0 - self.explained[stale])
-        self.std[stale] = np.sqrt(np.maximum(var, 0.0))
-
-
 def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
                       targets: np.ndarray, widths: np.ndarray):
     """Posterior of a stack of 1D GPs whose inputs are grid indices.
@@ -350,13 +285,13 @@ def stacked_posterior(kern: np.ndarray, idx: np.ndarray, noise: np.ndarray,
     mean, explained = np.empty((2, len(idx), grid))
     for n in set(widths.tolist()):
         rows = np.flatnonzero(widths == n)
-        k_so, k_inv, explained[rows] = _inverse(kern, idx[rows, :n], noise[rows, :n])
+        k_so, k_inv, explained[rows] = stack_inverse(kern, idx[rows, :n], noise[rows, :n])
         alpha = np.einsum("dnm,dm->dn", k_inv, targets[rows, :n])
         mean[rows] = np.einsum("dng,dn->dg", k_so, alpha)
     return mean, explained
 
 
-def _inverse(kern, idx, noise):
+def stack_inverse(kern, idx, noise):
     """Gather, add the noise to and invert the training kernels of a stack.
 
     Row r is a 1D GP trained at the grid indices ``idx[r]`` with kernel

@@ -35,7 +35,7 @@ class TraceRow:
 class ConvergenceTrace:
     method: str
     seed: int
-    rows: list[TraceRow] = field(default_factory=list)
+    rows: list[TraceRow] = field(init=False, default_factory=list)   # grown by append
 
     def append(self, row: TraceRow) -> None:
         if self.rows:

@@ -183,10 +183,11 @@ class History:
     space: SearchSpace
     objective: Callable[[np.ndarray], float] | None = None
     on_record: Callable[[list[EvaluationRecord], np.ndarray], None] | None = None
-    records: list[EvaluationRecord] = field(default_factory=list)
-    evaluated: set[tuple[int, ...]] = field(default_factory=set)
-    best_index: int | None = None
-    n_rejected: int = 0
+    # written by record_evaluation alone
+    records: list[EvaluationRecord] = field(init=False, default_factory=list)
+    evaluated: set[tuple[int, ...]] = field(init=False, default_factory=set)
+    best_index: int | None = field(init=False, default=None)
+    n_rejected: int = field(init=False, default=0)
 
     @property
     def best(self) -> EvaluationRecord:

@@ -6,7 +6,8 @@ and results. A renamed attribute or a changed result type does not break
 the run: the worker reports it under ``missing`` and gives ``null`` for
 every metric that reads it, and a benchmark result with a ``null`` metric
 is unusable. These tests run the worker as the benchmark does and fail on
-any such gap.
+any such gap. ``score-sdm-b1``, not one of the benchmark's workloads,
+covers ragged grids (41/61/41/41/31 values).
 """
 
 import json
@@ -25,7 +26,7 @@ BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 
 
 @pytest.mark.parametrize("workload", ["score-ackley10-b1", "score-ackley200-b10",
-                                      "bo-ackley10"])
+                                      "bo-ackley10", "score-sdm-b1"])
 def test_traced_run_reads_every_layer(workload):
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", "0",

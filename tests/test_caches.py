@@ -1,21 +1,20 @@
 """Every cache of the decomposed optimizer gives the run a cache-free one gives.
 
 The optimizer keeps these caches across steps: the projection table's
-observed mask and per-dimension counts, maintained by its updates;
-projection inverses reused while a dimension's count of observed values is
-unchanged, kept in grid coordinates (``GridInverses``) with each GP's
-posterior std and each dimension's observed cells in order (the fill's draw
-table); and the line tables kept while ``LineEvidence.version`` is
-unchanged. Each run here is made twice on the same drawn case: once as is,
-and once cache-free: before every step the mask and counts are derived
-again from the minima, the ``GridInverses`` is a fresh one and the kept line
-tables are marked stale, and every refresh of the store is followed by a
-derivation of the std and the fill's order from scratch (from the store's
-inverses and the mask, as a step derived them before they were kept), so
-that all of them are computed again. Both runs
-must score the grids to the same bits, evaluate the same batches and record
-the same values; when the objective raises on a drawn call, both must stop
-on that call.
+observed mask and per-dimension counts, maintained by its updates, and the
+projection inverses it reuses while a dimension's count of observed values
+is unchanged, kept in grid coordinates with each GP's posterior std and
+each dimension's observed cells in order (the fill's draw table); and the
+line tables kept while ``LineEvidence.version`` is unchanged. Each run here
+is made twice on the same drawn case: once as is, and once cache-free:
+before every step the projection table is a fresh one on the same minima,
+its mask and counts derived again from them, and the kept line tables are
+marked stale; every refresh of the table is followed by a derivation of the
+std and the fill's order from scratch (each GP's explained variance from a
+stack of its own, the order from the mask), so that all of them are
+computed again. Both runs must score the grids to the same bits, evaluate the same
+batches and record the same values; when the objective raises on a drawn
+call, both must stop on that call.
 
 The kept tables are marked stale rather than dropped: their line posterior
 is also what re-anchoring reads when the incumbent moves (a level the new
@@ -30,9 +29,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorebo.engine import ScoreOptimizer
+from scorebo.engine import ProjectionTable, ScoreOptimizer
 from scorebo.errors import SpaceExhausted, SurrogateError
-from scorebo.gp import GridInverses
+from scorebo.gp import stack_inverse
 from scorebo.space import SearchSpace, make_grid
 
 from oracles import set_minima
@@ -86,21 +85,25 @@ def make_objective(space, seed, bad, raise_at, calls):
     return objective
 
 
-def rederiving_store(shape):
-    """A fresh ``GridInverses`` whose every refresh is followed by a
-    derivation of the std and the fill's order from scratch."""
-    store = GridInverses(*shape)
-    refresh = store.refresh
+def rederiving_table(minima):
+    """A fresh ``ProjectionTable`` on ``minima`` whose every refresh is
+    followed by a derivation of the std and the fill's order from scratch."""
+    table = ProjectionTable(*minima.shape)
+    set_minima(table, minima)
+    refresh = table.refresh
 
-    def rederived(kern, mask, noise, counts):
-        refresh(kern, mask, noise, counts)
-        var = np.where(mask, noise * (1.0 - noise * np.diagonal(store.inverse, 0, 1, 2)),
-                       1.0 - store.explained)
-        store.std = np.sqrt(np.maximum(var, 0.0))
-        store.order = np.argsort(~mask, axis=1, kind="stable")   # observed first
+    def rederived(kern, noise):
+        refresh(kern, noise)
+        mask = table.mask
+        explained = np.concatenate([stack_inverse(kern, np.flatnonzero(row)[None], noise)[2]
+                                    for row in mask])
+        var = np.where(mask, noise * (1.0 - noise * np.diagonal(table.inverse, 0, 1, 2)),
+                       1.0 - explained)
+        table.std = np.sqrt(np.maximum(var, 0.0))
+        table.order = np.argsort(~mask, axis=1, kind="stable")   # observed first
 
-    store.refresh = rederived
-    return store
+    table.refresh = rederived
+    return table
 
 
 def run(case, cache_free):
@@ -123,9 +126,7 @@ def run(case, cache_free):
         opt.initialize(case["n_init"])
         for _ in range(case["steps"]):
             if cache_free:
-                set_minima(opt.projections, opt.projections.minima)
-                opt._projection_inverses = rederiving_store(
-                    opt._projection_inverses.explained.shape)
+                opt.projections = rederiving_table(opt.projections.minima)
                 kept = opt._line_tables_kept
                 if kept is not None:
                     opt._line_tables_kept = dataclasses.replace(kept, version=-1)

@@ -97,6 +97,7 @@ class TestConfig:
         {"n_init": 0},
         {"problem": "sdm", "n_init": 0},
         {"seed": -1},
+        {"method": "bo", "batch_size": 2},
     ])
     def test_validation(self, kwargs):
         config = RunConfig(**kwargs)
@@ -433,7 +434,8 @@ class TestCommands:
 
     def test_interrupted_sweep_keeps_completed_seeds(self, monkeypatch, tmp_path, capsys):
         # Ctrl-C during seed 1 (the 10th of its calls): seed 0 ran to its
-        # budget, so its trace is on disk as a whole run wrote it
+        # budget, so its trace is on disk as a whole run wrote it; seed 1's
+        # trace holds the design's row and the 5 steps completed before it
         args = ["sweep", "--dims", "2", "--n-init", "4", "--max-evals", "20"]
         calls = []
 
@@ -448,10 +450,15 @@ class TestCommands:
         assert code == 130 and len(calls) == 30
         assert capsys.readouterr().err.splitlines() == ["interrupted"]
         monkeypatch.setattr(cli, "ackley", ackley)
-        main(args + ["--seeds", "0", "--out", str(tmp_path / "whole")])
+        main(args + ["--seeds", "0,1", "--out", str(tmp_path / "whole")])
         stem = "score_ackley_seed0.csv"
         assert _strip_timing(tmp_path / stem) == _strip_timing(tmp_path / "whole" / stem)
         assert len(read_trace_csv(tmp_path / stem).rows) == 17
+        stem = "score_ackley_seed1.csv"
+        assert len(read_trace_csv(tmp_path / stem).rows) == 1 + 5
+        whole = _strip_timing(tmp_path / "whole" / stem)
+        assert _strip_timing(tmp_path / stem) == whole[:1 + 6]   # the header, six rows
+        assert not (tmp_path / "score_ackley_seed2.csv").exists()
         assert not (tmp_path / "score_ackley_median.csv").exists()
 
     def test_objective_error_is_exported(self):

@@ -12,7 +12,7 @@ from scorebo.engine import (CLIP_FACTOR, LENGTHSCALE_STEPS, LINE_LENGTHSCALE,
                             LINE_NOISE, STALENESS_RATE, TRUST_WINDOW,
                             ProjectionTable, ScoreOptimizer, clip_targets)
 from scorebo.errors import SpaceExhausted
-from scorebo.gp import NOISE_VARIANCE, GridInverses
+from scorebo.gp import NOISE_VARIANCE
 from scorebo.problems import ackley, ackley_space, sdm_objective, sdm_space
 from scorebo.space import SearchSpace, make_grid
 
@@ -307,14 +307,14 @@ class TestScoreDimension:
         assert clip_targets(minima[outlier, cells]).max() < 1e300
         set_minima(opt.projections, minima)
 
-        inverted, inverse = [], gp._inverse
+        inverted, inverse = [], gp.stack_inverse
 
         def spy(kern, idx, *args):
             inverted.append(idx.shape)
             return inverse(kern, idx, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(gp, "_inverse", spy)
+            m.setattr(engine, "stack_inverse", spy)
             stacked = opt._projection_scores()
         counts = np.isfinite(minima).sum(axis=1)
         assert sorted(n for _, n in inverted) == sorted(set(counts.tolist()))
@@ -399,21 +399,22 @@ class TestScoreDimension:
 class TestInverseReuse:
     @staticmethod
     def _check_every_step(opt, steps):
-        """Scores with the kept inverses equal scores with a fresh store, each step.
+        """Scores with the kept inverses equal scores with a fresh table, each step.
 
         Returns how many rows were reused and how many inverted in all.
         """
         reused = inverted = 0
         for _ in range(steps):
-            kept = opt._projection_inverses
-            counts = np.isfinite(opt.projections.minima).sum(axis=1)
-            hit = kept.count == counts
+            kept = opt.projections
+            counts = np.isfinite(kept.minima).sum(axis=1)
+            hit = kept.inverted == counts
             reused, inverted = reused + hit.sum(), inverted + (~hit).sum()
             scores = opt._projection_scores()
-            fresh = opt._projection_inverses = GridInverses(*kept.explained.shape)
+            fresh = opt.projections = ProjectionTable(*kept.minima.shape)
+            set_minima(fresh, kept.minima.copy())
             assert np.array_equal(scores, opt._projection_scores())
             assert np.array_equal(kept.inverse, fresh.inverse)
-            opt._projection_inverses = kept
+            opt.projections = kept
             opt.step()
         return reused, inverted
 
@@ -440,14 +441,13 @@ class TestInverseReuse:
         opt.initialize(12)
         opt._projection_scores()
         inverted = []
-        original = gp._inverse
+        original = gp.stack_inverse
 
         def spy(kern, i, *args, **kwargs):
-            if kern is opt._projection_kernel:
-                inverted.append(len(i))
+            inverted.append(len(i))
             return original(kern, i, *args, **kwargs)
 
-        monkeypatch.setattr(gp, "_inverse", spy)
+        monkeypatch.setattr(engine, "stack_inverse", spy)
         # a tuple made only of grid values already observed in each dimension
         first, second = opt.history.records[:2]
         mixed = first.indices[:3] + second.indices[3:]
@@ -478,35 +478,34 @@ class TestInverseReuse:
         else:
             pytest.fail("no step's batch came wholly from the fill tier")
         inverted = []
-        original = gp._inverse
+        original = gp.stack_inverse
 
         def spy(kern, i, *args, **kwargs):
-            if kern is opt._projection_kernel:
-                inverted.append(len(i))
+            inverted.append(len(i))
             return original(kern, i, *args, **kwargs)
 
-        monkeypatch.setattr(gp, "_inverse", spy)
+        monkeypatch.setattr(engine, "stack_inverse", spy)
         opt._projection_scores()
         assert inverted == []
 
     @pytest.mark.parametrize("dims,batch,n_init,warm", [(10, 1, 20, 65), (200, 10, 50, 2)])
     def test_each_step_refreshes_the_store_once(self, dims, batch, n_init, warm,
                                                 monkeypatch):
-        # The projection pass is the store's only refresh. After ``warm``
+        # The projection pass is the table's only refresh. After ``warm``
         # steps, the next 20 hold both line steps and steps whose batch came
-        # from the fill, which reads the store that pass left.
+        # from the fill, which reads the kept order that pass left.
         opt = ScoreOptimizer(space=ackley_space(dims), objective=ackley,
                              batch_size=batch, seed=0)
         opt.initialize(n_init)
         for _ in range(warm):
             opt.step()
-        refreshed, refresh = [], GridInverses.refresh
+        refreshed, refresh = [], ProjectionTable.refresh
 
-        def spy(store, *args, **kwargs):
-            refreshed.append(store)
-            refresh(store, *args, **kwargs)
+        def spy(table, *args, **kwargs):
+            refreshed.append(table)
+            refresh(table, *args, **kwargs)
 
-        monkeypatch.setattr(GridInverses, "refresh", spy)
+        monkeypatch.setattr(ProjectionTable, "refresh", spy)
         draws = record_fill_draws(opt)
         filled = 0
         for step in range(20):
@@ -515,7 +514,7 @@ class TestInverseReuse:
             assert len(refreshed) == step + 1
             filled += any(taken for _, taken, _ in draws[before:])
         assert 0 < filled < 20
-        assert all(store is opt._projection_inverses for store in refreshed)
+        assert all(table is opt.projections for table in refreshed)
 
 
 class TestSelectBatch:
@@ -572,7 +571,7 @@ class TestSelectBatch:
         returns is -inf on every cell, so the projection-score move finds no
         value. They observe cells 1 and 3 of the 4-value grid, 0, 2 and 4 of
         the 5-value grid and 0, 2 and 5 of the 6-value grid, and a
-        projection pass has refreshed the store for them. Returns it, the
+        projection pass has refreshed the table for them. Returns it, the
         table for ``select_batch`` and each dimension's observed cells.
         """
         opt = ScoreOptimizer(space=grid_space(4, 5, 6), objective=lambda p: 0.0,
@@ -880,11 +879,11 @@ class TestLineEvidence:
             scores = np.where(at_anchor, 0.0, -50.0)
             minima = opt.projections.minima.copy()
             minima[1:] = np.where(at_anchor[1:], 0.0, np.inf)
-            set_minima(opt.projections, minima)
             # the table's cells shrank, which no update does: start the
-            # store, which keeps the fill's cells, afresh, and refresh it
+            # table, which keeps the fill's cells, afresh, and refresh it
             # as a step's projection pass does
-            opt._projection_inverses = GridInverses(*opt._projection_inverses.std.shape)
+            opt.projections = ProjectionTable(*minima.shape)
+            set_minima(opt.projections, minima)
             opt._projection_scores()
             asked.clear()
             random_fill = set()

@@ -16,7 +16,7 @@ from scorebo.gp import KernelConfig, gp_fit, kernel_matrix
 from scorebo.problems import ackley, ackley_space
 
 from oracles import (dense_gp_predict, dense_noisy_posterior, full_solve_predict,
-                     se_kernel_expression)
+                     se_kernel_expression, set_minima)
 
 
 def random_dataset(rng, max_points=20, noise_lo=1e-4, noise_hi=1e-1):
@@ -459,16 +459,24 @@ class TestCholeskyFit:
         assert opt.gp_fit_count == 10 and len(opt.history) == 30
 
 
-def spy_inversions(monkeypatch):
-    """The training-index count of each stack ``gp._inverse`` inverts, in call order."""
-    inverted, inverse = [], gp_mod._inverse
+def spy_inversions(monkeypatch, caller=gp_mod):
+    """The training-index count of each stack ``gp.stack_inverse`` inverts for
+    the module ``caller``, in call order."""
+    inverted, inverse = [], gp_mod.stack_inverse
 
     def spy(kern, idx, noise):
         inverted.append(idx.shape[1])
         return inverse(kern, idx, noise)
 
-    monkeypatch.setattr(gp_mod, "_inverse", spy)
+    monkeypatch.setattr(caller, "stack_inverse", spy)
     return inverted
+
+
+def observed_table(observed):
+    """A ``ProjectionTable`` whose observed cells are those of ``observed``."""
+    table = engine.ProjectionTable(*observed.shape)
+    set_minima(table, np.where(observed, 0.0, np.inf))
+    return table
 
 
 def line_stack(seed, ragged, full, grid=61, window=16):
@@ -519,12 +527,13 @@ def parts_of(how, widths, grid):
 
 
 class TestGridInverses:
-    """The projection store keeps, by growth alone, what a fresh one computes."""
+    """The grid inverses a ``ProjectionTable`` keeps, by growth alone, are
+    what a fresh table's refresh computes."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_growth_one_cell_at_a_time_keeps_fresh_bits(self, seed):
         # Ragged masks on a 20-value grid grow one cell at a time until full,
-        # each growth refreshed through the whole store.
+        # each growth refreshed through the whole table.
         rng = np.random.default_rng(seed)
         gps, grid = 10, 20
         steps = np.arange(grid, dtype=float)[:, None]
@@ -533,20 +542,20 @@ class TestGridInverses:
         lengths = rng.integers(2, grid + 1, gps)
         observed = np.zeros((gps, grid), dtype=bool)
         observed[np.arange(gps), rng.integers(0, lengths)] = True
-        kept = gp_mod.GridInverses(gps, grid)
-        kept.refresh(kern, observed, noise, observed.sum(axis=1))
+        kept = observed_table(observed)
+        kept.refresh(kern, noise)
         while (free := np.argwhere(~observed & (np.arange(grid) < lengths[:, None]))).size:
             r, v = free[rng.integers(len(free))]
             observed[r, v] = True
-            kept.refresh(kern, observed, noise, observed.sum(axis=1))
-            fresh = gp_mod.GridInverses(gps, grid)
-            fresh.refresh(kern, observed, noise, observed.sum(axis=1))
+            set_minima(kept, np.where(observed, 0.0, np.inf))
+            kept.refresh(kern, noise)
+            fresh = observed_table(observed)
+            fresh.refresh(kern, noise)
             assert kept.inverse.tobytes() == fresh.inverse.tobytes()
-            assert kept.explained.tobytes() == fresh.explained.tobytes()
             assert kept.std.tobytes() == fresh.std.tobytes()
-            assert np.array_equal(kept.count, observed.sum(axis=1))
-            assert all(np.array_equal(kept.order[q, :kept.count[q]], np.flatnonzero(observed[q]))
-                       for q in range(gps))
+            assert np.array_equal(kept.inverted, observed.sum(axis=1))
+            assert all(np.array_equal(kept.order[q, :kept.inverted[q]],
+                                      np.flatnonzero(observed[q])) for q in range(gps))
             never = ~(observed[:, :, None] & observed[:, None, :])
             assert np.all(kept.inverse[never] == 0.0)
             assert not np.signbit(kept.inverse[never]).any()
@@ -565,7 +574,7 @@ class TestGridInverses:
         # cells; 200 GPs with 30-45 of 61 values observed take one stack
         # per count. Every inverse is bitwise asymmetric, so a transposed
         # scatter fails too.
-        inverted = spy_inversions(monkeypatch)
+        inverted = spy_inversions(monkeypatch, engine)
         rng = np.random.default_rng(0)
         steps = np.arange(grid, dtype=float)[:, None]
         kern = kernel_matrix(steps, steps, KernelConfig(lengthscale=3.0))
@@ -574,24 +583,24 @@ class TestGridInverses:
         for r, n in enumerate(rng.integers(lo, hi + 1, gps)):
             observed[r, rng.permutation(grid)[:n]] = True
         counts = observed.sum(axis=1)
-        store = gp_mod.GridInverses(gps, grid)
-        store.refresh(kern, observed, noise, counts)
+        table = observed_table(observed)
+        table.refresh(kern, noise)
         assert sorted(inverted) == sorted(set(counts.tolist()))
         assert len(inverted) == stacks
-        expected = np.zeros_like(store.inverse)      # +0.0 off every block
+        expected = np.zeros_like(table.inverse)      # +0.0 off every block
         for r in range(gps):
             block = np.ix_(observed[r], observed[r])
             k_inv = np.linalg.inv(kern[block] + noise * np.eye(counts[r]))
             assert not np.array_equal(k_inv, k_inv.T)
             expected[r][block] = k_inv
-        assert store.inverse.tobytes() == expected.tobytes()
+        assert table.inverse.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("how", PARTS)
     def test_one_refresh_equals_refreshes_in_parts(self, how):
         # 200 GPs on a 61-value grid, 100 of them on 40 values each, each
         # GP on values of its own: refreshed at once, each count is one
         # stack; in parts, each refresh inverts only the GPs its mask adds.
-        # Both stores hold the same bytes.
+        # Both tables hold the same bytes.
         rng = np.random.default_rng(1)
         gps, grid, noise = 200, 61, 1e-6 + 1e-12
         steps = np.arange(grid, dtype=float)[:, None]
@@ -601,22 +610,25 @@ class TestGridInverses:
         observed = np.zeros((gps, grid), dtype=bool)
         for r, n in enumerate(counts):
             observed[r, rng.permutation(grid)[:n]] = True
-        whole = gp_mod.GridInverses(gps, grid)
-        whole.refresh(kern, observed, noise, counts)
-        store, mask = gp_mod.GridInverses(gps, grid), np.zeros_like(observed)
+        whole = observed_table(observed)
+        whole.refresh(kern, noise)
+        mask = np.zeros_like(observed)
+        table = observed_table(mask)
         for part in parts_of(how, counts, grid):
             mask[part] = observed[part]
-            store.refresh(kern, mask, noise, mask.sum(axis=1))
-        assert store.inverse.tobytes() == whole.inverse.tobytes()
-        assert store.explained.tobytes() == whole.explained.tobytes()
-        assert store.std.tobytes() == whole.std.tobytes()
-        assert np.array_equal(store.count, whole.count)
+            set_minima(table, np.where(mask, 0.0, np.inf))
+            table.refresh(kern, noise)
+        assert table.inverse.tobytes() == whole.inverse.tobytes()
+        assert table.std.tobytes() == whole.std.tobytes()
+        assert np.array_equal(table.inverted, whole.inverted)
         # the std is the posterior's, cancellation-free at training indices
+        explained = np.concatenate([gp_mod.stack_inverse(kern, np.flatnonzero(row)[None],
+                                                         noise)[2] for row in observed])
         var = np.where(observed, noise * (1.0 - noise * np.diagonal(whole.inverse, 0, 1, 2)),
-                       1.0 - whole.explained)
+                       1.0 - explained)
         assert whole.std.tobytes() == np.sqrt(np.maximum(var, 0.0)).tobytes()
         for r, n in enumerate(counts):
-            assert np.array_equal(store.order[r, :n], np.flatnonzero(observed[r]))
+            assert np.array_equal(table.order[r, :n], np.flatnonzero(observed[r]))
 
 
 class TestStackedPosterior:

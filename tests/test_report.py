@@ -21,6 +21,13 @@ def sample_trace(method="score", seed=0, rows=5):
 
 
 class TestTrace:
+    def test_rows_are_not_a_constructor_argument(self):
+        # only append adds rows, so every trace has passed its order checks
+        row = TraceRow(iteration=0, evals=4, best_value=1.0, iter_time_ms=1.0,
+                       cum_time_ms=1.0)
+        with pytest.raises(TypeError):
+            ConvergenceTrace(method="score", seed=0, rows=[row])
+
     def test_append_rejects_nonincreasing_evals(self):
         trace = sample_trace()
         with pytest.raises(ValueError):

@@ -101,6 +101,15 @@ class TestSearchSpace:
 
 
 class TestHistory:
+    @pytest.mark.parametrize("name, value", [
+        ("records", []), ("evaluated", set()), ("best_index", 0), ("n_rejected", 0)],
+        ids=["records", "evaluated", "best_index", "n_rejected"])
+    def test_kept_state_is_not_a_constructor_argument(self, name, value):
+        # only record_evaluation writes them, so a history never starts
+        # from records it did not check
+        with pytest.raises(TypeError):
+            History(small_space(4, 4), **{name: value})
+
     def test_first_record_is_best(self):
         h = History(small_space(4, 4))
         h.record_evaluation((0, 0), 5.0)

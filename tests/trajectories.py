@@ -22,8 +22,8 @@ line posterior (``ScoreOptimizer._line_posterior``; its sixth array,
 ``predicted``, holds the shared profile's differences and is left out so
 that digests stay comparable with trees that did not return it), of
 every shared profile (``ScoreOptimizer._shared_profile``) and of the
-projection store's ``inverse`` and ``explained`` after every
-``GridInverses.refresh``, the zero cells off each GP's block included.
+projection table's kept ``inverse`` and ``std`` after every
+``ProjectionTable.refresh``, the zero cells off each GP's block included.
 Two trees that print the same ``decisions`` made the same objective calls
 and traces; the same ``surrogates`` means the same models to the bit as
 well, so a change that moves only last bits of a surrogate shows there and
@@ -103,20 +103,21 @@ def digest_run(config: dict, target: float, seed: int) -> dict:
             return result
         return wrapper
 
-    def hashed_store(refresh):
-        def wrapper(store, *args, **kwargs):
-            refresh(store, *args, **kwargs)
-            surrogates.update(store.inverse.tobytes())
-            surrogates.update(store.explained.tobytes())
+    def hashed_table(refresh):
+        def wrapper(table, *args, **kwargs):
+            refresh(table, *args, **kwargs)
+            surrogates.update(table.inverse.tobytes())
+            surrogates.update(table.std.tobytes())
         return wrapper
 
     wrapped = ((gp.GpModel, "predict"), (engine.ScoreOptimizer, "_projection_scores"),
                (engine.ScoreOptimizer, "_line_posterior"),
-               (engine.ScoreOptimizer, "_shared_profile"), (gp.GridInverses, "refresh"))
+               (engine.ScoreOptimizer, "_shared_profile"),
+               (engine.ProjectionTable, "refresh"))
     originals = [getattr(owner, name) for owner, name in wrapped]
     cli._build_problem = recording_build
     for (owner, name), method in zip(wrapped, originals):
-        setattr(owner, name, hashed_store(method) if name == "refresh"
+        setattr(owner, name, hashed_table(method) if name == "refresh"
                 else hashed(method, 5 if name == "_line_posterior" else None))
     try:
         trace = cli.run_experiment(cli.RunConfig(**config, seed=seed))
