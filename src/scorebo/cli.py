@@ -32,6 +32,10 @@ from .report import (ConvergenceTrace, TraceRow, read_trace_csv, render_svg,
 
 log = logging.getLogger(__name__)
 
+# Most memory a SCORE run's kept state may take; a run that needs more
+# exits 2 before the optimizer is built
+MAX_SCORE_STATE_BYTES = 2**30
+
 
 @dataclass
 class RunConfig:
@@ -105,6 +109,11 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
     whose ``trace`` holds the rows of the steps completed before it; a
     ``KeyboardInterrupt`` during the design or a step gets the same
     ``trace``.
+
+    A SCORE run whose kept state exceeds ``MAX_SCORE_STATE_BYTES``, or
+    cannot be allocated, raises ``ConfigurationError`` naming its size
+    before any objective call. That state is a (G, G) inverse per
+    dimension and two (G, G) kernels over grid steps, G the longest grid.
     """
     config.validate()
     space, objective = _build_problem(config)
@@ -120,8 +129,18 @@ def run_experiment(config: RunConfig) -> ConvergenceTrace:
             raise ObjectiveError(f"the objective raised {type(exc).__name__}: {exc}") from exc
 
     if config.method == "score":
-        opt = ScoreOptimizer(space=space, objective=guarded,
-                             batch_size=config.batch_size, seed=config.seed)
+        max_grid = space.values.shape[1]
+        need = (space.dims + 2) * max_grid * max_grid * 8
+        state = (f"the SCORE state of {space.dims} dimensions at "
+                 f"{max_grid} grid points needs {need:,} bytes")
+        if need > MAX_SCORE_STATE_BYTES:
+            raise ConfigurationError(f"{state}, over the limit of "
+                                     f"{MAX_SCORE_STATE_BYTES:,} bytes")
+        try:
+            opt = ScoreOptimizer(space=space, objective=guarded,
+                                 batch_size=config.batch_size, seed=config.seed)
+        except MemoryError:
+            raise ConfigurationError(f"{state}, which could not be allocated") from None
     else:
         opt = BoOptimizer(space=space, objective=guarded, seed=config.seed)
     history = opt.history

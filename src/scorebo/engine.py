@@ -3,11 +3,16 @@
 Instead of one joint surrogate over the full D-dimensional space, each
 dimension gets its own 1D GP fitted to that parameter's min-projection of
 the history (for each grid value, the best objective ever observed with
-that value, the other parameters marginalized out by minimum). Every grid
-value is then scored with expected improvement. Each projection GP keeps
-its inverse training kernel in grid coordinates, inverted again only when
-the dimension gains a grid value, so all D GPs are scored in one batched
-pass over the (D, G) table, not one fit each.
+that value, the other parameters marginalized out by minimum). Each
+projection GP keeps its inverse training kernel in grid coordinates,
+inverted again only when the dimension gains a grid value, so every step
+fits all D GPs to their new targets in one batched pass over the (D, G)
+table, not one fit each. The fit is the factor and the weights; the
+posterior mean on the grid and the expected improvement built on it are
+prediction (Rasmussen & Williams, 2006, Alg. 2.1), and only the
+projection-score move reads them. So a step scores that (D, G) EI table
+from its own fit only when its selection first reads a row of it, and
+keeps no table across steps.
 
 What depends only on which cells are observed is kept, not derived each
 step, in one place: ``ProjectionTable`` keeps the observed mask and the
@@ -16,8 +21,8 @@ per-dimension counts next to the minima, and ``update`` maintains them; its
 observed cells in increasing order (the fill's draw table), and rewrites
 them only for the dimensions whose count changed. So a step whose batch
 gave no dimension a new grid value re-derives none of them. The projection
-pass is the only refresh: every step runs it right before its selection,
-so the fill reads the table as that pass left it.
+fit is the only refresh: every step runs it right before its selection,
+so the fill reads the table as that fit left it.
 
 Candidate assembly is led by incumbent-line refinement. Every evaluated
 tuple that differs from the incumbent in one coordinate is kept as line
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,17 +374,23 @@ class ScoreOptimizer:
         return self._projection_scores()[d, :self.space.lengths[d]]
 
     def _projection_scores(self) -> np.ndarray:
-        """EI scores of every dimension, (D, G), -inf past each grid's end.
+        """EI scores of every dimension, (D, G), -inf past each grid's end:
+        a fit of every projection GP, then the scores from that fit. Each
+        call counts one fit per dimension."""
+        return self._score_projections(*self._fit_projections())
 
-        One GP per dimension on its min-projection, all scored in one pass
-        over the inf-padded minima: clip, standardize the observed cells,
-        ``alpha = K^-1 z`` as one batched mat-vec with the inverses kept in
-        grid coordinates, and the mean ``alpha @ kern`` as one product.
+    def _fit_projections(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fit one GP per dimension on its min-projection: ``(alpha, best)``.
+
+        All D in one pass over the inf-padded minima: refresh the table,
+        clip, standardize the observed cells, and ``alpha = K^-1 z`` as one
+        batched mat-vec with the inverses kept in grid coordinates.
         Projection cells never become unobserved, so a dimension whose count
         is unchanged keeps its inverse and its posterior std; only the
         others are inverted again (distinct indices and the 1e-6 noise keep
         each training kernel well conditioned). Every dimension is solved
         for its new targets, so each call counts one fit per dimension.
+        ``best`` is the incumbent's value in each row's standardized units.
         """
         table = self.projections
         finite, counts = table.mask, table.counts[:, None]
@@ -391,10 +403,14 @@ class ScoreOptimizer:
         y_std = np.sqrt(np.sum(dev * dev, axis=1, keepdims=True) / counts)
         y_std[y_std == 0.0] = 1.0
         alpha = np.matmul(table.inverse, (dev / y_std)[:, :, None])[:, :, 0]
-        mean = alpha @ self._projection_kernel
         self.gp_fit_count += len(finite)
-        scores = score_grid(mean, table.std,
-                            (self.history.best.value - y_mean) / y_std, ZETA)
+        return alpha, (self.history.best.value - y_mean) / y_std
+
+    def _score_projections(self, alpha: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """EI scores, (D, G), -inf past each grid's end, from a fit of
+        ``_fit_projections``: the mean ``alpha @ kern`` as one product and
+        the posterior std the table kept at that fit's refresh."""
+        scores = score_grid(alpha @ self._projection_kernel, self.projections.std, best, ZETA)
         return np.where(self._grid_cells, scores, -np.inf)
 
     def _shared_profile(self, group: _GridGroup, a: np.ndarray, b: np.ndarray,
@@ -558,15 +574,17 @@ class ScoreOptimizer:
     def _fresh(self, t: tuple[int, ...], taken: set) -> bool:
         return t not in taken and t not in self.history.evaluated
 
-    def select_batch(self, scores: np.ndarray,
+    def select_batch(self, scores: Callable[[], np.ndarray],
                      max_batch: int | None = None) -> list[tuple[int, ...]]:
         """Assemble distinct, never-evaluated index-tuples, tier by tier.
 
-        ``scores`` is the (D, G) projection-score table, -inf past each
-        grid's end. It reads the state ``step()`` leaves: the history holds
-        a record, so every dimension has an observed cell, and the
-        projection pass that gave ``scores`` has just refreshed the
-        projection table. The line tiers come
+        ``scores`` takes no argument and returns the (D, G) projection-score
+        table, -inf past each grid's end; it is called once, when the
+        projection-score move first reads a row, and not at all when the
+        selection does not reach that move. It reads the state ``step()`` leaves:
+        the history holds a record, so every dimension has an observed
+        cell, and the projection fit that ``scores`` scores from has just
+        refreshed the projection table. The line tiers come
         first, from the line tables of ``_line_tables``: the merged moves;
         single-coordinate moves by line EI (standardized by each line's
         scale; a move must clear ``LINE_EI_MIN``); for dimensions with no
@@ -626,14 +644,18 @@ class ScoreOptimizer:
                 g = self._groups[self._group_of[d]]
                 ei[g.dims] *= 1.0 - share[d] * self._line_kernel[v]
 
-        # dimensions without line evidence: follow the projection score
+        # dimensions without line evidence: follow the projection score,
+        # scored when the first such row is read
+        score_table = None
         for k in range(dims):
             if len(chosen) >= b:
                 break
             d = (self._refine_dim + k) % dims
             if supported[d]:
                 continue
-            row = scores[d].copy()           # -inf past the grid's end
+            if score_table is None:
+                score_table = scores()
+            row = score_table[d].copy()      # -inf past the grid's end
             row[inc[d]] = -np.inf
             v = int(np.argmax(row))
             t = inc[:d] + (v,) + inc[d + 1:]
@@ -664,18 +686,21 @@ class ScoreOptimizer:
         return chosen
 
     def step(self, max_batch: int | None = None) -> StepResult:
-        """One iteration: D 1D GP posteriors, one batch selection, B evaluations.
+        """One iteration: D 1D GP fits, one batch selection, B evaluations.
 
-        The batch holds at most ``max_batch`` tuples, which must be at least 1.
+        The selection scores the projection EI table from this step's fit
+        if it reads the table. The batch holds at most ``max_batch`` tuples,
+        which must be at least 1.
         """
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if not self.history.records:
             raise ValueError("initialize() must run before step()")
         t0 = time.perf_counter()
-        scores = self._projection_scores()
+        fit = self._fit_projections()
         gp_seconds = time.perf_counter() - t0
 
-        batch = self.select_batch(scores, max_batch=max_batch)
+        batch = self.select_batch(lambda: self._score_projections(*fit),
+                                  max_batch=max_batch)
         self.history.evaluate_batch(batch)
         return StepResult(batch=batch, gp_fit_seconds=gp_seconds)

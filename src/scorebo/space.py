@@ -274,7 +274,9 @@ class History:
 
 @dataclass
 class StepResult:
-    """What one optimizer step evaluated, and its surrogate-fit wall time."""
+    """What one optimizer step evaluated, and its surrogate-fit wall time:
+    for SCORE the D projection fits alone, not the EI table its selection
+    may score from them; for BO the joint fit."""
 
     batch: list[tuple[int, ...]]
     gp_fit_seconds: float

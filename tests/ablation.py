@@ -4,12 +4,13 @@ A report, not a test: pytest does not collect it, and it asserts nothing.
 It runs each criterion's configuration on a range of seeds in two arms:
 
 - ``as-is``: the optimizer unchanged;
-- ``flat``: ``ScoreOptimizer._projection_scores`` still runs in full, but
-  the table it returns is replaced by zeros on every grid cell (-inf past
-  each grid's end stays), patched from outside. So the projection-score
-  move no longer sees the projection GPs. It is the table's only reader
-  (the fill draws uniformly from observed cells), so the two arms differ
-  only at that move.
+- ``flat``: ``ScoreOptimizer._score_projections`` still runs in full
+  whenever a selection reads the projection-score table, but the table
+  it returns is replaced by zeros on every grid cell (-inf past each
+  grid's end stays), patched from outside. So the projection-score move
+  no longer sees the projection GPs. It is the table's only reader (the
+  fill draws uniformly from observed cells), so the two arms differ only
+  at that move.
 
 For each criterion and arm it prints the hits (the criterion's own gate on
 the final best value), the median evals-to-target over the seeds that
@@ -71,9 +72,9 @@ def run(space, objective, n_init, batch, max_evals, target, seed):
 
 
 def flat_scores(original):
-    """``_projection_scores`` run in full, returning zeros on the grid cells."""
-    def flat(self):
-        original(self)
+    """``_score_projections`` run in full, returning zeros on the grid cells."""
+    def flat(self, *fit):
+        original(self, *fit)
         return np.where(self._grid_cells, 0.0, -np.inf)
     return flat
 
@@ -81,9 +82,9 @@ def flat_scores(original):
 def main() -> None:
     first, last = (int(a) for a in sys.argv[1:3]) if len(sys.argv) > 2 else (0, 29)
     seeds = range(first, last + 1)
-    original = ScoreOptimizer._projection_scores
+    original = ScoreOptimizer._score_projections
     for arm in ("as-is", "flat"):
-        ScoreOptimizer._projection_scores = original if arm == "as-is" else flat_scores(original)
+        ScoreOptimizer._score_projections = original if arm == "as-is" else flat_scores(original)
         try:
             for criterion, (problem, n_init, batch, max_evals, gate, target) in CRITERIA.items():
                 space, objective = problem()
@@ -97,7 +98,7 @@ def main() -> None:
                       f"hits {hits}/{len(runs)}, median evals-to-target {median}, "
                       f"per-seed {evals}", flush=True)
         finally:
-            ScoreOptimizer._projection_scores = original
+            ScoreOptimizer._score_projections = original
 
 
 if __name__ == "__main__":

@@ -108,20 +108,21 @@ def rederiving_table(minima):
 
 def run(case, cache_free):
     """Batches, projection score tables, records, rejections and objective
-    calls of one run."""
+    calls of one run. A table is scored from every step's projection fit,
+    read by the selection or not."""
     space, calls = case["space"], []
     objective = make_objective(space, case["seed"], case["bad"], case["raise_at"], calls)
     opt = ScoreOptimizer(space=space, objective=objective,
                          batch_size=case["batch"], seed=case["seed"])
     batches, scores = [], []
-    projection_scores = opt._projection_scores
+    fit_projections = opt._fit_projections
 
-    def kept_scores(*args):
-        table = projection_scores(*args)
-        scores.append(table.tobytes())
-        return table
+    def scored_fit():
+        fit = fit_projections()
+        scores.append(opt._score_projections(*fit).tobytes())
+        return fit
 
-    opt._projection_scores = kept_scores
+    opt._fit_projections = scored_fit
     try:
         opt.initialize(case["n_init"])
         for _ in range(case["steps"]):

@@ -461,6 +461,28 @@ class TestCommands:
         assert not (tmp_path / "score_ackley_seed2.csv").exists()
         assert not (tmp_path / "score_ackley_median.csv").exists()
 
+    @pytest.mark.parametrize("limit, built", [(4_839, None), (4_840, MemoryError)],
+                             ids=["over-limit", "allocation-fails"])
+    def test_score_state_too_large_exits_2_before_any_call(self, monkeypatch, tmp_path,
+                                                          capsys, limit, built):
+        # 3 dimensions at 11 grid points keep (3 + 2) * 11 * 11 * 8 = 4 840
+        # bytes: one byte over a patched limit, or within it while building
+        # the optimizer runs out of memory
+        calls = []
+        monkeypatch.setattr(cli, "MAX_SCORE_STATE_BYTES", limit)
+        monkeypatch.setattr(cli, "ackley", calls.append)
+
+        def out_of_memory(**kwargs):
+            raise built()
+
+        if built is not None:
+            monkeypatch.setattr(cli, "ScoreOptimizer", out_of_memory)
+        code = main(["run", "--dims", "3", "--grid-points", "11", "--out", str(tmp_path)])
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 2 and calls == [] and not list(tmp_path.iterdir())
+        assert line.startswith("configuration error: the SCORE state of 3 dimensions "
+                               "at 11 grid points needs 4,840 bytes, ")
+
     def test_objective_error_is_exported(self):
         assert scorebo.ObjectiveError is scorebo.errors.ObjectiveError
 

@@ -79,6 +79,36 @@ def record_fill_draws(opt):
     return draws
 
 
+def record_score_reads(opt, eager=False):
+    """Spy on the projection-score table of each of ``opt``'s selections.
+
+    Returns a list that gains one ``(calls, all_supported)`` per selection:
+    how often the selection called its scorer, and whether its line tables
+    gave every dimension line evidence. Each time the scorer is called, the
+    table it returns must be byte-equal to an eager ``_projection_scores()``
+    at that point. With ``eager``, the selection is instead handed that
+    eager table, computed before it starts, whether it reads it or not.
+    """
+    selections, select_batch = [], opt.select_batch
+
+    def spy(scores, max_batch=None):
+        calls = []
+        planted = opt._projection_scores() if eager else None
+
+        def scorer():
+            table = scores() if planted is None else planted
+            calls.append(1)
+            assert table.tobytes() == opt._projection_scores().tobytes()
+            return table
+
+        batch = select_batch(scorer, max_batch=max_batch)
+        selections.append((len(calls), bool(opt._line_tables_kept.posterior[3].all())))
+        return batch
+
+    opt.select_batch = spy
+    return selections
+
+
 def observed_matches(table, brute):
     """``observed(d)`` is each dimension's sorted brute-force keys and minima,
     and the kept mask and count mark and count those keys."""
@@ -527,7 +557,7 @@ class TestSelectBatch:
         opt.history.evaluate((1, 0))
         opt._projection_scores()
         scores = np.array([[0.1, 0.9], [0.3, 0.2]])
-        batch = opt.select_batch(scores)
+        batch = opt.select_batch(lambda: scores)
         assert len(batch) == 1
         assert batch[0] != (1, 0)
 
@@ -541,7 +571,7 @@ class TestSelectBatch:
                                  batch_size=10, seed=5)
             opt.initialize(20)
             opt._projection_scores()
-            batches.append(opt.select_batch(scores.copy()))
+            batches.append(opt.select_batch(lambda: scores.copy()))
         assert batches[0] == batches[1]
         assert len(batches[0]) == 10
         assert len(set(batches[0])) == 10
@@ -551,7 +581,7 @@ class TestSelectBatch:
         opt = ScoreOptimizer(space=space, objective=lambda p: 0.0)
         opt.history.evaluated = {(i, j) for i in range(2) for j in range(2)}
         with pytest.raises(SpaceExhausted):
-            opt.select_batch(np.ones((2, 2)))
+            opt.select_batch(lambda: np.ones((2, 2)))
 
     def test_batch_truncated_to_remaining_combinations(self):
         space = grid_space(2, 2)
@@ -559,7 +589,8 @@ class TestSelectBatch:
                              batch_size=10)
         opt.history.evaluate((0, 0))
         opt.history.evaluate((0, 1))
-        batch = opt.select_batch(opt._projection_scores())
+        scores = opt._projection_scores()
+        batch = opt.select_batch(lambda: scores)
         assert sorted(batch) == [(1, 0), (1, 1)]
 
     @staticmethod
@@ -583,7 +614,7 @@ class TestSelectBatch:
 
     def test_fill_draws_observed_cells_by_index(self):
         opt, table, cells = self._fill_only(batch_size=8, seed=3)
-        batch = opt.select_batch(table)
+        batch = opt.select_batch(lambda: table)
 
         ref = np.random.default_rng(3)
         expected = []
@@ -603,7 +634,7 @@ class TestSelectBatch:
                 return np.full(size, np.nextafter(1.0, 0.0))
 
         opt.rng = Rng()
-        assert opt.select_batch(table) == [tuple(c[-1] for c in cells)]
+        assert opt.select_batch(lambda: table) == [tuple(c[-1] for c in cells)]
 
     def test_fill_tier_draws_only_observed_cells(self):
         opt = ScoreOptimizer(space=ackley_space(200), objective=ackley,
@@ -648,11 +679,77 @@ class TestSelectBatch:
         for _ in range(10):
             scores = opt._projection_scores()
             assert np.array_equal(np.isneginf(scores), ~opt._grid_cells)
-            batch = opt.select_batch(scores)
+            batch = opt.select_batch(lambda: scores)
             assert len(batch) == 8
             assert (np.array(batch) < lengths).all(), batch
             for indices in batch:
                 opt.history.evaluate(indices)
+
+
+# (space, objective, batch size, initial design, evaluations, seeds) of
+# perfbench's score workloads
+LAZY_RUNS = {
+    "ackley10-b1": (lambda: (ackley_space(10), ackley), 1, 20, 300, range(5)),
+    "ackley200-b10": (lambda: (ackley_space(200), ackley), 10, 50, 500, range(3)),
+}
+
+
+def lazy_run(name, seed, eager=False):
+    """Batches of one run of ``LAZY_RUNS[name]`` and its selections' reads."""
+    problem, batch_size, n_init, evals, _ = LAZY_RUNS[name]
+    space, objective = problem()
+    opt = ScoreOptimizer(space=space, objective=objective, batch_size=batch_size,
+                         seed=seed)
+    opt.initialize(n_init)
+    selections = record_score_reads(opt, eager)
+    batches = []
+    while opt.history.n_evaluations < evals:
+        batches.append(opt.step(max_batch=evals - opt.history.n_evaluations).batch)
+    return batches, selections
+
+
+class TestLazyProjectionScores:
+    """A step fits the projection GPs; its selection scores their EI table
+    from that fit only when the projection-score move reads a row."""
+
+    @pytest.mark.parametrize("name", list(LAZY_RUNS))
+    def test_table_is_scored_once_and_only_where_read(self, name):
+        selections = []
+        for seed in LAZY_RUNS[name][-1]:
+            selections += lazy_run(name, seed)[1]
+        assert {calls for calls, _ in selections} == {0, 1}
+        assert all(calls == 0 for calls, supported in selections if supported)
+        # a dimension without line evidence, but the line tiers filled the batch
+        assert any(calls == 0 and not supported for calls, supported in selections)
+
+    def test_tier_reading_many_rows_scores_the_table_once(self):
+        # On a constant objective no line is supported, so the projection-
+        # score move reads a row for each tuple of the batch.
+        opt = ScoreOptimizer(space=grid_space(5, 5, 5, 5), objective=lambda p: 0.0,
+                             batch_size=3, seed=0)
+        opt.initialize(2)
+        selections = record_score_reads(opt)
+        batch = opt.step().batch
+        assert selections == [(1, False)]
+        assert sorted(opt.lines.moved_dim(t) for t in batch) == [0, 1, 2]
+
+    def test_scores_read_equal_the_eager_table(self):
+        # record_score_reads checks every read; the reads must include
+        # selections after the first, scored from a fit other than the
+        # design's
+        later = 0
+        for name, (*_, seeds) in LAZY_RUNS.items():
+            for seed in seeds:
+                selections = lazy_run(name, seed)[1]
+                later += sum(calls for calls, _ in selections[1:])
+        assert later > 0
+
+    @pytest.mark.parametrize("name", list(LAZY_RUNS))
+    def test_runs_handed_the_eager_table_pick_the_same_batches(self, name):
+        for seed in LAZY_RUNS[name][-1]:
+            lazy, selections = lazy_run(name, seed)
+            assert sum(calls for calls, _ in selections) > 0
+            assert lazy_run(name, seed, eager=True)[0] == lazy
 
 
 class TestLineEvidence:
@@ -664,7 +761,8 @@ class TestLineEvidence:
                              objective=table_objective(space, values))
         for indices in values:
             opt.history.evaluate(indices)
-        return opt.select_batch(opt._projection_scores())[0]
+        scores = opt._projection_scores()
+        return opt.select_batch(lambda: scores)[0]
 
     def test_empty_line_follows_the_projection_evidence(self):
         # Dimension 0 has only the incumbent (30, 30) on its line; the other
@@ -888,7 +986,7 @@ class TestLineEvidence:
             asked.clear()
             random_fill = set()
             start["state"] = opt.rng.bit_generator.state
-            batch = opt.select_batch(scores)
+            batch = opt.select_batch(lambda: scores)
             line_tier = {t for t, first in asked if first}
             for t in batch:
                 d = opt.lines.moved_dim(t)
@@ -1006,7 +1104,7 @@ class TestLineTableReuse:
 
         def posteriors_of_a_selection():
             log.clear()
-            opt.select_batch(scores)
+            opt.select_batch(lambda: scores)
             return log.count("posterior")
 
         opt.history.evaluate((4, 4, 4))
@@ -1017,7 +1115,7 @@ class TestLineTableReuse:
         assert posteriors_of_a_selection() == 0
         opt.history.evaluate((2, 2, 4))           # better, two coordinates: reanchor only
         log.clear()
-        opt.select_batch(scores)
+        opt.select_batch(lambda: scores)
         assert log == ["reanchor", "posterior"]
         assert posteriors_of_a_selection() == 0
 

@@ -16,8 +16,9 @@ each objective call's point and returned value, in call order, and each
 trace row's iteration, evals and best value; the timing columns are left
 out. ``surrogates`` covers the bytes of the mean and std
 of every ``GpModel.predict`` (only the joint-GP baseline calls it), of
-every projection score table (``ScoreOptimizer._projection_scores``), of
-the first five arrays (mean, std, scale, supported, share) of every derived
+the projection score table scored from every projection fit
+(``ScoreOptimizer._fit_projections``; the script scores it whether or not
+the step's selection reads it), of the first five arrays (mean, std, scale, supported, share) of every derived
 line posterior (``ScoreOptimizer._line_posterior``; its sixth array,
 ``predicted``, holds the shared profile's differences and is left out so
 that digests stay comparable with trees that did not return it), of
@@ -110,20 +111,27 @@ def digest_run(config: dict, target: float, seed: int) -> dict:
             surrogates.update(table.std.tobytes())
         return wrapper
 
-    wrapped = ((gp.GpModel, "predict"), (engine.ScoreOptimizer, "_projection_scores"),
-               (engine.ScoreOptimizer, "_line_posterior"),
-               (engine.ScoreOptimizer, "_shared_profile"),
-               (engine.ProjectionTable, "refresh"))
-    originals = [getattr(owner, name) for owner, name in wrapped]
+    def scored_fit(fit):
+        def wrapper(opt):
+            result = fit(opt)
+            surrogates.update(opt._score_projections(*result).tobytes())
+            return result
+        return wrapper
+
+    wrappers = {(gp.GpModel, "predict"): hashed,
+                (engine.ScoreOptimizer, "_fit_projections"): scored_fit,
+                (engine.ScoreOptimizer, "_line_posterior"): lambda m: hashed(m, 5),
+                (engine.ScoreOptimizer, "_shared_profile"): hashed,
+                (engine.ProjectionTable, "refresh"): hashed_table}
+    originals = {(owner, name): getattr(owner, name) for owner, name in wrappers}
     cli._build_problem = recording_build
-    for (owner, name), method in zip(wrapped, originals):
-        setattr(owner, name, hashed_table(method) if name == "refresh"
-                else hashed(method, 5 if name == "_line_posterior" else None))
+    for (owner, name), wrap in wrappers.items():
+        setattr(owner, name, wrap(originals[owner, name]))
     try:
         trace = cli.run_experiment(cli.RunConfig(**config, seed=seed))
     finally:
         cli._build_problem = build
-        for (owner, name), method in zip(wrapped, originals):
+        for (owner, name), method in originals.items():
             setattr(owner, name, method)
     for row in trace.rows:
         decisions.update(repr((row.iteration, row.evals, row.best_value)).encode())
